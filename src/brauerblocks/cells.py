@@ -93,7 +93,6 @@ class CellModule:
         self._v_index = {v.arcs: i for i, v in enumerate(self.v_list)}
         self._xv = [_one_row_diagram(v, mu.size) for v in self.v_list]
         self._dec_cache: dict = {}
-        self._gen_actions: list[list[SparseVec]] | None = None
 
     @property
     def dim(self) -> int:
@@ -173,16 +172,6 @@ class CellModule:
 
     def matrix_of(self, d: BrauerDiagram) -> list[SparseVec]:
         return [self.act_diagram(d, {j: Fraction(1)}) for j in range(self.dim)]
-
-    @property
-    def gen_actions(self) -> list[list[SparseVec]]:
-        """Matrices of s_1..s_{n-1} followed by X_{1,2}."""
-        if self._gen_actions is None:
-            mats = [self.matrix_of(perm_diagram(perms.transposition(self.n, i - 1, i)))
-                    for i in range(1, self.n)]
-            mats.append(self.matrix_of(hook_diagram(self.n, 1, 2)))
-            self._gen_actions = mats
-        return self._gen_actions
 
     def __repr__(self) -> str:
         return f"CellModule(n={self.n}, delta={self.delta}, mu={self.mu}, dim={self.dim})"

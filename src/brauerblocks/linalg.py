@@ -2,9 +2,9 @@
 
 Vectors are dicts {column index: Fraction-like nonzero value}.  The one
 workhorse is an incremental row echelon with optional combination
-tracking, enough for ranks, null-space dimensions and solving against a
-fixed basis.  Exactness is non-negotiable here: every rank decision
-feeds a theorem check.
+tracking, enough for ranks and solving against a fixed basis.
+Exactness is non-negotiable here: every rank decision feeds a theorem
+check.
 """
 
 from __future__ import annotations
@@ -122,8 +122,3 @@ def rank_of(rows: Iterable[SparseVec]) -> int:
     for row in rows:
         ech.add(row)
     return ech.rank
-
-
-def nullspace_dim(rows: Iterable[SparseVec], n_unknowns: int) -> int:
-    """Dimension of the solution space of the homogeneous system."""
-    return n_unknowns - rank_of(rows)

@@ -25,15 +25,11 @@ from .blocks import (WeightSet, block_partition, hom_target, is_balanced,
                      is_minimal, weights)
 from .cells import CellModule, build_cell, gram_matrix
 from .diagrams import BrauerDiagram, central_element, perm_diagram
-from .linalg import Echelon, SparseVec, nullspace_dim, rank_of, vec_add
+from .linalg import Echelon, SparseVec, rank_of, vec_add
 from .partitions import (Partition, contents, conjugacy_class_size, is_even,
                          lr_coefficient, mn_character, partitions_of)
 
 DEFAULT_MAX_DIM = 400
-
-# Unknown-count ceiling for the full intertwiner solve; beyond this the
-# elimination is no longer desk-scale.
-GENERIC_UNKNOWN_CAP = 200_000
 
 
 def _max_dim() -> int:
@@ -103,7 +99,6 @@ def central_scalar(n: int, delta: int, mu: Partition) -> int:
     expected = central_scalar_value(n, delta, mu)
     cell = _capped_cell(n, delta, mu)
     z = central_element(n, delta)
-    want: SparseVec = {}
     for j in range(cell.dim):
         image = cell.act_element(z, {j: Fraction(1)})
         want = {j: Fraction(expected)} if expected else {}
@@ -180,11 +175,21 @@ def restriction_multiplicity(n: int, delta: int, mu: Partition,
 
 
 def _padded_diagram(n: int, k: int, pairs: list[tuple[int, int]]) -> BrauerDiagram:
-    """Extend a pairing of the first k strands by nested arcs on the rest."""
-    full = list(pairs)
-    for a in range(k + 1, n, 2):
-        full.append((a, a + 1))
-        full.append((-a, -(a + 1)))
+    """Extend a pairing of the first k strands to n strands without loops.
+
+    North arcs (k+1,k+2), ..., (n-1,n) and south arcs (k,k+1), ...,
+    (n-2,n-1) fill the rest, and the pairing's south end k drops to south
+    node n.  This is A*d*B with B*A the identity of B_k and no loop
+    closed, so d -> pad(d) embeds B_k in e*B_n*e for e = A*B at every
+    delta.  With k = 0 there is no strand to route; nested arcs pad then.
+    """
+    if k == 0:
+        full = [(a, a + 1) for a in range(1, n, 2)]
+        full += [(-a, -(a + 1)) for a in range(1, n, 2)]
+        return BrauerDiagram(n, n, full)
+    full = [tuple(-n if x == -k else x for x in p) for p in pairs]
+    full += [(a, a + 1) for a in range(k + 1, n, 2)]
+    full += [(-a, -(a + 1)) for a in range(k, n - 1, 2)]
     return BrauerDiagram(n, n, full)
 
 
@@ -193,11 +198,9 @@ def _hom_dim_compressed(n: int, delta: int, lam: Partition,
     """Hom dimension via the image of the padded Young symmetrizer.
 
     A map out of the cell module at lam is pinned down by the image w of
-    its cyclic generator.  w must lie in the image W of the symmetrizer
-    (row sums then signed column sums, each strand beyond |lam| closed
-    into an arc) and be killed by every padded two-strand contraction.
-    Valid whenever the padding is empty or delta is nonzero; the generic
-    solver covers the rest.
+    its cyclic generator.  w must lie in the image W of the padded
+    symmetrizer (row sums then signed column sums) and be killed by every
+    padded two-strand contraction.
     """
     k = lam.size
     bound = even_lr_sum(lam, mu)
@@ -217,8 +220,7 @@ def _hom_dim_compressed(n: int, delta: int, lam: Partition,
 
     def group_pass(vec: SparseVec, blocks: list[list[int]], sign: int) -> SparseVec:
         # Coset transversals keep the term count at block_len^2 instead of
-        # block_len!.  Every summand applies exactly one diagram per step,
-        # so the stray arc-closure scalars stay uniform across the group.
+        # block_len!.
         for pts in blocks:
             for j in range(1, len(pts)):
                 acc = cell.act_diagram(ident, vec)
@@ -264,39 +266,15 @@ def _hom_dim_compressed(n: int, delta: int, lam: Partition,
     return len(w_basis) - rank_of(stacked)
 
 
-def _hom_dim_generic(n: int, delta: int, lam: Partition, mu: Partition) -> int:
-    """Hom dimension as the null space of the full intertwiner system
-    M * rho_source(g) = rho_target(g) * M over the generators."""
-    source = _capped_cell(n, delta, lam)
-    target = _capped_cell(n, delta, mu)
-    unknowns = source.dim * target.dim
-    if unknowns > GENERIC_UNKNOWN_CAP:
-        raise RuntimeError(
-            f"intertwiner system with {unknowns} unknowns at lam={lam}, "
-            f"mu={mu}, n={n} is beyond the elimination cap")
-    eqs: list[SparseVec] = []
-    for a_cols, b_cols in zip(source.gen_actions, target.gen_actions):
-        b_rows: dict[int, SparseVec] = {}
-        for c, col in enumerate(b_cols):
-            for a, val in col.items():
-                b_rows.setdefault(a, {})[c] = val
-        for b in range(source.dim):
-            col_a = a_cols[b]
-            for a in range(target.dim):
-                row: SparseVec = {}
-                for c, val in col_a.items():
-                    row[(a, c)] = val
-                for c, val in b_rows.get(a, {}).items():
-                    row[(c, b)] = row.get((c, b), 0) - val
-                row = {key: val for key, val in row.items() if val}
-                if row:
-                    eqs.append(row)
-    return nullspace_dim(eqs, unknowns)
-
-
 def hom_dim(q: HomQuery) -> int:
     """Dimension of the space of module maps from the cell module at
-    q.source to the one at q.target, both over B_n(delta)."""
+    q.source to the one at q.target, both over B_n(delta).
+
+    For k = |q.source| and e the padded identity, the maps from the cell
+    module at q.source into a module M are the B_k-maps from the Specht
+    module of q.source into e*M, since the padding embeds B_k as e*B_n*e
+    and B_n*e spans the (n, k) diagrams.
+    """
     n, delta, lam, mu = q.n, q.delta, q.source, q.target
     if central_scalar_value(n, delta, lam) != central_scalar_value(n, delta, mu):
         # The central element acts by distinct scalars, so any intertwiner
@@ -306,9 +284,7 @@ def hom_dim(q: HomQuery) -> int:
         # Both modules are symmetric-group Specht modules with every
         # non-permutation diagram acting as zero.
         return 1 if lam == mu else 0
-    if delta != 0 or lam.size == n:
-        return _hom_dim_compressed(n, delta, lam, mu)
-    return _hom_dim_generic(n, delta, lam, mu)
+    return _hom_dim_compressed(n, delta, lam, mu)
 
 
 @lru_cache(maxsize=None)

@@ -181,12 +181,6 @@ class SkewShape:
     def contents(self) -> Counter:
         return Counter(b.content for b in self.boxes)
 
-    def row_lengths(self) -> dict[int, int]:
-        out: Counter = Counter()
-        for b in self.boxes:
-            out[b.row] += 1
-        return dict(out)
-
 
 def contents(lam: Partition) -> Counter:
     """Multiset of box contents col - row over the whole diagram."""

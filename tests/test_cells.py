@@ -116,13 +116,6 @@ def test_t_action_small(delta):
                 assert t_action_check(build_cell(n, delta, mu))
 
 
-def test_gen_actions_shape():
-    cell = build_cell(4, 1, P(2))
-    mats = cell.gen_actions
-    assert len(mats) == 4  # s_1, s_2, s_3 and the first hook
-    assert all(len(m) == cell.dim for m in mats)
-
-
 def test_restriction_rule():
     down, up = restriction_rule(P(2, 1), 5)
     assert set(down) == {P(1, 1), P(2)}

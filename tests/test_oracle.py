@@ -6,12 +6,14 @@ import pytest
 from brauerblocks import perms
 from brauerblocks.blocks import hom_target, is_balanced, weights
 from brauerblocks.cells import build_cell
-from brauerblocks.diagrams import BrauerDiagram, hook_diagram, perm_diagram
-from brauerblocks.linalg import nullspace_dim
-from brauerblocks.oracle import (HomQuery, _hom_dim_compressed,
-                                 _hom_dim_generic, block_graph, cell_dim,
-                                 central_scalar, central_scalar_value,
-                                 even_lr_sum, gram_rank, hom_dim,
+from brauerblocks.diagrams import (BrauerDiagram, all_diagrams, concat,
+                                   e_bar, hook_diagram, identity_diagram,
+                                   perm_diagram)
+from brauerblocks.linalg import rank_of
+from brauerblocks.oracle import (HomQuery, _padded_diagram, block_graph,
+                                 cell_dim, central_scalar,
+                                 central_scalar_value, even_lr_sum,
+                                 gram_rank, hom_dim,
                                  restriction_multiplicity, verify_blocks)
 from brauerblocks.partitions import (EMPTY, Partition, partitions_of,
                                      removable_boxes, specht_dim)
@@ -109,19 +111,83 @@ def test_hom_dim_fixed_values():
     assert hom_dim(HomQuery(4, -2, P(3, 1), P(1, 1))) == 1
 
 
+def generators(m: int) -> list[BrauerDiagram]:
+    """s_1, ..., s_{m-1} and the hook X_{1,2}, which generate B_m."""
+    gens = [perm_diagram(perms.transposition(m, i - 1, i))
+            for i in range(1, m)]
+    return gens + [hook_diagram(m, 1, 2)]
+
+
+def intertwiner_dim(src, tgt, gen_pairs) -> int:
+    """Dimension of the space of matrices M with M*src(g) = tgt(g')*M for
+    every pair (g, g'), one unknown per entry of M."""
+    eqs = []
+    for g, g_tgt in gen_pairs:
+        a_cols = src.matrix_of(g)
+        b_cols = tgt.matrix_of(g_tgt)
+        b_rows: dict = {}
+        for c, col in enumerate(b_cols):
+            for a, val in col.items():
+                b_rows.setdefault(a, {})[c] = val
+        for b in range(src.dim):
+            for a in range(tgt.dim):
+                row: dict = {}
+                for c, val in a_cols[b].items():
+                    row[(a, c)] = val
+                for c, val in b_rows.get(a, {}).items():
+                    row[(c, b)] = row.get((c, b), 0) - val
+                row = {k: v for k, v in row.items() if v}
+                if row:
+                    eqs.append(row)
+    return src.dim * tgt.dim - rank_of(eqs)
+
+
+def reference_hom_dim(n: int, delta: int, lam: Partition,
+                      mu: Partition) -> int:
+    """Hom dimension by the full intertwiner solve over the generators."""
+    gens = generators(n)
+    return intertwiner_dim(build_cell(n, delta, lam), build_cell(n, delta, mu),
+                           zip(gens, gens))
+
+
 def test_hom_routes_agree():
-    # the symmetrizer-image shortcut must reproduce the full intertwiner
-    # solve wherever both apply
-    for n in (2, 3, 4):
+    # the padded-symmetrizer route must reproduce the full intertwiner
+    # solve on every pair that reaches it, delta = 0 included
+    count = 0
+    for n in (2, 3, 4, 5):
         for delta in DELTAS:
             ws = weights(n, delta).weights
             for lam in ws:
-                if delta == 0 and lam.size < n:
-                    continue  # shortcut needs nonzero arc closures
                 for mu in ws:
-                    got = _hom_dim_compressed(n, delta, lam, mu)
-                    want = _hom_dim_generic(n, delta, lam, mu)
+                    if (central_scalar_value(n, delta, lam)
+                            != central_scalar_value(n, delta, mu)
+                            or lam.size == mu.size == n):
+                        continue
+                    got = hom_dim(HomQuery(n, delta, lam, mu))
+                    want = reference_hom_dim(n, delta, lam, mu)
                     assert got == want, (n, delta, lam, mu, got, want)
+                    count += 1
+    assert count == 102
+
+
+def pad(d: BrauerDiagram, n: int) -> BrauerDiagram:
+    return _padded_diagram(n, d.n, d.sorted_pairs())
+
+
+def test_padding_is_a_loop_free_embedding():
+    # pad(a)*pad(b) = delta^loops(ab) * pad(ab): the padding is
+    # multiplicative and closes no loop of its own, so it embeds B_k at
+    # every delta, 0 included
+    for k in (1, 2, 3):
+        pool = list(all_diagrams(k))
+        for n in (k, k + 2, k + 4):
+            for a in pool:
+                for b in pool:
+                    ab, loops = concat(a, b)
+                    assert concat(pad(a, n), pad(b, n)) == (pad(ab, n), loops)
+    for n in range(3, 8):
+        (bar,) = e_bar(n, 0).terms
+        assert pad(identity_diagram(n - 2), n) == bar
 
 
 def test_hom_adjacent_weights_at_most_one():
@@ -153,30 +219,9 @@ def restricted_hom_dim(n: int, delta: int, src_w: Partition,
                        tgt_w: Partition) -> int:
     """Maps of modules over the algebra on n-1 strands, from its cell at
     src_w into the level-n cell at tgt_w viewed by restriction."""
-    src = build_cell(n - 1, delta, src_w)
-    tgt = build_cell(n, delta, tgt_w)
-    gens = [perm_diagram(perms.transposition(n - 1, i - 1, i))
-            for i in range(1, n - 1)]
-    gens.append(hook_diagram(n - 1, 1, 2))
-    eqs = []
-    for g in gens:
-        a_cols = src.matrix_of(g)
-        b_cols = tgt.matrix_of(embed(g, n))
-        b_rows: dict = {}
-        for c, col in enumerate(b_cols):
-            for a, val in col.items():
-                b_rows.setdefault(a, {})[c] = val
-        for b in range(src.dim):
-            for a in range(tgt.dim):
-                row: dict = {}
-                for c, val in a_cols[b].items():
-                    row[(a, c)] = val
-                for c, val in b_rows.get(a, {}).items():
-                    row[(c, b)] = row.get((c, b), 0) - val
-                row = {k: v for k, v in row.items() if v}
-                if row:
-                    eqs.append(row)
-    return nullspace_dim(eqs, src.dim * tgt.dim)
+    return intertwiner_dim(build_cell(n - 1, delta, src_w),
+                           build_cell(n, delta, tgt_w),
+                           [(g, embed(g, n)) for g in generators(n - 1)])
 
 
 def test_restricted_hom_one_dimensional():
