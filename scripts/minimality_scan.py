@@ -1,29 +1,29 @@
 #!/usr/bin/env python3
-"""Cross-check the core-based minimality classifier against brute force.
+"""Cross-check the minimality classifier and the minimal weight against
+brute force.
 
 For every partition up to --max-size and every delta in the range, the
 fast is_minimal (no balanced removable skew confined to the stripped
 core) is compared with the definitional search over all balanced proper
-subpartitions.  Any divergence is printed; none is expected.
+subpartitions, and minimal_weight (the type-D orbit minimum) with the
+least balanced subpartition found by the same search.  Any divergence
+is printed; none is expected.
 """
 
 import argparse
 import sys
 import time
 
-from brauerblocks.blocks import is_balanced, is_minimal
+from brauerblocks.blocks import is_balanced, is_minimal, minimal_weight
 from brauerblocks.partitions import EMPTY, Partition, partitions_of, subpartitions
 
 
-def brute_minimal(lam: Partition, delta: int) -> bool:
-    for mu in subpartitions(lam):
-        if mu == lam:
-            continue
-        if delta == 0 and mu == EMPTY:
-            continue
-        if is_balanced(lam, mu, delta):
-            return False
-    return True
+def balanced_subs(lam: Partition, delta: int) -> list[Partition]:
+    """Every subpartition of lam balanced with it, bar the empty one at
+    delta = 0 (no weight there) unless lam itself is empty."""
+    return [mu for mu in subpartitions(lam)
+            if not (delta == 0 and mu == EMPTY and lam != EMPTY)
+            and is_balanced(lam, mu, delta)]
 
 
 def main() -> int:
@@ -38,13 +38,21 @@ def main() -> int:
     for k in range(args.max_size + 1):
         for lam in partitions_of(k):
             for delta in args.deltas:
+                subs = balanced_subs(lam, delta)
                 fast = is_minimal(lam, delta)
-                slow = brute_minimal(lam, delta)
+                slow = subs == [lam]
+                least = min(mu.size for mu in subs)
+                least_subs = [mu for mu in subs if mu.size == least]
+                orbit_min = minimal_weight(lam, delta)
                 checked += 1
                 if fast != slow:
                     bad.append((lam, delta, fast, slow))
                     print(f"DIVERGENCE {lam} delta={delta}: "
                           f"classifier {fast}, brute force {slow}")
+                if least_subs != [orbit_min]:
+                    bad.append((lam, delta, orbit_min, least_subs))
+                    print(f"DIVERGENCE {lam} delta={delta}: minimal weight "
+                          f"{orbit_min}, least balanced subpartitions {least_subs}")
     print(f"{checked} cases in {time.time() - t0:.1f}s, "
           f"{len(bad)} divergences")
     return 0 if not bad else 1

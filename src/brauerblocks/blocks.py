@@ -2,8 +2,10 @@
 
 Two weights lie in the same block exactly when they form a balanced pair,
 a condition on the contents of the two difference shapes around their
-intersection.  This module decides balancedness, partitions a weight set
-into blocks, builds the maximal balanced subpartition under a weight
+intersection, or equivalently when their shifted conjugates share a
+type-D Weyl orbit (Cox, De Visscher and Martin).  This module decides
+balancedness, keys and partitions a weight set by that orbit, finds the
+orbit minimum under a weight, builds the maximal balanced subpartition
 (the predicted homomorphism target), classifies minimal weights by
 iterated row/column stripping, and lays out the inclusion lattice of
 weights between a balanced pair differing by isolated boxes.
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
 
 from .partitions import (
     EMPTY,
@@ -26,7 +27,6 @@ from .partitions import (
     partitions_of,
     removable_boxes,
     skew,
-    subpartitions,
 )
 
 
@@ -71,13 +71,6 @@ def _side_balanced(boxes: frozenset[Box], delta: int) -> bool:
     return True
 
 
-@cache
-def _balanced_cached(lam: Partition, mu: Partition, delta: int) -> bool:
-    lam_side, mu_side = skew(lam, mu)
-    return (_side_balanced(lam_side.boxes, delta)
-            and _side_balanced(mu_side.boxes, delta))
-
-
 def is_balanced(lam: Partition, mu: Partition, delta: int) -> bool:
     """Whether the two weights lie in the same block at this delta.
 
@@ -85,9 +78,28 @@ def is_balanced(lam: Partition, mu: Partition, delta: int) -> bool:
     multiset symmetric under c -> 1-delta-c, with an extra parity
     condition on the self-paired content.
     """
-    if lam.parts > mu.parts:
-        lam, mu = mu, lam
-    return _balanced_cached(lam, mu, delta)
+    lam_side, mu_side = skew(lam, mu)
+    return (_side_balanced(lam_side.boxes, delta)
+            and _side_balanced(mu_side.boxes, delta))
+
+
+def _shifted(lam: Partition, delta: int, rank: int) -> list[int]:
+    """Doubled rho_delta-shifted coordinates x_i = 2 lam'_i - delta - 2i
+    (0-based i), lam' the conjugate padded with zeros to rank entries."""
+    if rank <= lam.row(0):
+        raise ValueError(f"rank {rank} must exceed the largest part of {lam}")
+    col = lam.conjugate()
+    return [2 * col.row(i) - delta - 2 * i for i in range(rank)]
+
+
+def block_key(lam: Partition, delta: int, rank: int) -> tuple:
+    """lam's type-D Weyl orbit at this rank: the sorted |x_i|, plus the
+    parity of the negative x_i unless some x_i is 0.  Weights whose sizes
+    share a parity lie in one block exactly when their keys agree at a
+    common rank exceeding both conjugates' lengths."""
+    x = _shifted(lam, delta, rank)
+    parity = None if 0 in x else sum(v < 0 for v in x) % 2
+    return tuple(sorted(map(abs, x))), parity
 
 
 def bias(lam: Partition, tau: Partition, delta: int) -> int:
@@ -113,39 +125,22 @@ class BlockPartition:
 
 
 def block_partition(n: int, delta: int) -> BlockPartition:
-    """Partition the weight set by the balanced relation.
+    """Partition the weight set into blocks by block key at rank n+1.
 
-    Union-find over all pairs; every class must contain exactly one
-    member of least size, which is attached as the class minimal.
+    Every class must be balanced with its unique member of least size,
+    which is attached as the class minimal.
     """
-    ws = weights(n, delta).weights
-    parent = list(range(len(ws)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(ws)):
-        for j in range(i + 1, len(ws)):
-            if is_balanced(ws[i], ws[j], delta):
-                parent[find(i)] = find(j)
-
-    groups: dict[int, list[Partition]] = {}
-    for i, w in enumerate(ws):
-        groups.setdefault(find(i), []).append(w)
+    groups: dict[tuple, list[Partition]] = {}
+    for w in weights(n, delta).weights:
+        groups.setdefault(block_key(w, delta, n + 1), []).append(w)
 
     classes = []
     for members in groups.values():
         members.sort(key=lambda p: (p.size, p.parts))
-        # balanced must be transitive for the block reading to make sense
-        for a in members:
-            for b in members:
-                assert is_balanced(a, b, delta), (a, b, delta)
-        least = [m for m in members if m.size == members[0].size]
-        assert len(least) == 1, f"non-unique minimum in class {members}"
-        classes.append((members[0], tuple(members)))
+        least = members[0]
+        assert all(is_balanced(least, m, delta) for m in members), (members, delta)
+        assert [m.size for m in members].count(least.size) == 1, members
+        classes.append((least, tuple(members)))
     classes.sort(key=lambda c: (c[0].size, c[0].parts))
     return BlockPartition(n, delta, tuple(classes))
 
@@ -382,15 +377,29 @@ def is_minimal(lam: Partition, delta: int) -> bool:
 
 
 def minimal_weight(lam: Partition, delta: int) -> Partition:
-    """The unique smallest partition under lam balanced with it."""
-    candidates = [mu for mu in subpartitions(lam)
-                  if not (delta == 0 and mu == EMPTY and lam != EMPTY)
-                  and is_balanced(lam, mu, delta)]
-    least = min(m.size for m in candidates)
-    found = [m for m in candidates if m.size == least]
-    assert len(found) == 1, f"non-unique minimum below {lam}: {found}"
-    assert is_minimal(found[0], delta), (lam, found[0], delta)
-    return found[0]
+    """The unique smallest weight under lam balanced with it: the minimum
+    of lam's type-D orbit.  At rank |lam| + |delta| + 2 any x_i can turn
+    negative; every unpaired nonzero |x_i| does, a doubled one keeps one
+    copy of each sign, and if no x_i is 0 and the parity of the negatives
+    changed, the smallest unpaired one turns back.  At delta = 0 the empty
+    partition is no weight; (2) is the only size-2 one in its orbit."""
+    rank = lam.size + abs(delta) + 2
+    x = _shifted(lam, delta, rank)
+    mags = Counter(map(abs, x))
+    y = [-a for a in mags if a] + [a for a, c in mags.items() if c == 2]
+    if 0 in mags:
+        y.append(0)
+    elif sum(v < 0 for v in y) % 2 != sum(v < 0 for v in x) % 2:
+        a = min(a for a, c in mags.items() if c == 1)
+        y[y.index(-a)] = a
+    y.sort(reverse=True)
+    found = Partition((v + delta + 2 * i) // 2 for i, v in enumerate(y)).conjugate()
+    if delta == 0 and found == EMPTY and lam != EMPTY:
+        found = Partition((2,))
+    assert lam.contains(found), (lam, found, delta)
+    assert is_balanced(lam, found, delta), (lam, found, delta)
+    assert is_minimal(found, delta), (lam, found, delta)
+    return found
 
 
 def hom_target(lam: Partition, delta: int) -> Partition | None:

@@ -22,7 +22,7 @@ from .blocks import (block_partition, block_partition_json, hat_steps,
                      weights)
 from .diagrams import all_diagrams, from_diagram
 from .oracle import HomQuery, hom_dim, verify_blocks
-from .partitions import Box, Partition, parse_partition
+from .partitions import EMPTY, Box, Partition, parse_partition
 
 
 def _partition(text: str) -> Partition:
@@ -37,20 +37,6 @@ def _print_json(payload) -> None:
 
 
 # ---------------------------------------------------------------- rendering
-
-def render_partition(lam: Partition) -> str:
-    """ASCII grid with one bracketed cell per box, labelled by content."""
-    if lam.size == 0:
-        return "(empty)"
-    labels = {b: str(b.content) for b in lam.boxes()}
-    width = max(len(s) for s in labels.values())
-    lines = []
-    for i in range(lam.rows):
-        row = lam.row(i)
-        lines.append("".join(f"[{labels[Box(i + 1, c)]:>{width}}]"
-                             for c in range(1, row + 1)))
-    return "\n".join(lines)
-
 
 def render_skew(lam: Partition, mu: Partition) -> str:
     """Grid of lam with mu's boxes dotted out and the rest labelled by
@@ -238,7 +224,7 @@ def _cmd_verify(args) -> int:
 def _cmd_render(args) -> int:
     first = args.partitions[0]
     if len(args.partitions) == 1:
-        print(render_partition(first))
+        print(render_skew(first, EMPTY))
         return 0
     lam, mu = args.partitions
     if args.format == "dot":

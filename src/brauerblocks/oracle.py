@@ -220,10 +220,10 @@ def _hom_dim_compressed(n: int, delta: int, lam: Partition,
 
     def group_pass(vec: SparseVec, blocks: list[list[int]], sign: int) -> SparseVec:
         # Coset transversals keep the term count at block_len^2 instead of
-        # block_len!.
+        # block_len!; vec lies in e.M, so the identity coset acts trivially.
         for pts in blocks:
             for j in range(1, len(pts)):
-                acc = cell.act_diagram(ident, vec)
+                acc = vec
                 for i in range(j):
                     tr = perms.transposition(k, pts[i], pts[j])
                     acc = vec_add(acc, cell.act_diagram(pad_perm(tr), vec), sign)

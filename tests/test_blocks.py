@@ -1,14 +1,14 @@
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from brauerblocks.blocks import (bias, block_partition, block_partition_json,
-                                 hat, hat_steps, hom_target,
-                                 i_maximal_balanced_sub, is_balanced,
-                                 is_minimal, lattice_predict,
+from brauerblocks.blocks import (bias, block_key, block_partition,
+                                 block_partition_json, hat, hat_steps,
+                                 hom_target, i_maximal_balanced_sub,
+                                 is_balanced, is_minimal, lattice_predict,
                                  maximal_balanced_sub, minimal_weight, weights)
-from brauerblocks.partitions import (EMPTY, Box, Partition, removable_boxes,
-                                     subpartitions)
+from brauerblocks.partitions import (EMPTY, Box, Partition, partitions_of,
+                                     removable_boxes, subpartitions)
 
 DELTAS = (-2, -1, 0, 1, 2, 3)
 
@@ -100,6 +100,36 @@ def test_block_partition_classes_cover_weights():
             assert minimal == min(members, key=lambda p: (p.size, p.parts))
 
 
+def key_matches_balanced(lam, mu, delta):
+    """The type-D orbit key and the balanced criterion agree on the pair
+    at two ranks exceeding both conjugates' lengths."""
+    total = lam.size + mu.size
+    return all((block_key(lam, delta, r) == block_key(mu, delta, r))
+               == is_balanced(lam, mu, delta)
+               for r in (total + 1, 2 * total + 1))
+
+
+@given(partitions, partitions, st.integers(-3, 4))
+def test_block_key_matches_balanced(lam, mu, delta):
+    assume((lam.size - mu.size) % 2 == 0)
+    assert key_matches_balanced(lam, mu, delta), (lam, mu, delta)
+
+
+def test_block_key_matches_balanced_exhaustive():
+    small = [lam for k in range(10) for lam in partitions_of(k)]
+    for i, lam in enumerate(small):
+        for mu in small[i:]:
+            if (lam.size - mu.size) % 2:
+                continue
+            for delta in range(-3, 5):
+                assert key_matches_balanced(lam, mu, delta), (lam, mu, delta)
+
+
+def test_block_key_rejects_short_rank():
+    with pytest.raises(ValueError):
+        block_key(P(3, 1), 1, 3)
+
+
 def test_block_partition_json_shape():
     doc = block_partition_json(block_partition(4, 1))
     assert doc["n"] == 4 and doc["delta"] == 1
@@ -167,7 +197,6 @@ def test_is_minimal_examples():
 
 def test_is_minimal_agrees_with_brute_force():
     for size in range(8):
-        from brauerblocks.partitions import partitions_of
         for lam in partitions_of(size):
             for delta in DELTAS:
                 assert is_minimal(lam, delta) == brute_minimal(lam, delta), \
@@ -183,11 +212,25 @@ def test_minimal_weight():
     assert minimal_weight(got, 2) == got
 
 
+def least_balanced_sub(lam, delta):
+    """Definitional minimal weight: the unique least subpartition of lam
+    balanced with it, bar the empty one at delta = 0."""
+    found = [mu for mu in subpartitions(lam)
+             if not (delta == 0 and mu == EMPTY and lam != EMPTY)
+             and is_balanced(lam, mu, delta)]
+    size = min(m.size for m in found)
+    least = [m for m in found if m.size == size]
+    assert len(least) == 1, (lam, delta, least)
+    return least[0]
+
+
 def test_minimal_weight_matches_block_partition():
-    bp = block_partition(4, 1)
-    for minimal, members in bp.classes:
-        for w in members:
-            assert minimal_weight(w, 1) == minimal
+    for n in range(1, 9):
+        for delta in DELTAS:
+            for minimal, members in block_partition(n, delta).classes:
+                for w in members:
+                    assert minimal_weight(w, delta) == minimal, (w, n, delta)
+                    assert least_balanced_sub(w, delta) == minimal, (w, n, delta)
 
 
 def test_hom_target():
