@@ -2,12 +2,12 @@
 """Cross-check the minimality classifier and the minimal weight against
 brute force.
 
-For every partition up to --max-size and every delta in the range, the
-fast is_minimal (no balanced removable skew confined to the stripped
-core) is compared with the definitional search over all balanced proper
-subpartitions, and minimal_weight (the type-D orbit minimum) with the
-least balanced subpartition found by the same search.  Any divergence
-is printed; none is expected.
+For every partition up to --max-size and every delta in the range,
+is_minimal (whether the weight is its own type-D orbit minimum) is
+compared with the definitional search over all balanced proper
+subpartitions, and minimal_weight (the orbit minimum) with the least
+balanced subpartition found by the same search.  Any divergence is
+printed; none is expected.
 """
 
 import argparse

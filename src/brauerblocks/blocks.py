@@ -5,10 +5,11 @@ a condition on the contents of the two difference shapes around their
 intersection, or equivalently when their shifted conjugates share a
 type-D Weyl orbit (Cox, De Visscher and Martin).  This module decides
 balancedness, keys and partitions a weight set by that orbit, finds the
-orbit minimum under a weight, builds the maximal balanced subpartition
-(the predicted homomorphism target), classifies minimal weights by
-iterated row/column stripping, and lays out the inclusion lattice of
-weights between a balanced pair differing by isolated boxes.
+orbit minimum under a weight (a weight is minimal when it is its own),
+builds the maximal balanced subpartition (the predicted homomorphism
+target), strips rows and columns down to a weight's core, and lays out
+the inclusion lattice of weights between a balanced pair differing by
+isolated boxes.
 
 Everything is exact integer combinatorics on partitions.
 """
@@ -343,46 +344,13 @@ def hat(lam: Partition, delta: int) -> SkewShape:
     return hat_steps(lam, delta)[0]
 
 
-def is_minimal(lam: Partition, delta: int) -> bool:
-    """Whether lam is the smallest weight in its block.
-
-    The stripped core confines the search: lam is reported minimal
-    exactly when no smaller weight balanced with lam differs from it
-    only inside the core.  Rows and columns are only ever stripped when
-    their removable corner has no mirror-content box left at all, so
-    no balanced removal can straddle the discarded part.
-    """
-    core = hat(lam, delta).boxes
-    if not core:
-        return True
-    r0 = min(b.row for b in core) - 1
-    c0 = min(b.col for b in core) - 1
-
-    def rec(i: int, prev: int, acc: list[int]):
-        if i == lam.rows:
-            yield Partition(acc)
-            return
-        if i < r0 or lam.row(i) <= c0:
-            yield from rec(i + 1, lam.row(i), acc + [lam.row(i)])
-            return
-        for length in range(min(lam.row(i), prev), c0 - 1, -1):
-            yield from rec(i + 1, length, acc + [length])
-
-    for mu in rec(0, lam.row(0) if lam.rows else 0, []):
-        if mu == lam or (delta == 0 and mu == EMPTY):
-            continue
-        if is_balanced(lam, mu, delta):
-            return False
-    return True
-
-
-def minimal_weight(lam: Partition, delta: int) -> Partition:
-    """The unique smallest weight under lam balanced with it: the minimum
-    of lam's type-D orbit.  At rank |lam| + |delta| + 2 any x_i can turn
-    negative; every unpaired nonzero |x_i| does, a doubled one keeps one
-    copy of each sign, and if no x_i is 0 and the parity of the negatives
-    changed, the smallest unpaired one turns back.  At delta = 0 the empty
-    partition is no weight; (2) is the only size-2 one in its orbit."""
+def _orbit_min(lam: Partition, delta: int) -> Partition:
+    """The minimum of lam's type-D orbit.  At rank |lam| + |delta| + 2 any
+    x_i can turn negative; every unpaired nonzero |x_i| does, a doubled
+    one keeps one copy of each sign, and if no x_i is 0 and the parity of
+    the negatives changed, the smallest unpaired one turns back.  At
+    delta = 0 the empty partition is no weight; (2) is the only size-2
+    one in its orbit."""
     rank = lam.size + abs(delta) + 2
     x = _shifted(lam, delta, rank)
     mags = Counter(map(abs, x))
@@ -396,6 +364,20 @@ def minimal_weight(lam: Partition, delta: int) -> Partition:
     found = Partition((v + delta + 2 * i) // 2 for i, v in enumerate(y)).conjugate()
     if delta == 0 and found == EMPTY and lam != EMPTY:
         found = Partition((2,))
+    return found
+
+
+def is_minimal(lam: Partition, delta: int) -> bool:
+    """Whether lam is the smallest weight in its block: the minimum of
+    its type-D orbit."""
+    return _orbit_min(lam, delta) == lam
+
+
+def minimal_weight(lam: Partition, delta: int) -> Partition:
+    """The unique smallest weight under lam balanced with it, checked to
+    lie under lam, to be balanced with it and to be its own orbit
+    minimum."""
+    found = _orbit_min(lam, delta)
     assert lam.contains(found), (lam, found, delta)
     assert is_balanced(lam, found, delta), (lam, found, delta)
     assert is_minimal(found, delta), (lam, found, delta)

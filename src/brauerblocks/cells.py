@@ -10,7 +10,6 @@ then tableaux) so every matrix is reproducible bit for bit.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import Iterator, NamedTuple
@@ -171,7 +170,7 @@ class CellModule:
         return out
 
     def matrix_of(self, d: BrauerDiagram) -> list[SparseVec]:
-        return [self.act_diagram(d, {j: Fraction(1)}) for j in range(self.dim)]
+        return [self.act_diagram(d, {j: 1}) for j in range(self.dim)]
 
     def __repr__(self) -> str:
         return f"CellModule(n={self.n}, delta={self.delta}, mu={self.mu}, dim={self.dim})"
@@ -187,20 +186,20 @@ def build_cell(n: int, delta: int, mu: Partition) -> CellModule:
     return CellModule(n, delta, mu)
 
 
-def gram_matrix(cell: CellModule) -> list[list[Fraction]]:
+def gram_matrix(cell: CellModule) -> list[list[int]]:
     """Invariant bilinear form on the cell basis: pair one-row diagrams by
     stacking the flip of one on the other; a propagating drop gives zero,
     otherwise the leftover permutation is evaluated in the Specht form."""
     f = cell.specht.dim
     form = cell.specht.form
     dim = cell.dim
-    gram = [[Fraction(0)] * dim for _ in range(dim)]
+    gram = [[0] * dim for _ in range(dim)]
     for vi in range(len(cell.v_list)):
         for wi in range(len(cell.v_list)):
             prod, loops = concat(flip(cell._xv[vi]), cell._xv[wi])
             if prod.propagating < prod.n:
                 continue
-            scale = Fraction(cell.delta) ** loops
+            scale = cell.delta ** loops
             if not scale:
                 continue
             # north a joins south b: the permutation diagram acts on the
@@ -225,9 +224,9 @@ def t_action_check(cell: CellModule) -> bool:
     csum = sum(c * k for c, k in contents(cell.mu).items())
     scalar = cell.t * (delta - 1) - csum
     for b in range(cell.dim):
-        unit = {b: Fraction(1)}
+        unit = {b: 1}
         lhs: SparseVec = {}
-        rhs: SparseVec = {b: Fraction(scalar)} if scalar else {}
+        rhs: SparseVec = {b: scalar} if scalar else {}
         for i in range(n):
             for j in range(i + 1, n):
                 lhs = linalg.vec_add(lhs, cell.act_diagram(hook_diagram(n, i + 1, j + 1), unit))

@@ -4,8 +4,9 @@ Everything here recomputes, by exact linear algebra, quantities that the
 combinatorial layer only predicts: Hom-space dimensions between cell
 modules, central-element scalars, Gram ranks, restriction multiplicities
 to the symmetric group, and the empirical block graph.  All arithmetic
-is over exact rationals; a rank decision is only as good as its worst
-pivot.
+is exact: a diagram acts on a cell module by an integer matrix, and
+rationals enter only through algebra-element coefficients and the
+normalized pivots of the echelon behind each rank.
 
 Module dimensions are capped via the BRAUER_MAX_DIM environment variable
 (default 400) so that a stray query cannot wedge a test run.  Raise it
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -100,8 +100,8 @@ def central_scalar(n: int, delta: int, mu: Partition) -> int:
     cell = _capped_cell(n, delta, mu)
     z = central_element(n, delta)
     for j in range(cell.dim):
-        image = cell.act_element(z, {j: Fraction(1)})
-        want = {j: Fraction(expected)} if expected else {}
+        image = cell.act_element(z, {j: 1})
+        want = {j: expected} if expected else {}
         assert image == want, (
             f"central element is not scalar {expected} on basis vector {j} "
             f"of the cell module at {mu}, n={n}, delta={delta}")
@@ -144,9 +144,9 @@ def _perm_traces(n: int, delta: int, mu: Partition):
     out = {}
     for rho in partitions_of(n):
         d = perm_diagram(_cycle_rep(rho))
-        tr = Fraction(0)
+        tr = 0
         for j in range(cell.dim):
-            tr += cell.act_diagram(d, {j: Fraction(1)}).get(j, 0)
+            tr += cell.act_diagram(d, {j: 1}).get(j, 0)
         out[rho] = tr
     return out
 
@@ -164,14 +164,13 @@ def restriction_multiplicity(n: int, delta: int, mu: Partition,
         raise ValueError(f"{lam} is not a partition of {n}")
     _check_weight(n, delta, mu)
     route_b = even_lr_sum(lam, mu)
-    total = Fraction(0)
-    for rho, tr in _perm_traces(n, delta, mu).items():
-        total += conjugacy_class_size(rho) * mn_character(lam, rho) * tr
-    route_a = total / factorial(n)
-    assert route_a == route_b, (
+    total = sum(conjugacy_class_size(rho) * mn_character(lam, rho) * tr
+                for rho, tr in _perm_traces(n, delta, mu).items())
+    route_a, rem = divmod(total, factorial(n))
+    assert rem == 0 and route_a == route_b, (
         f"restriction routes disagree at mu={mu}, lam={lam}, n={n}: "
-        f"character count {route_a} vs LR sum {route_b}")
-    return int(route_a)
+        f"character count {total}/{factorial(n)} vs LR sum {route_b}")
+    return route_a
 
 
 def _padded_diagram(n: int, k: int, pairs: list[tuple[int, int]]) -> BrauerDiagram:
@@ -235,12 +234,12 @@ def _hom_dim_compressed(n: int, delta: int, lam: Partition,
     ech = Echelon()
     w_basis: list[SparseVec] = []
     for b in range(cell.dim):
-        v = cell.act_diagram(ident, {b: Fraction(1)})
+        v = cell.act_diagram(ident, {b: 1})
         if not v:
             continue
         v = group_pass(v, row_bl, 1)
         v = group_pass(v, col_bl, -1)
-        if v and ech.add(dict(v)):
+        if v and ech.add(v):
             w_basis.append(v)
             if ech.rank == bound:
                 break

@@ -1,15 +1,16 @@
-"""Exact Specht modules over the rationals.
+"""Exact Specht modules over the integers.
 
 S^mu is realized inside the permutation module on tabloids: the basis is
 the standard polytabloids (tableaux ordered lexicographically by
-row-reading word), generator matrices come from one linear solve against
-that basis, and the invariant bilinear form is the restriction of the
-tabloid-orthonormal form.  One dense solve per shape, no straightening.
+row-reading word), and the invariant bilinear form is the restriction of
+the tabloid-orthonormal form.  Each standard polytabloid e_t has {t} as
+its lex-least tabloid, with coefficient 1, so the basis is unitriangular
+and the generator matrices come from peeling leading tabloids off s_i*e_t:
+integer subtraction only, no solve and no straightening.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 
 from brauerblocks import linalg, perms
@@ -48,14 +49,14 @@ def _polytabloid(tab: Tableau, m: int) -> SparseVec:
             key[sigma[p]] = base[p]
         key_t = tuple(key)
         out[key_t] = out.get(key_t, 0) + perms.sign(sigma)
-    return {k: Fraction(v) for k, v in out.items() if v}
+    return {k: v for k, v in out.items() if v}
 
 
 class SpechtModule:
     """Immutable exact realization of S^mu with fixed basis order."""
 
     def __init__(self, mu: Partition, basis: list[Tableau],
-                 gen_matrices: list[list[SparseVec]], form: list[list[Fraction]]):
+                 gen_matrices: list[list[SparseVec]], form: list[list[int]]):
         self.mu = mu
         self.basis = basis
         self.gen_matrices = gen_matrices
@@ -89,10 +90,7 @@ def build_specht(mu: Partition) -> SpechtModule:
     basis = sorted(standard_tableaux(mu), key=row_word)
     assert len(basis) == specht_dim(mu)
     polys = [_polytabloid(tab, m) for tab in basis]
-    ech = linalg.Echelon(track=True)
-    for idx, vec in enumerate(polys):
-        grew = ech.add(dict(vec), idx)
-        assert grew  # standard polytabloids are linearly independent
+    lead = {tabloid_of(tab, m): idx for idx, tab in enumerate(basis)}
     gen_matrices = []
     for i in range(1, m):  # s_i swaps values i, i+1
         cols: list[SparseVec] = []
@@ -102,19 +100,24 @@ def build_specht(mu: Partition) -> SpechtModule:
                 lst = list(key)
                 lst[i - 1], lst[i] = lst[i], lst[i - 1]
                 moved[tuple(lst)] = c
-            co = ech.coords(moved)
-            assert co is not None  # the Specht span is s_i-stable
-            cols.append({j: v for j, v in co.items()})
+            col: SparseVec = {}
+            while moved:
+                key = min(moved)
+                idx = lead.get(key)
+                assert idx is not None  # the Specht span is s_i-stable
+                col[idx] = moved[key]
+                moved = linalg.vec_add(moved, polys[idx], -moved[key])
+            cols.append(col)
         gen_matrices.append(cols)
     form = [[_dot(polys[j], polys[k]) for k in range(len(polys))]
             for j in range(len(polys))]
     return SpechtModule(mu, basis, gen_matrices, form)
 
 
-def _dot(a: SparseVec, b: SparseVec) -> Fraction:
+def _dot(a: SparseVec, b: SparseVec) -> int:
     if len(b) < len(a):
         a, b = b, a
-    return sum((v * b[k] for k, v in a.items() if k in b), Fraction(0))
+    return sum(v * b[k] for k, v in a.items() if k in b)
 
 
 def act_perm(module: SpechtModule, sigma: tuple[int, ...], vec: SparseVec) -> SparseVec:

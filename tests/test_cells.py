@@ -6,13 +6,18 @@ import pytest
 from brauerblocks.cells import (CellModule, build_cell, enumerate_v,
                                 gram_matrix, restriction_rule, t_action_check)
 from brauerblocks.diagrams import (all_diagrams, flip, from_diagram,
-                                   identity_element, perm_diagram, u_diagram)
+                                   hook_diagram, identity_element,
+                                   perm_diagram, u_diagram)
 from brauerblocks.partitions import EMPTY, Partition, partitions_of, specht_dim
+from brauerblocks.specht import build_specht
 from brauerblocks import perms
 
 
 def P(*parts):
     return Partition(parts)
+
+
+DELTAS = (-2, -1, 0, 1, 2, 3)
 
 
 def v_count(n, t):
@@ -114,6 +119,34 @@ def test_t_action_small(delta):
                 continue
             for mu in partitions_of(k):
                 assert t_action_check(build_cell(n, delta, mu))
+
+
+def all_int(values) -> bool:
+    return all(type(v) is int for v in values)
+
+
+def test_action_layer_is_integral():
+    for m in range(7):
+        for mu in partitions_of(m):
+            md = build_specht(mu)
+            assert all(all_int(col.values()) for g in md.gen_matrices for col in g)
+            assert all(all_int(row) for row in md.form)
+            cycle = tuple((p + 1) % m for p in range(m))
+            for sigma in (cycle, tuple(reversed(range(m)))):
+                assert all(all_int(col.values()) for col in md.perm_matrix(sigma))
+    for n in range(1, 6):
+        gens = [perm_diagram(perms.transposition(n, i, i + 1)) for i in range(n - 1)]
+        gens += [hook_diagram(n, 1, 2)] if n > 1 else []
+        for delta in DELTAS:
+            for k in range(n % 2, n + 1, 2):
+                if delta == 0 and k == 0:
+                    continue
+                for mu in partitions_of(k):
+                    cell = build_cell(n, delta, mu)
+                    for d in gens:
+                        for j in range(cell.dim):
+                            assert all_int(cell.act_diagram(d, {j: 1}).values())
+                    assert all(all_int(row) for row in gram_matrix(cell))
 
 
 def test_restriction_rule():

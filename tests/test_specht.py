@@ -5,8 +5,9 @@ import pytest
 
 from brauerblocks import linalg, perms
 from brauerblocks.partitions import (Partition, mn_character, partitions_of,
-                                     specht_dim)
-from brauerblocks.specht import act_perm, build_specht, row_word, tabloid_of
+                                     specht_dim, standard_tableaux)
+from brauerblocks.specht import (_polytabloid, act_perm, build_specht, row_word,
+                                 tabloid_of)
 
 
 @lru_cache(maxsize=None)
@@ -32,6 +33,20 @@ def test_tabloid_and_row_word():
     tab = ((1, 3), (2,))
     assert row_word(tab) == (1, 3, 2)
     assert tabloid_of(tab, 3) == (0, 1, 0)
+
+
+def test_polytabloid_leading_tabloid():
+    # build_specht peels generator-matrix coordinates off this
+    # unitriangularity: {t} leads e_t with coefficient 1, keys distinct
+    for n in range(8):
+        for lam in partitions_of(n):
+            leads = set()
+            for tab in standard_tableaux(lam):
+                poly = _polytabloid(tab, n)
+                key = tabloid_of(tab, n)
+                assert min(poly) == key and poly[key] == 1
+                leads.add(key)
+            assert len(leads) == specht_dim(lam)
 
 
 def test_dims():
