@@ -2,10 +2,12 @@
 
 The basis pairs a partial one-row diagram (t disjoint arcs on n nodes)
 with a standard tableau of the weight mu, |mu| = n - 2t.  A diagram acts
-by concatenation on the one-row part; if the propagating number drops
-the result is zero, otherwise the leftover permutation of free nodes is
-pushed onto the Specht factor.  Basis order is fixed (arc lists lex,
-then tableaux) so every matrix is reproducible bit for bit.
+on the one-row part by walking its strands through the arcs of the
+one-row diagram, read from index tables built once per module (the arc
+partner and the free-node rank of each node); if the propagating number
+drops the result is zero, otherwise the leftover permutation of free
+nodes is pushed onto the Specht factor.  Basis order is fixed (arc lists lex, then tableaux)
+so every matrix is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -90,7 +92,19 @@ class CellModule:
         self.specht = _specht(mu)
         self.v_list = enumerate_v(n, self.t)
         self._v_index = {v.arcs: i for i, v in enumerate(self.v_list)}
-        self._xv = [_one_row_diagram(v, mu.size) for v in self.v_list]
+        # per one-row diagram, indexed by node 1..n: the arc partner (0 if
+        # free) and the rank among the free nodes (-1 if on an arc)
+        self._mate: list[list[int]] = []
+        self._rank: list[list[int]] = []
+        for v in self.v_list:
+            mate = [0] * (n + 1)
+            for a, b in v.arcs:
+                mate[a], mate[b] = b, a
+            rank = [-1] * (n + 1)
+            for k, f in enumerate(v.free):
+                rank[f] = k
+            self._mate.append(mate)
+            self._rank.append(rank)
         self._dec_cache: dict = {}
 
     @property
@@ -102,36 +116,64 @@ class CellModule:
 
     def decompose(self, d: BrauerDiagram, v_idx: int):
         """How d moves the v-th one-row diagram: None if the propagating
-        number drops, else (w_idx, perm for the Specht factor, loops)."""
+        number drops, else (w_idx, perm for the Specht factor, loops).
+
+        Stack d on v and walk from each northern node of d: down its
+        strand, and across an arc of v to the next strand of d, until the
+        walk surfaces at a northern node (an arc of w) or stops on a free
+        node of v (a through strand).  Middle nodes no walk touched close
+        into loops."""
         key = (d, v_idx)
         hit = self._dec_cache.get(key, -1)
         if hit != -1:
             return hit
-        result_diag, loops = concat(d, self._xv[v_idx])
+        n, m = self.n, self.mu.size
+        mate, rank = self._mate[v_idx], self._rank[v_idx]
+        # north x sits at x, south j at n + j
+        link = [0] * (2 * n + 1)
+        for a, b in d.pairs:
+            a = a if a > 0 else n - a
+            b = b if b > 0 else n - b
+            link[a], link[b] = b, a
+        seen = [False] * (2 * n + 1)
         arcs = []
-        through = {}
-        dead = False
-        for p in result_diag.pairs:
-            a, b = sorted(p, reverse=True)
-            if b > 0:
-                arcs.append((b, a))
-            elif a < 0:
-                dead = True
-                break
+        pinv = [0] * m
+        through = 0
+        for x in range(1, n + 1):
+            if seen[x]:
+                continue
+            y = link[x]
+            while y > n:
+                j = y - n
+                seen[y] = True
+                k = mate[j]
+                if not k:
+                    # free node j of v drops to southern rank[j] + 1; x is
+                    # w's free node number `through`, since x ascends and
+                    # the Specht factor sees the inverse permutation
+                    pinv[rank[j]] = through
+                    through += 1
+                    break
+                seen[n + k] = True
+                y = link[n + k]
             else:
-                through[a] = -b
-        if dead:
+                seen[y] = True
+                arcs.append((x, y))
+        if through < m:
             out = None
         else:
-            w_idx = self._v_index[tuple(sorted(arcs))]
-            free = self.v_list[w_idx].free
-            rank = {f: k for k, f in enumerate(free)}
-            # result sends free node f to southern b: Specht factor sees
-            # the inverse permutation (diagram stacking reverses order)
-            pinv = [0] * len(free)
-            for f, b in through.items():
-                pinv[b - 1] = rank[f]
-            out = (w_idx, tuple(pinv), loops)
+            loops = 0
+            for j in range(1, n + 1):
+                if seen[n + j]:
+                    continue
+                loops += 1
+                y = n + j
+                while not seen[y]:
+                    seen[y] = True
+                    k = mate[y - n]
+                    seen[n + k] = True
+                    y = link[n + k]
+            out = (self._v_index[tuple(arcs)], tuple(pinv), loops)
         self._dec_cache[key] = out
         return out
 
@@ -194,9 +236,10 @@ def gram_matrix(cell: CellModule) -> list[list[int]]:
     form = cell.specht.form
     dim = cell.dim
     gram = [[0] * dim for _ in range(dim)]
-    for vi in range(len(cell.v_list)):
-        for wi in range(len(cell.v_list)):
-            prod, loops = concat(flip(cell._xv[vi]), cell._xv[wi])
+    xv = [_one_row_diagram(v, cell.mu.size) for v in cell.v_list]
+    for vi in range(len(xv)):
+        for wi in range(len(xv)):
+            prod, loops = concat(flip(xv[vi]), xv[wi])
             if prod.propagating < prod.n:
                 continue
             scale = cell.delta ** loops

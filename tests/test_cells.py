@@ -3,9 +3,10 @@ from math import factorial
 
 import pytest
 
-from brauerblocks.cells import (CellModule, build_cell, enumerate_v,
-                                gram_matrix, restriction_rule, t_action_check)
-from brauerblocks.diagrams import (all_diagrams, flip, from_diagram,
+from brauerblocks.cells import (CellModule, _one_row_diagram, build_cell,
+                                enumerate_v, gram_matrix, restriction_rule,
+                                t_action_check)
+from brauerblocks.diagrams import (all_diagrams, concat, flip, from_diagram,
                                    hook_diagram, identity_element,
                                    perm_diagram, u_diagram)
 from brauerblocks.partitions import EMPTY, Partition, partitions_of, specht_dim
@@ -119,6 +120,39 @@ def test_t_action_small(delta):
                 continue
             for mu in partitions_of(k):
                 assert t_action_check(build_cell(n, delta, mu))
+
+
+def concat_decompose(cell, d, v_idx):
+    """Reference reading of decompose: stack d on the one-row diagram as
+    an (n, |mu|) diagram and read arcs, through strands and loops off the
+    reduced product."""
+    prod, loops = concat(d, _one_row_diagram(cell.v_list[v_idx], cell.mu.size))
+    arcs, through = [], {}
+    for p in prod.pairs:
+        a, b = sorted(p, reverse=True)
+        if b > 0:
+            arcs.append((b, a))
+        elif a < 0:
+            return None
+        else:
+            through[a] = -b
+    w_idx = [v.arcs for v in cell.v_list].index(tuple(sorted(arcs)))
+    rank = {f: k for k, f in enumerate(cell.v_list[w_idx].free)}
+    pinv = [0] * len(through)
+    for f, b in through.items():
+        pinv[b - 1] = rank[f]
+    return (w_idx, tuple(pinv), loops)
+
+
+def test_decompose_matches_concat():
+    for n in range(6):
+        pool = list(all_diagrams(n))
+        for t in range(n // 2 + 1):
+            m = n - 2 * t
+            cell = CellModule(n, 1, P(m) if m else EMPTY)
+            for d in pool:
+                for v_idx in range(len(cell.v_list)):
+                    assert cell.decompose(d, v_idx) == concat_decompose(cell, d, v_idx)
 
 
 def all_int(values) -> bool:

@@ -45,6 +45,22 @@ def test_hom_query_validation():
         HomQuery(2, 1, P(3), P(1))  # size above n
 
 
+def test_weight_check_is_membership():
+    for n in range(9):
+        for delta in DELTAS:
+            valid = set(weights(n, delta).weights)
+            for k in range(n + 2):
+                for mu in partitions_of(k):
+                    if mu in valid:
+                        HomQuery(n, delta, mu, mu)
+                        continue
+                    with pytest.raises(ValueError) as built:
+                        HomQuery(n, delta, mu, mu)
+                    with pytest.raises(ValueError) as ranked:
+                        gram_rank(n, delta, mu)
+                    assert str(ranked.value) == str(built.value)
+
+
 def test_dimension_cap():
     with mock.patch.dict(os.environ, {"BRAUER_MAX_DIM": "10"}):
         with pytest.raises(RuntimeError):
