@@ -8,9 +8,15 @@ is exact: a diagram acts on a cell module by an integer matrix, and
 rationals enter only through algebra-element coefficients and the
 normalized pivots of the echelon behind each rank.
 
+A Hom space is the part of the padded Young symmetrizer's image killed
+by the two-strand contractions.  The column group's symmetry leaves one
+contraction per pair of columns to test, and at full level (|source| =
+n) the row group's leaves one seed one-row diagram per orbit; see
+_hom_dim_compressed.
+
 Module dimensions are capped via the BRAUER_MAX_DIM environment variable
-(default 400) so that a stray query cannot wedge a test run.  Raise it
-explicitly for big one-off computations.
+(a positive integer, default 400) so that a stray query cannot wedge a
+test run.  Raise it explicitly for big one-off computations.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ from math import factorial
 from . import perms
 from .blocks import (WeightSet, block_partition, hom_target, is_balanced,
                      is_minimal, weights)
-from .cells import CellModule, build_cell, gram_matrix
+from .cells import (CellModule, PartialOneRowDiagram, build_cell,
+                    gram_matrix)
 from .diagrams import BrauerDiagram, central_element, perm_diagram
 from .linalg import Echelon, SparseVec, rank_of, vec_add
 from .partitions import (Partition, contents, conjugacy_class_size, is_even,
@@ -33,7 +40,17 @@ DEFAULT_MAX_DIM = 400
 
 
 def _max_dim() -> int:
-    return int(os.environ.get("BRAUER_MAX_DIM", DEFAULT_MAX_DIM))
+    raw = os.environ.get("BRAUER_MAX_DIM")
+    if raw is None:
+        return DEFAULT_MAX_DIM
+    msg = f"BRAUER_MAX_DIM must be a positive integer, got {raw!r}"
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(msg) from None
+    if cap < 1:
+        raise ValueError(msg)
+    return cap
 
 
 def cell_dim(n: int, mu: Partition) -> int:
@@ -194,6 +211,26 @@ def _padded_diagram(n: int, k: int, pairs: list[tuple[int, int]]) -> BrauerDiagr
     return BrauerDiagram(n, n, full)
 
 
+def _orbit_reps(v_list: list[PartialOneRowDiagram], lam: Partition) -> list[int]:
+    """Index of the first one-row diagram of each orbit of the row group
+    of lam (nodes 1..|lam| filled row by row), in v_list order.
+
+    Two sets of arcs lie in one orbit of a Young subgroup exactly when
+    they join the same pairs of row blocks equally often, so the key is
+    the sorted multiset of (row of a, row of b) over the arcs a-b."""
+    row_of = [0]
+    for r, part in enumerate(lam.parts):
+        row_of += [r] * part
+    seen: set[tuple[tuple[int, int], ...]] = set()
+    reps = []
+    for v_idx, v in enumerate(v_list):
+        key = tuple(sorted((row_of[a], row_of[b]) for a, b in v.arcs))
+        if key not in seen:
+            seen.add(key)
+            reps.append(v_idx)
+    return reps
+
+
 def _hom_dim_compressed(n: int, delta: int, lam: Partition,
                         mu: Partition) -> int:
     """Hom dimension via the image of the padded Young symmetrizer.
@@ -201,7 +238,24 @@ def _hom_dim_compressed(n: int, delta: int, lam: Partition,
     A map out of the cell module at lam is pinned down by the image w of
     its cyclic generator.  w must lie in the image W of the padded
     symmetrizer (row sums then signed column sums) and be killed by every
-    padded two-strand contraction.
+    padded two-strand contraction.  Two symmetries of the symmetrizer
+    cut both searches; the answer stays exact.
+
+    Seeds: for r in the row group R, (sum of R)*r = sum of R, and r sends
+    the basis vector v (x) x to rv (x) pi*x with pi invertible on the
+    Specht factor.  So the symmetrizer maps the seeds v (x) x, over every
+    tableau index x, onto the same span as the seeds rv (x) y.  When
+    |lam| = n the padding is the identity and one one-row diagram per
+    R-orbit, with every tableau index, seeds all of W; with |lam| < n
+    every basis vector is a seed.  Either way the seeds span W, so a rank
+    below the multiplicity bound still proves the answer.
+
+    Hooks: every w in W has c*w = sgn(c)*w for c in the column group C.
+    X_ij*s_ij = X_ij, so a hook inside one column sends w to -X_ij*w,
+    that is to 0; and X_c(i)c(j)*w = sgn(c)*c*X_ij*w, so X_c(i)c(j) and
+    X_ij have one kernel on W.  One hook per pair of distinct columns
+    (on their top entries) therefore cuts out the Hom space.  The padding
+    is multiplicative and closes no loop, so this holds at every k.
     """
     k = lam.size
     bound = even_lr_sum(lam, mu)
@@ -233,9 +287,12 @@ def _hom_dim_compressed(n: int, delta: int, lam: Partition,
 
     row_bl = perms.row_blocks(lam)
     col_bl = perms.col_blocks(lam)
+    f = cell.specht.dim
+    seed_vs = (_orbit_reps(cell.v_list, lam) if k == n
+               else range(len(cell.v_list)))
     ech = Echelon()
     w_basis: list[SparseVec] = []
-    for b in range(cell.dim):
+    for b in (v_idx * f + x for v_idx in seed_vs for x in range(f)):
         v = cell.act_diagram(ident, {b: 1})
         if not v:
             continue
@@ -251,9 +308,10 @@ def _hom_dim_compressed(n: int, delta: int, lam: Partition,
     if not w_basis:
         return 0
 
+    tops = [col[0] + 1 for col in col_bl]
     hooks = []
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
+    for a, i in enumerate(tops):
+        for j in tops[a + 1:]:
             pairs = [(i, j), (-i, -j)]
             pairs += [(l, -l) for l in range(1, k + 1) if l not in (i, j)]
             hooks.append(_padded_diagram(n, k, pairs))

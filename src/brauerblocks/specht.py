@@ -61,6 +61,7 @@ class SpechtModule:
         self.basis = basis
         self.gen_matrices = gen_matrices
         self.form = form
+        self._m = mu.size
         self._perm_cache: dict[tuple[int, ...], list[SparseVec]] = {}
 
     @property
@@ -70,8 +71,8 @@ class SpechtModule:
     def perm_matrix(self, sigma: tuple[int, ...]) -> list[SparseVec]:
         """Sparse-column matrix of a permutation of 1..m (0-based tuple),
         assembled from the generator matrices along a reduced word."""
-        if len(sigma) != self.mu.size:
-            raise ValueError(f"permutation on {len(sigma)} points for |mu|={self.mu.size}")
+        if len(sigma) != self._m:
+            raise ValueError(f"permutation on {len(sigma)} points for |mu|={self._m}")
         cached = self._perm_cache.get(sigma)
         if cached is not None:
             return cached

@@ -192,3 +192,16 @@ def test_assertion_exits_three(capsys, monkeypatch):
     monkeypatch.setattr(cli, "is_minimal", boom)
     assert cli.run(["minimal", "--delta", "1", "2"]) == 3
     capsys.readouterr()
+
+
+def test_bad_max_dim_exits_two(capsys, monkeypatch):
+    argv = ["hom-dim", "--n", "4", "--delta", "1", "2,2", "0"]
+    for raw in ("abc", "0", "-3", "1.5"):
+        monkeypatch.setenv("BRAUER_MAX_DIM", raw)
+        assert cli.run(argv) == 2
+        err = capsys.readouterr().err
+        assert "BRAUER_MAX_DIM must be a positive integer" in err, err
+        assert repr(raw) in err
+    monkeypatch.setenv("BRAUER_MAX_DIM", "400")
+    assert cli.run(argv) == 0
+    capsys.readouterr()

@@ -5,13 +5,13 @@ import pytest
 
 from brauerblocks import perms
 from brauerblocks.blocks import hom_target, is_balanced, weights
-from brauerblocks.cells import build_cell
+from brauerblocks.cells import build_cell, enumerate_v
 from brauerblocks.diagrams import (BrauerDiagram, all_diagrams, concat,
                                    e_bar, hook_diagram, identity_diagram,
                                    perm_diagram)
-from brauerblocks.linalg import rank_of
-from brauerblocks.oracle import (HomQuery, _padded_diagram, block_graph,
-                                 cell_dim, central_scalar,
+from brauerblocks.linalg import Echelon, rank_of, vec_add
+from brauerblocks.oracle import (HomQuery, _orbit_reps, _padded_diagram,
+                                 block_graph, cell_dim, central_scalar,
                                  central_scalar_value, even_lr_sum,
                                  gram_rank, hom_dim,
                                  restriction_multiplicity, verify_blocks)
@@ -204,6 +204,116 @@ def test_padding_is_a_loop_free_embedding():
     for n in range(3, 8):
         (bar,) = e_bar(n, 0).terms
         assert pad(identity_diagram(n - 2), n) == bar
+
+
+def full_scan(n: int, delta: int, lam: Partition, mu: Partition,
+              v_seeds=None):
+    """The symmetrizer route without its symmetry cuts: the padded Young
+    symmetrizer on every basis vector (or on v (x) x for every tableau x
+    and the one-row diagrams v in v_seeds), then all k(k-1)/2 padded
+    hooks.  Returns the Hom dimension and the basis of W it found."""
+    k = lam.size
+    bound = even_lr_sum(lam, mu)
+    if bound == 0:
+        return 0, []
+    cell = build_cell(n, delta, mu)
+
+    def pad_perm(p):
+        return _padded_diagram(n, k, [(i + 1, -(p[i] + 1)) for i in range(k)])
+
+    def group_pass(vec, blocks, sign):
+        for pts in blocks:
+            for j in range(1, len(pts)):
+                acc = vec
+                for i in range(j):
+                    tr = perms.transposition(k, pts[i], pts[j])
+                    acc = vec_add(acc, cell.act_diagram(pad_perm(tr), vec), sign)
+                vec = acc
+        return vec
+
+    f = cell.specht.dim
+    if v_seeds is None:
+        v_seeds = range(len(cell.v_list))
+    ident = pad_perm(perms.identity(k))
+    ech = Echelon()
+    w_basis = []
+    for b in (v_idx * f + x for v_idx in v_seeds for x in range(f)):
+        v = cell.act_diagram(ident, {b: 1})
+        v = group_pass(v, perms.row_blocks(lam), 1)
+        v = group_pass(v, perms.col_blocks(lam), -1)
+        if v and ech.add(v):
+            w_basis.append(v)
+            if ech.rank == bound:
+                break
+    assert ech.rank <= bound
+    stacked = []
+    for w in w_basis:
+        image = {}
+        for i in range(1, k + 1):
+            for j in range(i + 1, k + 1):
+                h = pad(hook_diagram(k, i, j), n)
+                for key, val in cell.act_diagram(h, w).items():
+                    image[(i, j, key)] = val
+        stacked.append(image)
+    return len(w_basis) - rank_of(stacked), w_basis
+
+
+def symmetrizer_pairs(max_n: int):
+    """(n, delta, lam, mu) for every pair that reaches the symmetrizer
+    route, 2 <= n <= max_n, at the six test deltas."""
+    for n in range(2, max_n + 1):
+        for delta in DELTAS:
+            ws = weights(n, delta).weights
+            for lam in ws:
+                for mu in ws:
+                    if (central_scalar_value(n, delta, lam)
+                            == central_scalar_value(n, delta, mu)
+                            and not lam.size == mu.size == n):
+                        yield n, delta, lam, mu
+
+
+def check_symmetry_cuts(n, delta, lam, mu) -> bool:
+    """hom_dim equals full_scan; at |lam| = n the orbit seeds give the
+    rank of W that every seed gives; every hook inside one column kills
+    W.  Returns whether the orbit seeds were checked."""
+    want, w_basis = full_scan(n, delta, lam, mu)
+    assert hom_dim(HomQuery(n, delta, lam, mu)) == want, (n, delta, lam, mu)
+    cell = build_cell(n, delta, mu)
+    for col in perms.col_blocks(lam):
+        for a, i in enumerate(col):
+            for j in col[a + 1:]:
+                h = pad(hook_diagram(lam.size, i + 1, j + 1), n)
+                for w in w_basis:
+                    assert cell.act_diagram(h, w) == {}, \
+                        (n, delta, lam, mu, i, j)
+    if lam.size != n:
+        return False
+    reps = _orbit_reps(cell.v_list, lam)
+    _, w_orbit = full_scan(n, delta, lam, mu, reps)
+    assert len(w_orbit) == len(w_basis), (n, delta, lam, mu)
+    return True
+
+
+def test_symmetry_cuts_match_full_scan():
+    # orbit seeds and one hook per column pair give the answer of the
+    # full scan on every pair that reaches the symmetrizer route
+    count = orbit_count = 0
+    for n, delta, lam, mu in symmetrizer_pairs(6):
+        orbit_count += check_symmetry_cuts(n, delta, lam, mu)
+        count += 1
+    assert (count, orbit_count) == (227, 52)
+    # here seeding from every second orbit alone misses part of W
+    assert check_symmetry_cuts(8, -1, P(3, 3, 1, 1), P(1, 1, 1, 1))
+
+
+def test_orbit_reps_count():
+    # the n = 10 query (4,3,2,1) -> (3,2,1) seeds from 34 of 630 one-row
+    # diagrams; with no arcs, or a one-row lam, there is one orbit; with
+    # one node per row every diagram is its own orbit
+    assert len(_orbit_reps(enumerate_v(10, 2), P(4, 3, 2, 1))) == 34
+    assert _orbit_reps(enumerate_v(5, 0), P(3, 2)) == [0]
+    assert _orbit_reps(enumerate_v(6, 3), P(6)) == [0]
+    assert len(_orbit_reps(enumerate_v(4, 1), P(1, 1, 1, 1))) == 6
 
 
 def test_hom_adjacent_weights_at_most_one():
