@@ -334,8 +334,8 @@ def e_bar(n: int, delta: int) -> AlgebraElement:
     including 0: northern arc {n-1, n}, southern arc {n-2, n-1}, a line
     from n-2 down to n, the rest straight.  Squaring creates no loop, so
     it is idempotent independently of delta, and conjugating B_n by it
-    cuts exactly two strands.  It is the oracle's loop-free padding of
-    the identity of B_k at k = n - 2."""
+    cuts exactly two strands.  The level-n reference scan in the oracle
+    tests pads the identity of B_{n-2} to this diagram."""
     if n < 3:
         raise ValueError("n must be at least 3")
     pairs = [(n - 1, n), (-(n - 2), -(n - 1)), (n - 2, -n)]

@@ -8,11 +8,11 @@ is exact: a diagram acts on a cell module by an integer matrix, and
 rationals enter only through algebra-element coefficients and the
 normalized pivots of the echelon behind each rank.
 
-A Hom space is the part of the padded Young symmetrizer's image killed
-by the two-strand contractions.  The column group's symmetry leaves one
-contraction per pair of columns to test, and at full level (|source| =
-n) the row group's leaves one seed one-row diagram per orbit; see
-_hom_dim_compressed.
+A Hom space is computed at the level of its source weight, where it is
+the part of the Young symmetrizer's image killed by the two-strand
+contractions.  The column group's symmetry leaves one contraction per
+pair of columns to test, and the row group's leaves one seed one-row
+diagram per orbit; see _hom_dim_compressed.
 
 Module dimensions are capped via the BRAUER_MAX_DIM environment variable
 (a positive integer, default 400) so that a stray query cannot wedge a
@@ -31,7 +31,7 @@ from .blocks import (WeightSet, block_partition, hom_target, is_balanced,
                      is_minimal, weights)
 from .cells import (CellModule, PartialOneRowDiagram, build_cell,
                     gram_matrix)
-from .diagrams import BrauerDiagram, central_element, perm_diagram
+from .diagrams import central_element, hook_diagram, perm_diagram
 from .linalg import Echelon, SparseVec, rank_of, vec_add
 from .partitions import (Partition, contents, conjugacy_class_size, is_even,
                          lr_coefficient, mn_character, partitions_of)
@@ -192,25 +192,6 @@ def restriction_multiplicity(n: int, delta: int, mu: Partition,
     return route_a
 
 
-def _padded_diagram(n: int, k: int, pairs: list[tuple[int, int]]) -> BrauerDiagram:
-    """Extend a pairing of the first k strands to n strands without loops.
-
-    North arcs (k+1,k+2), ..., (n-1,n) and south arcs (k,k+1), ...,
-    (n-2,n-1) fill the rest, and the pairing's south end k drops to south
-    node n.  This is A*d*B with B*A the identity of B_k and no loop
-    closed, so d -> pad(d) embeds B_k in e*B_n*e for e = A*B at every
-    delta.  With k = 0 there is no strand to route; nested arcs pad then.
-    """
-    if k == 0:
-        full = [(a, a + 1) for a in range(1, n, 2)]
-        full += [(-a, -(a + 1)) for a in range(1, n, 2)]
-        return BrauerDiagram(n, n, full)
-    full = [tuple(-n if x == -k else x for x in p) for p in pairs]
-    full += [(a, a + 1) for a in range(k + 1, n, 2)]
-    full += [(-a, -(a + 1)) for a in range(k, n - 1, 2)]
-    return BrauerDiagram(n, n, full)
-
-
 def _orbit_reps(v_list: list[PartialOneRowDiagram], lam: Partition) -> list[int]:
     """Index of the first one-row diagram of each orbit of the row group
     of lam (nodes 1..|lam| filled row by row), in v_list order.
@@ -231,72 +212,59 @@ def _orbit_reps(v_list: list[PartialOneRowDiagram], lam: Partition) -> list[int]
     return reps
 
 
-def _hom_dim_compressed(n: int, delta: int, lam: Partition,
-                        mu: Partition) -> int:
-    """Hom dimension via the image of the padded Young symmetrizer.
+def _hom_dim_compressed(delta: int, lam: Partition, mu: Partition) -> int:
+    """Hom dimension over B_k, k = |lam|, via the image of the Young
+    symmetrizer.
 
     A map out of the cell module at lam is pinned down by the image w of
-    its cyclic generator.  w must lie in the image W of the padded
-    symmetrizer (row sums then signed column sums) and be killed by every
-    padded two-strand contraction.  Two symmetries of the symmetrizer
-    cut both searches; the answer stays exact.
+    its cyclic generator.  w must lie in the image W of the symmetrizer
+    (row sums then signed column sums) and be killed by every two-strand
+    contraction.  Two symmetries of the symmetrizer cut both searches;
+    the answer stays exact.
 
     Seeds: for r in the row group R, (sum of R)*r = sum of R, and r sends
     the basis vector v (x) x to rv (x) pi*x with pi invertible on the
     Specht factor.  So the symmetrizer maps the seeds v (x) x, over every
-    tableau index x, onto the same span as the seeds rv (x) y.  When
-    |lam| = n the padding is the identity and one one-row diagram per
-    R-orbit, with every tableau index, seeds all of W; with |lam| < n
-    every basis vector is a seed.  Either way the seeds span W, so a rank
-    below the multiplicity bound still proves the answer.
+    tableau index x, onto the same span as the seeds rv (x) y, and one
+    one-row diagram per R-orbit, with every tableau index, seeds all of
+    W.  A rank below the multiplicity bound therefore still proves the
+    answer.
 
     Hooks: every w in W has c*w = sgn(c)*w for c in the column group C.
     X_ij*s_ij = X_ij, so a hook inside one column sends w to -X_ij*w,
     that is to 0; and X_c(i)c(j)*w = sgn(c)*c*X_ij*w, so X_c(i)c(j) and
     X_ij have one kernel on W.  One hook per pair of distinct columns
-    (on their top entries) therefore cuts out the Hom space.  The padding
-    is multiplicative and closes no loop, so this holds at every k.
+    (on their top entries) therefore cuts out the Hom space.
     """
     k = lam.size
     bound = even_lr_sum(lam, mu)
     if bound == 0:
         return 0
-    cell = _capped_cell(n, delta, mu)
-    pads: dict[tuple[int, ...], BrauerDiagram] = {}
-
-    def pad_perm(p: tuple[int, ...]) -> BrauerDiagram:
-        d = pads.get(p)
-        if d is None:
-            d = _padded_diagram(n, k, [(i + 1, -(p[i] + 1)) for i in range(k)])
-            pads[p] = d
-        return d
-
-    ident = pad_perm(perms.identity(k))
+    cell = _capped_cell(k, delta, mu)
+    row_bl = perms.row_blocks(lam)
+    col_bl = perms.col_blocks(lam)
+    swaps = {(a, b): perm_diagram(perms.transposition(k, a, b))
+             for pts in row_bl + col_bl
+             for j, b in enumerate(pts) for a in pts[:j]}
 
     def group_pass(vec: SparseVec, blocks: list[list[int]], sign: int) -> SparseVec:
         # Coset transversals keep the term count at block_len^2 instead of
-        # block_len!; vec lies in e.M, so the identity coset acts trivially.
+        # block_len!; the identity coset acts trivially.
         for pts in blocks:
             for j in range(1, len(pts)):
                 acc = vec
                 for i in range(j):
-                    tr = perms.transposition(k, pts[i], pts[j])
-                    acc = vec_add(acc, cell.act_diagram(pad_perm(tr), vec), sign)
+                    tr = swaps[pts[i], pts[j]]
+                    acc = vec_add(acc, cell.act_diagram(tr, vec), sign)
                 vec = acc
         return vec
 
-    row_bl = perms.row_blocks(lam)
-    col_bl = perms.col_blocks(lam)
     f = cell.specht.dim
-    seed_vs = (_orbit_reps(cell.v_list, lam) if k == n
-               else range(len(cell.v_list)))
     ech = Echelon()
     w_basis: list[SparseVec] = []
-    for b in (v_idx * f + x for v_idx in seed_vs for x in range(f)):
-        v = cell.act_diagram(ident, {b: 1})
-        if not v:
-            continue
-        v = group_pass(v, row_bl, 1)
+    for b in (v_idx * f + x for v_idx in _orbit_reps(cell.v_list, lam)
+              for x in range(f)):
+        v = group_pass({b: 1}, row_bl, 1)
         v = group_pass(v, col_bl, -1)
         if v and ech.add(v):
             w_basis.append(v)
@@ -304,17 +272,13 @@ def _hom_dim_compressed(n: int, delta: int, lam: Partition,
                 break
     assert ech.rank <= bound, (
         f"symmetrizer image rank {ech.rank} exceeds its multiplicity "
-        f"bound {bound} at lam={lam}, mu={mu}, n={n}, delta={delta}")
+        f"bound {bound} at lam={lam}, mu={mu}, delta={delta}")
     if not w_basis:
         return 0
 
     tops = [col[0] + 1 for col in col_bl]
-    hooks = []
-    for a, i in enumerate(tops):
-        for j in tops[a + 1:]:
-            pairs = [(i, j), (-i, -j)]
-            pairs += [(l, -l) for l in range(1, k + 1) if l not in (i, j)]
-            hooks.append(_padded_diagram(n, k, pairs))
+    hooks = [hook_diagram(k, i, j) for a, i in enumerate(tops)
+             for j in tops[a + 1:]]
     stacked = []
     for w in w_basis:
         image: SparseVec = {}
@@ -329,21 +293,22 @@ def hom_dim(q: HomQuery) -> int:
     """Dimension of the space of module maps from the cell module at
     q.source to the one at q.target, both over B_n(delta).
 
-    For k = |q.source| and e the padded identity, the maps from the cell
-    module at q.source into a module M are the B_k-maps from the Specht
-    module of q.source into e*M, since the padding embeds B_k as e*B_n*e
-    and B_n*e spans the (n, k) diagrams.
+    Localisation M -> eM, for an idempotent e with e*B_n*e = B_(n-2)
+    (loop-free at delta = 0), sends the level-n cell module at a weight
+    to the level-(n-2) one.  So the Hom space is the one over B_k,
+    k = |q.source|, and it is 0 when |q.target| > k.
     """
     n, delta, lam, mu = q.n, q.delta, q.source, q.target
+    if mu.size >= lam.size:
+        # At level |lam| both modules are Specht modules of the symmetric
+        # group (every non-permutation diagram acting as zero), or the
+        # module at mu vanishes there.
+        return 1 if lam == mu else 0
     if central_scalar_value(n, delta, lam) != central_scalar_value(n, delta, mu):
         # The central element acts by distinct scalars, so any intertwiner
         # is annihilated by their difference.
         return 0
-    if lam.size == n and mu.size == n:
-        # Both modules are symmetric-group Specht modules with every
-        # non-permutation diagram acting as zero.
-        return 1 if lam == mu else 0
-    return _hom_dim_compressed(n, delta, lam, mu)
+    return _hom_dim_compressed(delta, lam, mu)
 
 
 @lru_cache(maxsize=None)

@@ -11,6 +11,7 @@ integer subtraction only, no solve and no straightening.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain
 
 from brauerblocks import linalg, perms
@@ -56,17 +57,23 @@ class SpechtModule:
     """Immutable exact realization of S^mu with fixed basis order."""
 
     def __init__(self, mu: Partition, basis: list[Tableau],
-                 gen_matrices: list[list[SparseVec]], form: list[list[int]]):
+                 gen_matrices: list[list[SparseVec]]):
         self.mu = mu
         self.basis = basis
         self.gen_matrices = gen_matrices
-        self.form = form
         self._m = mu.size
         self._perm_cache: dict[tuple[int, ...], list[SparseVec]] = {}
 
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def form(self) -> list[list[int]]:
+        """Gram matrix of the invariant form on the polytabloid basis,
+        built on first use: only Gram matrices read it."""
+        polys = [_polytabloid(tab, self._m) for tab in self.basis]
+        return [[_dot(a, b) for b in polys] for a in polys]
 
     def perm_matrix(self, sigma: tuple[int, ...]) -> list[SparseVec]:
         """Sparse-column matrix of a permutation of 1..m (0-based tuple),
@@ -110,9 +117,7 @@ def build_specht(mu: Partition) -> SpechtModule:
                 moved = linalg.vec_add(moved, polys[idx], -moved[key])
             cols.append(col)
         gen_matrices.append(cols)
-    form = [[_dot(polys[j], polys[k]) for k in range(len(polys))]
-            for j in range(len(polys))]
-    return SpechtModule(mu, basis, gen_matrices, form)
+    return SpechtModule(mu, basis, gen_matrices)
 
 
 def _dot(a: SparseVec, b: SparseVec) -> int:

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import brauerblocks
 from brauerblocks import cli
 
 
@@ -205,3 +209,20 @@ def test_bad_max_dim_exits_two(capsys, monkeypatch):
     monkeypatch.setenv("BRAUER_MAX_DIM", "400")
     assert cli.run(argv) == 0
     capsys.readouterr()
+
+
+def test_module_entry_point():
+    # python -m brauerblocks.cli runs the CLI from an uninstalled checkout
+    src = os.path.dirname(os.path.dirname(brauerblocks.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("BRAUER_MAX_DIM", None)
+
+    def call(*argv):
+        return subprocess.run([sys.executable, "-m", "brauerblocks.cli",
+                               *argv], env=env, capture_output=True,
+                              text=True, timeout=60)
+
+    ok = call("hom-dim", "--n", "8", "--delta", "1", "3,2,1", "2,2")
+    assert (ok.returncode, ok.stdout.strip()) == (0, "1"), ok.stderr
+    bad = call("hom-dim", "--n", "3", "--delta", "1", "2", "1")
+    assert bad.returncode == 2 and "error:" in bad.stderr

@@ -3,15 +3,15 @@ from unittest import mock
 
 import pytest
 
-from brauerblocks import perms
+from brauerblocks import cli, perms
 from brauerblocks.blocks import hom_target, is_balanced, weights
 from brauerblocks.cells import build_cell, enumerate_v
 from brauerblocks.diagrams import (BrauerDiagram, all_diagrams, concat,
                                    e_bar, hook_diagram, identity_diagram,
                                    perm_diagram)
 from brauerblocks.linalg import Echelon, rank_of, vec_add
-from brauerblocks.oracle import (HomQuery, _orbit_reps, _padded_diagram,
-                                 block_graph, cell_dim, central_scalar,
+from brauerblocks.oracle import (HomQuery, _orbit_reps, block_graph,
+                                 cell_dim, central_scalar,
                                  central_scalar_value, even_lr_sum,
                                  gram_rank, hom_dim,
                                  restriction_multiplicity, verify_blocks)
@@ -167,8 +167,9 @@ def reference_hom_dim(n: int, delta: int, lam: Partition,
 
 
 def test_hom_routes_agree():
-    # the padded-symmetrizer route must reproduce the full intertwiner
-    # solve on every pair that reaches it, delta = 0 included
+    # the level-|lam| symmetrizer route must reproduce the full
+    # intertwiner solve at level n on every pair that reaches it,
+    # delta = 0 included
     count = 0
     for n in (2, 3, 4, 5):
         for delta in DELTAS:
@@ -186,8 +187,27 @@ def test_hom_routes_agree():
     assert count == 102
 
 
+def padded_diagram(n: int, k: int, pairs) -> BrauerDiagram:
+    """Extend a pairing of the first k strands to n strands without loops.
+
+    North arcs (k+1,k+2), ..., (n-1,n) and south arcs (k,k+1), ...,
+    (n-2,n-1) fill the rest, and the pairing's south end k drops to south
+    node n.  This is A*d*B with B*A the identity of B_k and no loop
+    closed, so d -> pad(d) embeds B_k in e*B_n*e for e = A*B at every
+    delta.  With k = 0 there is no strand to route; nested arcs pad then.
+    """
+    if k == 0:
+        full = [(a, a + 1) for a in range(1, n, 2)]
+        full += [(-a, -(a + 1)) for a in range(1, n, 2)]
+        return BrauerDiagram(n, n, full)
+    full = [tuple(-n if x == -k else x for x in p) for p in pairs]
+    full += [(a, a + 1) for a in range(k + 1, n, 2)]
+    full += [(-a, -(a + 1)) for a in range(k, n - 1, 2)]
+    return BrauerDiagram(n, n, full)
+
+
 def pad(d: BrauerDiagram, n: int) -> BrauerDiagram:
-    return _padded_diagram(n, d.n, d.sorted_pairs())
+    return padded_diagram(n, d.n, d.sorted_pairs())
 
 
 def test_padding_is_a_loop_free_embedding():
@@ -208,10 +228,11 @@ def test_padding_is_a_loop_free_embedding():
 
 def full_scan(n: int, delta: int, lam: Partition, mu: Partition,
               v_seeds=None):
-    """The symmetrizer route without its symmetry cuts: the padded Young
-    symmetrizer on every basis vector (or on v (x) x for every tableau x
-    and the one-row diagrams v in v_seeds), then all k(k-1)/2 padded
-    hooks.  Returns the Hom dimension and the basis of W it found."""
+    """The symmetrizer route at level n, without localisation or symmetry
+    cuts: the padded Young symmetrizer on every basis vector (or on
+    v (x) x for every tableau x and the one-row diagrams v in v_seeds),
+    then all k(k-1)/2 padded hooks.  Returns the Hom dimension and the
+    basis of W it found."""
     k = lam.size
     bound = even_lr_sum(lam, mu)
     if bound == 0:
@@ -219,7 +240,7 @@ def full_scan(n: int, delta: int, lam: Partition, mu: Partition,
     cell = build_cell(n, delta, mu)
 
     def pad_perm(p):
-        return _padded_diagram(n, k, [(i + 1, -(p[i] + 1)) for i in range(k)])
+        return padded_diagram(n, k, [(i + 1, -(p[i] + 1)) for i in range(k)])
 
     def group_pass(vec, blocks, sign):
         for pts in blocks:
@@ -295,8 +316,9 @@ def check_symmetry_cuts(n, delta, lam, mu) -> bool:
 
 
 def test_symmetry_cuts_match_full_scan():
-    # orbit seeds and one hook per column pair give the answer of the
-    # full scan on every pair that reaches the symmetrizer route
+    # localisation to level |lam|, orbit seeds and one hook per column
+    # pair give the answer of the padded level-n full scan on every pair
+    # that reached the symmetrizer route before localisation
     count = orbit_count = 0
     for n, delta, lam, mu in symmetrizer_pairs(6):
         orbit_count += check_symmetry_cuts(n, delta, lam, mu)
@@ -304,6 +326,18 @@ def test_symmetry_cuts_match_full_scan():
     assert (count, orbit_count) == (227, 52)
     # here seeding from every second orbit alone misses part of W
     assert check_symmetry_cuts(8, -1, P(3, 3, 1, 1), P(1, 1, 1, 1))
+
+
+def test_cap_applies_at_source_level(capsys, monkeypatch):
+    # the query is answered at level |lam| = 6, where the cell module at
+    # (2,2) has dimension 30; at level 8 it has 420, over the default cap
+    monkeypatch.delenv("BRAUER_MAX_DIM", raising=False)
+    lam, mu = P(3, 2, 1), P(2, 2)
+    assert cell_dim(8, mu) == 420 and cell_dim(6, mu) == 30
+    assert hom_dim(HomQuery(8, 1, lam, mu)) == 1
+    assert full_scan(8, 1, lam, mu)[0] == 1
+    assert cli.run(["hom-dim", "--n", "8", "--delta", "1", "3,2,1", "2,2"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
 
 
 def test_orbit_reps_count():
