@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Dump hom_dim on every ordered weight pair, or compare two dumps.
+
+    python3 scripts/hom_gate.py dump OUT.json --n 1-8 --deltas -2 -1 0 1 2 3
+    python3 scripts/hom_gate.py dump OLD.json --src ../old/src --n 9-10 --deltas 0 1
+    python3 scripts/hom_gate.py compare OLD.json NEW.json
+
+`dump` imports brauerblocks from --src (default: the src/ beside this
+script), so dumping from two checkouts and comparing the files checks
+that a change to the oracle left every answer as it was.  Each entry is
+keyed "n delta source target".  Large modules need BRAUER_MAX_DIM set as
+for any other query.  `compare` prints each pair whose value differs or
+that only one dump holds, and exits 1 if there is any; otherwise it
+prints the pair and nonzero counts and exits 0.
+"""
+
+import argparse
+import json
+import sys
+import time
+from pathlib import Path
+
+SHOWN = 20  # mismatches printed by compare
+
+
+def n_range(text: str) -> range:
+    lo, _, hi = text.partition("-")
+    return range(int(lo), int(hi or lo) + 1)
+
+
+def dump(args) -> int:
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    from brauerblocks.blocks import weights
+    from brauerblocks.oracle import HomQuery, hom_dim
+
+    t0 = time.monotonic()
+    out = {}
+    for n in args.n:
+        for delta in args.deltas:
+            ws = weights(n, delta).weights
+            for lam in ws:
+                for mu in ws:
+                    out[f"{n} {delta} {lam} {mu}"] = \
+                        hom_dim(HomQuery(n, delta, lam, mu))
+    Path(args.out).write_text(json.dumps(out, indent=0, sort_keys=True) + "\n")
+    nonzero = sum(1 for v in out.values() if v)
+    print(f"{len(out)} pairs, {nonzero} nonzero, "
+          f"{time.monotonic() - t0:.1f}s -> {args.out}")
+    return 0
+
+
+def compare(args) -> int:
+    old = json.loads(Path(args.old).read_text())
+    new = json.loads(Path(args.new).read_text())
+    bad = [(key, old.get(key), new.get(key))
+           for key in sorted(old.keys() | new.keys())
+           if old.get(key) != new.get(key)]
+    for key, a, b in bad[:SHOWN]:
+        print(f"MISMATCH {key}: {a} -> {b}")
+    if bad:
+        print(f"{len(bad)} of {len(old.keys() | new.keys())} pairs differ")
+        return 1
+    nonzero = sum(1 for v in new.values() if v)
+    print(f"{len(new)} pairs agree, {nonzero} nonzero")
+    return 0
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    d = sub.add_parser("dump", help="write hom_dim of every ordered weight pair")
+    d.add_argument("out")
+    d.add_argument("--n", type=n_range, required=True,
+                   help="level or inclusive range, e.g. 8 or 1-8")
+    d.add_argument("--deltas", type=int, nargs="+", required=True)
+    d.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+                   help="source tree to import brauerblocks from")
+    c = sub.add_parser("compare", help="exit 1 unless two dumps agree")
+    c.add_argument("old")
+    c.add_argument("new")
+    args = ap.parse_args()
+    return dump(args) if args.cmd == "dump" else compare(args)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,7 +4,7 @@ Partitions and skew shapes, diagram arithmetic, Specht and cell modules,
 the balanced-pair block criterion with homomorphism-target constructions,
 and a brute-force linear-algebra oracle for verifying predictions at
 small n.  Everything runs over Python ints, with Fractions only in
-algebra-element coefficients and elimination pivots; no floats.
+algebra-element coefficients; no floats.
 """
 
 from brauerblocks.partitions import Box, Partition, SkewShape

@@ -20,7 +20,7 @@ from brauerblocks import linalg, perms, specht
 from brauerblocks.diagrams import (AlgebraElement, BrauerDiagram, concat,
                                    flip, hook_diagram, perm_diagram)
 from brauerblocks.linalg import SparseVec
-from brauerblocks.partitions import (Partition, addable_boxes, contents,
+from brauerblocks.partitions import (Partition, addable_boxes, content_sum,
                                      removable_boxes)
 from brauerblocks.specht import SpechtModule
 
@@ -264,8 +264,7 @@ def t_action_check(cell: CellModule) -> bool:
     """Does the sum of all hooks X_{i,j} act as the transposition sum plus
     the scalar t(delta-1) - (content sum of mu)?"""
     n, delta = cell.n, cell.delta
-    csum = sum(c * k for c, k in contents(cell.mu).items())
-    scalar = cell.t * (delta - 1) - csum
+    scalar = cell.t * (delta - 1) - content_sum(cell.mu)
     for b in range(cell.dim):
         unit = {b: 1}
         lhs: SparseVec = {}

@@ -1,15 +1,15 @@
 """Sparse exact linear algebra.
 
 Vectors are dicts {column index: nonzero int or Fraction}.  Matrices and
-vectors from the action layer are integral; the one workhorse, an
-incremental row echelon for ranks, normalizes its pivots to 1 and so
-carries Fractions in its rows.  Exactness is non-negotiable here: every
-rank decision feeds a theorem check.
+vectors from the action layer are integral, and so is the one workhorse,
+an incremental row echelon for ranks: it clears the denominators of what
+it is given and eliminates over the integers.  Exactness is
+non-negotiable here: every rank decision feeds a theorem check.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 from typing import Hashable, Iterable
 
 SparseVec = dict
@@ -34,10 +34,13 @@ def vec_scale(a: SparseVec, scale) -> SparseVec:
 
 
 class Echelon:
-    """Incremental reduced sparse row echelon over exact rationals.
+    """Incremental sparse row echelon over the integers.
 
-    add() reduces a vector against the current rows and installs the
-    remainder (pivot normalized to 1) if nonzero.
+    add() scales a vector to integers, reduces it against the current
+    rows and installs the remainder, divided by the gcd of its entries
+    and with a positive pivot, if nonzero.  A reduction step cross-
+    multiplies by the two pivots over their gcd, so no row leaves the
+    integers and the span is that over the rationals.
     """
 
     def __init__(self):
@@ -49,13 +52,19 @@ class Echelon:
 
     def add(self, vec: SparseVec) -> bool:
         """Insert a vector; returns True if it enlarged the span."""
+        den = lcm(*(v.denominator for v in vec.values()))
+        vec = {k: v.numerator * (den // v.denominator) for k, v in vec.items()}
         while vec:
             pivot = min(vec)
             row = self.rows.get(pivot)
+            c = vec[pivot]
             if row is None:
-                self.rows[pivot] = vec_scale(vec, Fraction(1, vec[pivot]))
+                g = gcd(*vec.values()) if c > 0 else -gcd(*vec.values())
+                self.rows[pivot] = {k: v // g for k, v in vec.items()}
                 return True
-            vec = vec_add(vec, row, -vec[pivot])
+            g = gcd(c, row[pivot])
+            a, b = row[pivot] // g, c // g
+            vec = vec_add(vec_scale(vec, a) if a != 1 else vec, row, -b)
         return False
 
 

@@ -4,15 +4,15 @@ Everything here recomputes, by exact linear algebra, quantities that the
 combinatorial layer only predicts: Hom-space dimensions between cell
 modules, central-element scalars, Gram ranks, restriction multiplicities
 to the symmetric group, and the empirical block graph.  All arithmetic
-is exact: a diagram acts on a cell module by an integer matrix, and
-rationals enter only through algebra-element coefficients and the
-normalized pivots of the echelon behind each rank.
+is exact and integral: a diagram acts on a cell module by an integer
+matrix, and every rank comes from elimination over the integers.
 
 A Hom space is computed at the level of its source weight, where it is
 the part of the Young symmetrizer's image killed by the two-strand
 contractions.  The column group's symmetry leaves one contraction per
-pair of columns to test, and the row group's leaves one seed one-row
-diagram per orbit; see _hom_dim_compressed.
+pair of columns to test.  The row group's leaves one seed one-row
+diagram per orbit, paired only with the Specht vectors its stabiliser
+fixes, so that no seed dies under the row sum; see _hom_dim_compressed.
 
 Module dimensions are capped via the BRAUER_MAX_DIM environment variable
 (a positive integer, default 400) so that a stray query cannot wedge a
@@ -24,7 +24,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import factorial
+from typing import Callable, Iterator
 
 from . import perms
 from .blocks import (WeightSet, block_partition, hom_target, is_balanced,
@@ -32,9 +34,10 @@ from .blocks import (WeightSet, block_partition, hom_target, is_balanced,
 from .cells import (CellModule, PartialOneRowDiagram, build_cell,
                     gram_matrix)
 from .diagrams import central_element, hook_diagram, perm_diagram
-from .linalg import Echelon, SparseVec, rank_of, vec_add
-from .partitions import (Partition, contents, conjugacy_class_size, is_even,
-                         lr_coefficient, mn_character, partitions_of)
+from .linalg import Echelon, SparseVec, mat_vec, rank_of, vec_add
+from .partitions import (Partition, conjugacy_class_size, content_sum,
+                         is_even, lr_coefficient, mn_character, partitions_of)
+from .specht import SpechtModule
 
 DEFAULT_MAX_DIM = 400
 
@@ -104,7 +107,7 @@ class BlockGraph:
 def central_scalar_value(n: int, delta: int, mu: Partition) -> int:
     """Content sum of mu minus t*(delta-1), t = number of contracted pairs."""
     t = (n - mu.size) // 2
-    return sum(c * k for c, k in contents(mu).items()) - t * (delta - 1)
+    return content_sum(mu) - t * (delta - 1)
 
 
 def central_scalar(n: int, delta: int, mu: Partition) -> int:
@@ -192,6 +195,12 @@ def restriction_multiplicity(n: int, delta: int, mu: Partition,
     return route_a
 
 
+def _node_rows(lam: Partition) -> list[int]:
+    """Row of lam holding each node 1..|lam| (filled row by row); entry 0
+    is unused."""
+    return [0] + [r for r, part in enumerate(lam.parts) for _ in range(part)]
+
+
 def _orbit_reps(v_list: list[PartialOneRowDiagram], lam: Partition) -> list[int]:
     """Index of the first one-row diagram of each orbit of the row group
     of lam (nodes 1..|lam| filled row by row), in v_list order.
@@ -199,9 +208,7 @@ def _orbit_reps(v_list: list[PartialOneRowDiagram], lam: Partition) -> list[int]
     Two sets of arcs lie in one orbit of a Young subgroup exactly when
     they join the same pairs of row blocks equally often, so the key is
     the sorted multiset of (row of a, row of b) over the arcs a-b."""
-    row_of = [0]
-    for r, part in enumerate(lam.parts):
-        row_of += [r] * part
+    row_of = _node_rows(lam)
     seen: set[tuple[tuple[int, int], ...]] = set()
     reps = []
     for v_idx, v in enumerate(v_list):
@@ -210,6 +217,66 @@ def _orbit_reps(v_list: list[PartialOneRowDiagram], lam: Partition) -> list[int]
             seen.add(key)
             reps.append(v_idx)
     return reps
+
+
+def _group_sum(vec: SparseVec, blocks: list[list[int]], sign: int,
+               act: Callable[[int, int, SparseVec], SparseVec]) -> SparseVec:
+    """The sum (sign 1) or signed sum (sign -1) of the Young subgroup on
+    blocks, applied to vec; act(i, j, vec) applies the transposition of
+    points i and j.  Coset transversals keep the term count at
+    block_len^2 instead of block_len!; the identity coset acts trivially."""
+    for pts in blocks:
+        for j in range(1, len(pts)):
+            acc = vec
+            for i in range(j):
+                acc = vec_add(acc, act(pts[i], pts[j], vec), sign)
+            vec = acc
+    return vec
+
+
+def _young_invariants(specht: SpechtModule, a: tuple[int, ...]) -> list[SparseVec]:
+    """An integer basis of the vectors of the Specht module fixed by the
+    Young subgroup Y_a on consecutive blocks of sizes a.
+
+    The sum of Y_a is a positive multiple of the projection onto them, so
+    its images of the basis vectors span them; there are K_{mu,sort(a)}
+    (Young's rule), none unless mu dominates sort(a)."""
+    m = specht.mu.size
+    blocks, start = [], 0
+    for size in a:
+        blocks.append(list(range(start, start + size)))
+        start += size
+    swaps = {(p, q): specht.perm_matrix(perms.transposition(m, p, q))
+             for pts in blocks for j, q in enumerate(pts) for p in pts[:j]}
+
+    def act(i: int, j: int, vec: SparseVec) -> SparseVec:
+        return mat_vec(swaps[i, j], vec)
+
+    ech = Echelon()
+    basis = []
+    for x in range(specht.dim):
+        y = _group_sum({x: 1}, blocks, 1, act)
+        if y and ech.add(y):
+            basis.append(y)
+    return basis
+
+
+def _orbit_seeds(cell: CellModule, lam: Partition) -> Iterator[list[SparseVec]]:
+    """For each v in _orbit_reps, the seeds v (x) y, y over
+    _young_invariants at a(v): the number of v's free nodes in each row
+    of lam.  The invariant bases are memoised per composition a."""
+    row_of = _node_rows(lam)
+    f = cell.specht.dim
+    invariants: dict[tuple[int, ...], list[SparseVec]] = {}
+    for v_idx in _orbit_reps(cell.v_list, lam):
+        counts = [0] * lam.rows
+        for node in cell.v_list[v_idx].free:
+            counts[row_of[node]] += 1
+        a = tuple(counts)
+        if a not in invariants:
+            invariants[a] = _young_invariants(cell.specht, a)
+        base = v_idx * f
+        yield [{base + x: c for x, c in y.items()} for y in invariants[a]]
 
 
 def _hom_dim_compressed(delta: int, lam: Partition, mu: Partition) -> int:
@@ -224,11 +291,18 @@ def _hom_dim_compressed(delta: int, lam: Partition, mu: Partition) -> int:
 
     Seeds: for r in the row group R, (sum of R)*r = sum of R, and r sends
     the basis vector v (x) x to rv (x) pi*x with pi invertible on the
-    Specht factor.  So the symmetrizer maps the seeds v (x) x, over every
-    tableau index x, onto the same span as the seeds rv (x) y, and one
-    one-row diagram per R-orbit, with every tableau index, seeds all of
-    W.  A rank below the multiplicity bound therefore still proves the
-    answer.
+    Specht factor, so one one-row diagram v per R-orbit, with every x,
+    seeds all of W.  v's free nodes in one row of lam have consecutive
+    ranks, so the stabiliser R_v of v maps onto the Young subgroup
+    Y_a, a = a(v) the free-node count per row, acting on the Specht
+    factor.  Summing R over the cosets of R_v then gives
+    (sum of R)(v (x) x) = sum over r in R/R_v of r(v (x) P x), with P a
+    positive multiple of the sum of Y_a: the projection onto the
+    Y_a-fixed vectors, up to scale.  So the seeds v (x) y, y over a basis
+    of those vectors, have the same R-image as the v (x) x, and each one
+    has a nonzero row image, whose v-component is |R_v|*y; there are
+    K_{mu,sort(a)} of them per orbit (Young's rule).  A rank below the
+    multiplicity bound therefore still proves the answer.
 
     Hooks: every w in W has c*w = sgn(c)*w for c in the column group C.
     X_ij*s_ij = X_ij, so a hook inside one column sends w to -X_ij*w,
@@ -247,25 +321,14 @@ def _hom_dim_compressed(delta: int, lam: Partition, mu: Partition) -> int:
              for pts in row_bl + col_bl
              for j, b in enumerate(pts) for a in pts[:j]}
 
-    def group_pass(vec: SparseVec, blocks: list[list[int]], sign: int) -> SparseVec:
-        # Coset transversals keep the term count at block_len^2 instead of
-        # block_len!; the identity coset acts trivially.
-        for pts in blocks:
-            for j in range(1, len(pts)):
-                acc = vec
-                for i in range(j):
-                    tr = swaps[pts[i], pts[j]]
-                    acc = vec_add(acc, cell.act_diagram(tr, vec), sign)
-                vec = acc
-        return vec
+    def act(i: int, j: int, vec: SparseVec) -> SparseVec:
+        return cell.act_diagram(swaps[i, j], vec)
 
-    f = cell.specht.dim
     ech = Echelon()
     w_basis: list[SparseVec] = []
-    for b in (v_idx * f + x for v_idx in _orbit_reps(cell.v_list, lam)
-              for x in range(f)):
-        v = group_pass({b: 1}, row_bl, 1)
-        v = group_pass(v, col_bl, -1)
+    for seed in chain.from_iterable(_orbit_seeds(cell, lam)):
+        v = _group_sum(seed, row_bl, 1, act)
+        v = _group_sum(v, col_bl, -1, act)
         if v and ech.add(v):
             w_basis.append(v)
             if ech.rank == bound:

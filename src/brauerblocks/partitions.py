@@ -187,6 +187,12 @@ def contents(lam: Partition) -> Counter:
     return Counter(b.content for b in lam.boxes())
 
 
+def content_sum(lam: Partition) -> int:
+    """Sum of the box contents: row i (0-based) of length p adds
+    (0 + 1 + ... + p-1) - i*p."""
+    return sum(p * (p - 1) // 2 - i * p for i, p in enumerate(lam.parts))
+
+
 def addable_boxes(lam: Partition) -> list[Box]:
     """Positions whose addition leaves a partition, sorted by content."""
     out = [Box(i + 1, lam.row(i) + 1)

@@ -10,13 +10,14 @@ from brauerblocks.diagrams import (BrauerDiagram, all_diagrams, concat,
                                    e_bar, hook_diagram, identity_diagram,
                                    perm_diagram)
 from brauerblocks.linalg import Echelon, rank_of, vec_add
-from brauerblocks.oracle import (HomQuery, _orbit_reps, block_graph,
-                                 cell_dim, central_scalar,
+from brauerblocks.oracle import (HomQuery, _orbit_reps, _orbit_seeds,
+                                 block_graph, cell_dim, central_scalar,
                                  central_scalar_value, even_lr_sum,
                                  gram_rank, hom_dim,
                                  restriction_multiplicity, verify_blocks)
-from brauerblocks.partitions import (EMPTY, Partition, partitions_of,
-                                     removable_boxes, specht_dim)
+from brauerblocks.partitions import (EMPTY, Partition, mn_character,
+                                     partitions_of, removable_boxes,
+                                     specht_dim)
 
 DELTAS = (-2, -1, 0, 1, 2, 3)
 
@@ -326,6 +327,70 @@ def test_symmetry_cuts_match_full_scan():
     assert (count, orbit_count) == (227, 52)
     # here seeding from every second orbit alone misses part of W
     assert check_symmetry_cuts(8, -1, P(3, 3, 1, 1), P(1, 1, 1, 1))
+
+
+def young_sum(cell, vec, blocks, sign):
+    """Sum over every element of the Young subgroup on blocks (signed
+    when sign = -1), applied to vec one permutation diagram at a time."""
+    out = {}
+    for p in perms.block_perms(blocks, cell.n):
+        out = vec_add(out, cell.act_diagram(perm_diagram(p), vec),
+                      perms.sign(p) if sign < 0 else 1)
+    return out
+
+
+def invariant_dim(mu: Partition, a: tuple[int, ...]) -> int:
+    """dim of the Specht vectors fixed by the Young subgroup on blocks of
+    sizes a, as the average of the character of mu over the subgroup."""
+    blocks, start = [], 0
+    for size in a:
+        blocks.append(list(range(start, start + size)))
+        start += size
+    group = list(perms.block_perms(blocks, mu.size))
+    total = sum(mn_character(mu, perms.cycle_type(p)) for p in group)
+    assert total % len(group) == 0
+    return total // len(group)
+
+
+def dominates(mu: Partition, nu: Partition) -> bool:
+    return all(sum(mu.parts[:i]) >= sum(nu.parts[:i])
+               for i in range(1, nu.rows + 1))
+
+
+def test_invariant_seeds():
+    # at level |lam|, the seeds v (x) y of each row-group orbit number
+    # dim (S^mu)^(Y_a), zero unless mu dominates sort(a); each has a
+    # nonzero row image; and their symmetrizer images span a W of the
+    # rank that every seed of the padded level-n scan gives; with
+    # |mu| > |lam| there is no module at level |lam|, and W is 0
+    count = seeded = 0
+    for n, delta, lam, mu in symmetrizer_pairs(6):
+        count += 1
+        k = lam.size
+        _, w_basis = full_scan(n, delta, lam, mu)
+        if mu.size > k:
+            assert w_basis == []
+            continue
+        cell = build_cell(k, delta, mu)
+        row_of = [r for r, part in enumerate(lam.parts) for _ in range(part)]
+        row_bl, col_bl = perms.row_blocks(lam), perms.col_blocks(lam)
+        ech = Echelon()
+        for v_idx, seeds in zip(_orbit_reps(cell.v_list, lam),
+                                _orbit_seeds(cell, lam), strict=True):
+            a = [0] * lam.rows
+            for node in cell.v_list[v_idx].free:
+                a[row_of[node - 1]] += 1
+            a = tuple(a)
+            assert len(seeds) == invariant_dim(mu, a), (n, delta, lam, mu, a)
+            if not dominates(mu, Partition(sorted(a, reverse=True))):
+                assert seeds == [], (n, delta, lam, mu, a)
+            for seed in seeds:
+                row_image = young_sum(cell, seed, row_bl, 1)
+                assert row_image, (n, delta, lam, mu, seed)
+                ech.add(young_sum(cell, row_image, col_bl, -1))
+        assert ech.rank == len(w_basis), (n, delta, lam, mu)
+        seeded += 1
+    assert (count, seeded) == (227, 163)
 
 
 def test_cap_applies_at_source_level(capsys, monkeypatch):

@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from brauerblocks.partitions import (EMPTY, Box, Partition, addable_boxes,
-                                     conjugacy_class_size, contents, is_even,
+                                     conjugacy_class_size, content_sum,
+                                     contents, is_even,
                                      lr_coefficient, mn_character,
                                      parse_partition, partition_minus,
                                      partitions_of, removable_boxes, skew,
@@ -73,6 +74,13 @@ def test_contents_conjugate_mirror(lam):
     c = contents(lam)
     cc = contents(lam.conjugate())
     assert all(cc[-k] == v for k, v in c.items())
+
+
+def test_content_sum_closed_form():
+    # the per-row closed form equals the sum over the multiset of contents
+    for k in range(13):
+        for lam in partitions_of(k):
+            assert content_sum(lam) == sum(c * m for c, m in contents(lam).items()), lam
 
 
 @given(partitions)
