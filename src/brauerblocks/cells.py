@@ -6,8 +6,18 @@ on the one-row part by walking its strands through the arcs of the
 one-row diagram, read from index tables built once per module (the arc
 partner and the free-node rank of each node); if the propagating number
 drops the result is zero, otherwise the leftover permutation of free
-nodes is pushed onto the Specht factor.  Basis order is fixed (arc lists lex, then tableaux)
-so every matrix is reproducible bit for bit.
+nodes is pushed onto the Specht factor.  Basis order is fixed (arc lists
+lex, then tableaux) so every matrix is reproducible bit for bit.
+
+The action works on block vectors: {one-row index: list of the f = dim
+S^mu Specht coordinates}, dense and int, with no all-zero block.  Flat
+index v*f + x is coordinate x of block v; flatten and to_blocks convert.
+Each diagram gets a move table, a list over one-row indices filled on
+first use: None where the propagating number drops or delta^loops = 0,
+else (target index, Specht matrix of the leftover permutation or None
+for the identity, delta^loops).  One table lookup per call then moves
+every block of a vector.  Lists in a block vector are never shared with
+another vector, so a caller may mutate what it is given back.
 """
 
 from __future__ import annotations
@@ -23,6 +33,10 @@ from brauerblocks.linalg import SparseVec
 from brauerblocks.partitions import (Partition, addable_boxes, content_sum,
                                      removable_boxes)
 from brauerblocks.specht import SpechtModule
+
+BlockVec = dict  # one-row index -> list of its f Specht coordinates
+
+_UNFILLED = object()  # move-table entry not computed yet
 
 
 class PartialOneRowDiagram(NamedTuple):
@@ -105,7 +119,8 @@ class CellModule:
                 rank[f] = k
             self._mate.append(mate)
             self._rank.append(rank)
-        self._dec_cache: dict = {}
+        self._identity = tuple(range(mu.size))
+        self._moves: dict[BrauerDiagram, list] = {}
 
     @property
     def dim(self) -> int:
@@ -123,10 +138,6 @@ class CellModule:
         walk surfaces at a northern node (an arc of w) or stops on a free
         node of v (a through strand).  Middle nodes no walk touched close
         into loops."""
-        key = (d, v_idx)
-        hit = self._dec_cache.get(key, -1)
-        if hit != -1:
-            return hit
         n, m = self.n, self.mu.size
         mate, rank = self._mate[v_idx], self._rank[v_idx]
         # north x sits at x, south j at n + j
@@ -160,62 +171,108 @@ class CellModule:
                 seen[y] = True
                 arcs.append((x, y))
         if through < m:
-            out = None
-        else:
-            loops = 0
-            for j in range(1, n + 1):
-                if seen[n + j]:
-                    continue
-                loops += 1
-                y = n + j
-                while not seen[y]:
-                    seen[y] = True
-                    k = mate[y - n]
-                    seen[n + k] = True
-                    y = link[n + k]
-            out = (self._v_index[tuple(arcs)], tuple(pinv), loops)
-        self._dec_cache[key] = out
-        return out
+            return None
+        loops = 0
+        for j in range(1, n + 1):
+            if seen[n + j]:
+                continue
+            loops += 1
+            y = n + j
+            while not seen[y]:
+                seen[y] = True
+                k = mate[y - n]
+                seen[n + k] = True
+                y = link[n + k]
+        return (self._v_index[tuple(arcs)], tuple(pinv), loops)
 
-    def act_diagram(self, d: BrauerDiagram, vec: SparseVec) -> SparseVec:
-        """Left action of a single diagram, with the delta^loops factor."""
+    def _move(self, d: BrauerDiagram, v_idx: int):
+        """The move-table entry of d at the v-th one-row diagram."""
+        dec = self.decompose(d, v_idx)
+        if dec is None:
+            return None
+        w_idx, pinv, loops = dec
+        scale = self.delta ** loops
+        if not scale:
+            return None
+        cols = None if pinv == self._identity else self.specht.perm_matrix(pinv)
+        return (w_idx, cols, scale)
+
+    def act_diagram(self, d: BrauerDiagram, vec: BlockVec) -> BlockVec:
+        """Left action of a single diagram, with the delta^loops factor,
+        on a block vector.  The result shares no list with vec."""
+        moves = self._moves.get(d)
+        if moves is None:
+            moves = self._moves[d] = [_UNFILLED] * len(self.v_list)
         f = self.specht.dim
-        grouped: dict[int, SparseVec] = {}
-        for idx, c in vec.items():
-            grouped.setdefault(idx // f, {})[idx % f] = c
-        out: SparseVec = {}
-        for v_idx, sub in grouped.items():
-            dec = self.decompose(d, v_idx)
-            if dec is None:
+        out: BlockVec = {}
+        for v_idx, block in vec.items():
+            move = moves[v_idx]
+            if move is _UNFILLED:
+                move = moves[v_idx] = self._move(d, v_idx)
+            if move is None:
                 continue
-            w_idx, pinv, loops = dec
-            scale = self.delta ** loops
-            if not scale:
-                continue
-            moved = linalg.mat_vec(self.specht.perm_matrix(pinv), sub)
-            base = w_idx * f
-            for tab_idx, val in moved.items():
-                k = base + tab_idx
-                acc = out.get(k, 0) + scale * val
-                if acc:
-                    out[k] = acc
+            w_idx, cols, scale = move
+            acc = out.get(w_idx)
+            if cols is None:
+                if acc is None:
+                    out[w_idx] = [scale * c for c in block]
                 else:
-                    del out[k]
-        return out
+                    out[w_idx] = [a + scale * c for a, c in zip(acc, block)]
+                continue
+            if acc is None:
+                acc = out[w_idx] = [0] * f
+            for j, c in enumerate(block):
+                if c:
+                    c *= scale
+                    for i, a in cols[j].items():
+                        acc[i] += a * c
+        return {w_idx: acc for w_idx, acc in out.items() if any(acc)}
+
+    def flatten(self, vec: BlockVec) -> SparseVec:
+        """The flat sparse vector {v*f + x: value} of a block vector."""
+        f = self.specht.dim
+        return {v_idx * f + x: c for v_idx, block in vec.items()
+                for x, c in enumerate(block) if c}
+
+    def to_blocks(self, vec: SparseVec) -> BlockVec:
+        """The block vector of a flat sparse vector."""
+        f = self.specht.dim
+        out: BlockVec = {}
+        for idx, c in vec.items():
+            v_idx, x = divmod(idx, f)
+            out.setdefault(v_idx, [0] * f)[x] = c
+        return {v_idx: block for v_idx, block in out.items() if any(block)}
 
     def act_element(self, elem: AlgebraElement, vec: SparseVec) -> SparseVec:
         if elem.n != self.n or elem.delta != self.delta:
             raise ValueError("element and module live over different B_n(delta)")
+        blocks = self.to_blocks(vec)
         out: SparseVec = {}
         for d, c in elem.terms.items():
-            out = linalg.vec_add(out, self.act_diagram(d, vec), c)
+            out = linalg.vec_add(out, self.flatten(self.act_diagram(d, blocks)), c)
         return out
 
     def matrix_of(self, d: BrauerDiagram) -> list[SparseVec]:
-        return [self.act_diagram(d, {j: 1}) for j in range(self.dim)]
+        return [self.flatten(self.act_diagram(d, self.to_blocks({j: 1})))
+                for j in range(self.dim)]
 
     def __repr__(self) -> str:
         return f"CellModule(n={self.n}, delta={self.delta}, mu={self.mu}, dim={self.dim})"
+
+
+def block_add(a: BlockVec, b: BlockVec, scale: int = 1) -> BlockVec:
+    """a + scale*b in block form, dropping zero blocks; the result shares
+    no list with a or b."""
+    out = {v_idx: list(block) for v_idx, block in a.items() if v_idx not in b}
+    for v_idx, block in b.items():
+        acc = a.get(v_idx)
+        if acc is None:
+            acc = [scale * c for c in block]
+        else:
+            acc = [x + scale * c for x, c in zip(acc, block)]
+        if any(acc):
+            out[v_idx] = acc
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -266,13 +323,13 @@ def t_action_check(cell: CellModule) -> bool:
     n, delta = cell.n, cell.delta
     scalar = cell.t * (delta - 1) - content_sum(cell.mu)
     for b in range(cell.dim):
-        unit = {b: 1}
-        lhs: SparseVec = {}
-        rhs: SparseVec = {b: scalar} if scalar else {}
+        unit = cell.to_blocks({b: 1})
+        lhs: BlockVec = {}
+        rhs = cell.to_blocks({b: scalar})
         for i in range(n):
             for j in range(i + 1, n):
-                lhs = linalg.vec_add(lhs, cell.act_diagram(hook_diagram(n, i + 1, j + 1), unit))
-                rhs = linalg.vec_add(rhs, cell.act_diagram(
+                lhs = block_add(lhs, cell.act_diagram(hook_diagram(n, i + 1, j + 1), unit))
+                rhs = block_add(rhs, cell.act_diagram(
                     perm_diagram(perms.transposition(n, i, j)), unit))
         if lhs != rhs:
             return False

@@ -31,13 +31,12 @@ from typing import Callable, Iterator
 from . import perms
 from .blocks import (WeightSet, block_partition, hom_target, is_balanced,
                      is_minimal, weights)
-from .cells import (CellModule, PartialOneRowDiagram, build_cell,
-                    gram_matrix)
+from .cells import (BlockVec, CellModule, PartialOneRowDiagram, block_add,
+                    build_cell, gram_matrix)
 from .diagrams import central_element, hook_diagram, perm_diagram
-from .linalg import Echelon, SparseVec, mat_vec, rank_of, vec_add
+from .linalg import Echelon, SparseVec, rank_of
 from .partitions import (Partition, conjugacy_class_size, content_sum,
                          is_even, lr_coefficient, mn_character, partitions_of)
-from .specht import SpechtModule
 
 DEFAULT_MAX_DIM = 400
 
@@ -168,7 +167,7 @@ def _perm_traces(n: int, delta: int, mu: Partition):
         d = perm_diagram(_cycle_rep(rho))
         tr = 0
         for j in range(cell.dim):
-            tr += cell.act_diagram(d, {j: 1}).get(j, 0)
+            tr += cell.flatten(cell.act_diagram(d, cell.to_blocks({j: 1}))).get(j, 0)
         out[rho] = tr
     return out
 
@@ -219,8 +218,8 @@ def _orbit_reps(v_list: list[PartialOneRowDiagram], lam: Partition) -> list[int]
     return reps
 
 
-def _group_sum(vec: SparseVec, blocks: list[list[int]], sign: int,
-               act: Callable[[int, int, SparseVec], SparseVec]) -> SparseVec:
+def _group_sum(vec: BlockVec, blocks: list[list[int]], sign: int,
+               act: Callable[[int, int, BlockVec], BlockVec]) -> BlockVec:
     """The sum (sign 1) or signed sum (sign -1) of the Young subgroup on
     blocks, applied to vec; act(i, j, vec) applies the transposition of
     points i and j.  Coset transversals keep the term count at
@@ -229,54 +228,55 @@ def _group_sum(vec: SparseVec, blocks: list[list[int]], sign: int,
         for j in range(1, len(pts)):
             acc = vec
             for i in range(j):
-                acc = vec_add(acc, act(pts[i], pts[j], vec), sign)
+                acc = block_add(acc, act(pts[i], pts[j], vec), sign)
             vec = acc
     return vec
 
 
-def _young_invariants(specht: SpechtModule, a: tuple[int, ...]) -> list[SparseVec]:
+def _young_invariants(top: CellModule, a: tuple[int, ...]) -> list[list[int]]:
     """An integer basis of the vectors of the Specht module fixed by the
-    Young subgroup Y_a on consecutive blocks of sizes a.
+    Young subgroup Y_a on consecutive blocks of sizes a, as dense lists.
 
-    The sum of Y_a is a positive multiple of the projection onto them, so
-    its images of the basis vectors span them; there are K_{mu,sort(a)}
-    (Young's rule), none unless mu dominates sort(a)."""
-    m = specht.mu.size
+    top is the cell module with no arcs, which is the Specht module with
+    a single block.  The sum of Y_a is a positive multiple of the
+    projection onto those vectors, so its images of the basis vectors span
+    them; there are K_{mu,sort(a)} (Young's rule), none unless mu
+    dominates sort(a)."""
+    m, f = top.n, top.specht.dim
     blocks, start = [], 0
     for size in a:
         blocks.append(list(range(start, start + size)))
         start += size
-    swaps = {(p, q): specht.perm_matrix(perms.transposition(m, p, q))
+    swaps = {(p, q): perm_diagram(perms.transposition(m, p, q))
              for pts in blocks for j, q in enumerate(pts) for p in pts[:j]}
 
-    def act(i: int, j: int, vec: SparseVec) -> SparseVec:
-        return mat_vec(swaps[i, j], vec)
+    def act(i: int, j: int, vec: BlockVec) -> BlockVec:
+        return top.act_diagram(swaps[i, j], vec)
 
     ech = Echelon()
     basis = []
-    for x in range(specht.dim):
-        y = _group_sum({x: 1}, blocks, 1, act)
-        if y and ech.add(y):
-            basis.append(y)
+    for x in range(f):
+        y = _group_sum(top.to_blocks({x: 1}), blocks, 1, act)
+        if y and ech.add(top.flatten(y)):
+            basis.append(y[0])
     return basis
 
 
-def _orbit_seeds(cell: CellModule, lam: Partition) -> Iterator[list[SparseVec]]:
-    """For each v in _orbit_reps, the seeds v (x) y, y over
+def _orbit_seeds(cell: CellModule, lam: Partition) -> Iterator[list[BlockVec]]:
+    """For each v in _orbit_reps, the block seeds v (x) y, y over
     _young_invariants at a(v): the number of v's free nodes in each row
     of lam.  The invariant bases are memoised per composition a."""
     row_of = _node_rows(lam)
-    f = cell.specht.dim
-    invariants: dict[tuple[int, ...], list[SparseVec]] = {}
+    top = CellModule(cell.mu.size, cell.delta, cell.mu)
+    invariants: dict[tuple[int, ...], list[list[int]]] = {}
     for v_idx in _orbit_reps(cell.v_list, lam):
         counts = [0] * lam.rows
         for node in cell.v_list[v_idx].free:
             counts[row_of[node]] += 1
         a = tuple(counts)
         if a not in invariants:
-            invariants[a] = _young_invariants(cell.specht, a)
-        base = v_idx * f
-        yield [{base + x: c for x, c in y.items()} for y in invariants[a]]
+            invariants[a] = _young_invariants(top, a)
+        yield [{v_idx: list(y)} for y in invariants[a]]
 
 
 def _hom_dim_compressed(delta: int, lam: Partition, mu: Partition) -> int:
@@ -301,8 +301,11 @@ def _hom_dim_compressed(delta: int, lam: Partition, mu: Partition) -> int:
     Y_a-fixed vectors, up to scale.  So the seeds v (x) y, y over a basis
     of those vectors, have the same R-image as the v (x) x, and each one
     has a nonzero row image, whose v-component is |R_v|*y; there are
-    K_{mu,sort(a)} of them per orbit (Young's rule).  A rank below the
-    multiplicity bound therefore still proves the answer.
+    K_{mu,sort(a)} of them per orbit (Young's rule).  Their images span
+    W, whose dimension is that of e*M for the symmetrizer e: the
+    multiplicity of S^lam in M (Fulton and Harris, section 4.1), which
+    is even_lr_sum.  So the rank must reach that bound exactly, and the
+    bound gives every answer a second derivation.
 
     Hooks: every w in W has c*w = sgn(c)*w for c in the column group C.
     X_ij*s_ij = X_ij, so a hook inside one column sends w to -X_ij*w,
@@ -321,23 +324,21 @@ def _hom_dim_compressed(delta: int, lam: Partition, mu: Partition) -> int:
              for pts in row_bl + col_bl
              for j, b in enumerate(pts) for a in pts[:j]}
 
-    def act(i: int, j: int, vec: SparseVec) -> SparseVec:
+    def act(i: int, j: int, vec: BlockVec) -> BlockVec:
         return cell.act_diagram(swaps[i, j], vec)
 
     ech = Echelon()
-    w_basis: list[SparseVec] = []
+    w_basis: list[BlockVec] = []
     for seed in chain.from_iterable(_orbit_seeds(cell, lam)):
         v = _group_sum(seed, row_bl, 1, act)
         v = _group_sum(v, col_bl, -1, act)
-        if v and ech.add(v):
+        if v and ech.add(cell.flatten(v)):
             w_basis.append(v)
             if ech.rank == bound:
                 break
-    assert ech.rank <= bound, (
-        f"symmetrizer image rank {ech.rank} exceeds its multiplicity "
+    assert ech.rank == bound, (
+        f"symmetrizer image rank {ech.rank} differs from its multiplicity "
         f"bound {bound} at lam={lam}, mu={mu}, delta={delta}")
-    if not w_basis:
-        return 0
 
     tops = [col[0] + 1 for col in col_bl]
     hooks = [hook_diagram(k, i, j) for a, i in enumerate(tops)
@@ -346,7 +347,7 @@ def _hom_dim_compressed(delta: int, lam: Partition, mu: Partition) -> int:
     for w in w_basis:
         image: SparseVec = {}
         for h_idx, h in enumerate(hooks):
-            for key, val in cell.act_diagram(h, w).items():
+            for key, val in cell.flatten(cell.act_diagram(h, w)).items():
                 image[(h_idx, key)] = val
         stacked.append(image)
     return len(w_basis) - rank_of(stacked)

@@ -1,14 +1,16 @@
+import copy
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from brauerblocks.cells import (CellModule, _one_row_diagram, build_cell,
-                                enumerate_v, gram_matrix, restriction_rule,
-                                t_action_check)
+from brauerblocks.cells import (CellModule, _one_row_diagram, block_add,
+                                build_cell, enumerate_v, gram_matrix,
+                                restriction_rule, t_action_check)
 from brauerblocks.diagrams import (all_diagrams, concat, flip, from_diagram,
-                                   hook_diagram, identity_element,
-                                   perm_diagram, u_diagram)
+                                   hook_diagram, identity_diagram,
+                                   identity_element, perm_diagram, u_diagram)
+from brauerblocks.linalg import mat_vec
 from brauerblocks.partitions import EMPTY, Partition, partitions_of, specht_dim
 from brauerblocks.specht import build_specht
 from brauerblocks import perms
@@ -61,9 +63,10 @@ def test_top_cell_is_specht():
         d = perm_diagram(sigma)
         inv = cell.specht.perm_matrix(perms.inverse(sigma))
         for j in range(cell.dim):
-            assert cell.act_diagram(d, {j: Fraction(1)}) == inv[j]
+            unit = cell.to_blocks({j: Fraction(1)})
+            assert cell.flatten(cell.act_diagram(d, unit)) == inv[j]
     # arc diagrams drop the propagating number and act as zero on top
-    assert cell.act_diagram(u_diagram(3, 1), {0: Fraction(1)}) == {}
+    assert cell.flatten(cell.act_diagram(u_diagram(3, 1), cell.to_blocks({0: Fraction(1)}))) == {}
 
 
 @pytest.mark.parametrize("delta", [0, 2])
@@ -76,7 +79,7 @@ def test_action_is_algebra_representation(delta):
             prod = ea * from_diagram(b, delta)
             for j in range(cell.dim):
                 unit = {j: Fraction(1)}
-                step = cell.act_diagram(a, cell.act_diagram(b, unit))
+                step = cell.flatten(cell.act_diagram(a, cell.act_diagram(b, cell.to_blocks(unit))))
                 assert step == cell.act_element(prod, unit)
 
 
@@ -104,10 +107,10 @@ def test_gram_symmetric_and_invariant(delta):
     for d in all_diagrams(3):
         fd = flip(d)
         for b in range(dim):
-            moved = cell.act_diagram(d, {b: Fraction(1)})
+            moved = cell.flatten(cell.act_diagram(d, cell.to_blocks({b: Fraction(1)})))
             for c in range(dim):
                 lhs = sum(v * gram[a][c] for a, v in moved.items())
-                back = cell.act_diagram(fd, {c: Fraction(1)})
+                back = cell.flatten(cell.act_diagram(fd, cell.to_blocks({c: Fraction(1)})))
                 rhs = sum(gram[b][a] * v for a, v in back.items())
                 assert lhs == rhs
 
@@ -179,8 +182,109 @@ def test_action_layer_is_integral():
                     cell = build_cell(n, delta, mu)
                     for d in gens:
                         for j in range(cell.dim):
-                            assert all_int(cell.act_diagram(d, {j: 1}).values())
+                            unit = cell.to_blocks({j: 1})
+                            assert all_int(cell.flatten(cell.act_diagram(d, unit)).values())
                     assert all(all_int(row) for row in gram_matrix(cell))
+
+
+def reference_act(cell, d, vec):
+    """The flat action that block vectors replaced: regroup a flat vector
+    by one-row index, move each group by decompose and a Specht matrix,
+    and add the entries back one by one."""
+    f = cell.specht.dim
+    grouped = {}
+    for idx, c in vec.items():
+        grouped.setdefault(idx // f, {})[idx % f] = c
+    out = {}
+    for v_idx, sub in grouped.items():
+        dec = cell.decompose(d, v_idx)
+        if dec is None:
+            continue
+        w_idx, pinv, loops = dec
+        scale = cell.delta ** loops
+        if not scale:
+            continue
+        moved = mat_vec(cell.specht.perm_matrix(pinv), sub)
+        base = w_idx * f
+        for tab_idx, val in moved.items():
+            k = base + tab_idx
+            acc = out.get(k, 0) + scale * val
+            if acc:
+                out[k] = acc
+            else:
+                del out[k]
+    return out
+
+
+def cell_modules(n, delta):
+    for k in range(n % 2, n + 1, 2):
+        if delta == 0 and k == 0:
+            continue
+        for mu in partitions_of(k):
+            yield build_cell(n, delta, mu)
+
+
+def check_against_reference(cell, diagrams):
+    """The block action equals reference_act on every basis vector and on
+    one vector with every coordinate nonzero, where blocks collide; each
+    block is a list of f ints, not all zero."""
+    f = cell.specht.dim
+    full = {j: j % 5 - 2 or 3 for j in range(cell.dim)}
+    for d in diagrams:
+        for vec in [{j: 1} for j in range(cell.dim)] + [full]:
+            got = cell.act_diagram(d, cell.to_blocks(vec))
+            for block in got.values():
+                assert type(block) is list and len(block) == f
+                assert all_int(block) and any(block)
+            assert cell.flatten(got) == reference_act(cell, d, vec), (cell, d, vec)
+
+
+def test_block_action_matches_flat_reference():
+    # up to n = 4 every diagram, so that some close loops while they
+    # permute the free nodes; then the generators s_i and X_12
+    for n in range(7):
+        if n <= 4:
+            gens = list(all_diagrams(n))
+        else:
+            gens = [perm_diagram(perms.transposition(n, i, i + 1)) for i in range(n - 1)]
+            gens.append(hook_diagram(n, 1, 2))
+        for delta in DELTAS:
+            for cell in cell_modules(n, delta):
+                check_against_reference(cell, gens)
+    # the Hom route's diagrams at level 7: transpositions inside a row or
+    # a column of some lam, and the hooks on the tops of two columns
+    route = set()
+    for lam in partitions_of(7):
+        for pts in perms.row_blocks(lam) + perms.col_blocks(lam):
+            route.update(perm_diagram(perms.transposition(7, a, b))
+                         for j, b in enumerate(pts) for a in pts[:j])
+        tops = [col[0] + 1 for col in perms.col_blocks(lam)]
+        route.update(hook_diagram(7, i, j) for a, i in enumerate(tops)
+                     for j in tops[a + 1:])
+    assert len(route) == 42
+    for cell in cell_modules(7, -2):
+        check_against_reference(cell, sorted(route, key=repr))
+
+
+def test_action_does_not_alias():
+    # the result of act_diagram and block_add shares no list with the
+    # input: the input is unchanged by the call and by mutating the result
+    cell = build_cell(5, 2, P(2, 1))
+    vec = cell.to_blocks({j: j % 3 + 1 for j in range(cell.dim)})
+    before = copy.deepcopy(vec)
+    diagrams = [identity_diagram(5), hook_diagram(5, 1, 2), hook_diagram(5, 2, 4)]
+    diagrams += [perm_diagram(perms.transposition(5, i, j))
+                 for i in range(5) for j in range(i + 1, 5)]
+    for d in diagrams:
+        out = cell.act_diagram(d, vec)
+        assert vec == before
+        for block in out.values():
+            block[:] = [c + 7 for c in block]
+        assert vec == before, d
+    for out in (block_add(vec, vec), block_add(vec, {0: [1] * cell.specht.dim}, -1)):
+        for block in out.values():
+            block[:] = [c + 7 for c in block]
+        assert vec == before
 
 
 def test_restriction_rule():

@@ -249,7 +249,8 @@ def full_scan(n: int, delta: int, lam: Partition, mu: Partition,
                 acc = vec
                 for i in range(j):
                     tr = perms.transposition(k, pts[i], pts[j])
-                    acc = vec_add(acc, cell.act_diagram(pad_perm(tr), vec), sign)
+                    moved = cell.act_diagram(pad_perm(tr), cell.to_blocks(vec))
+                    acc = vec_add(acc, cell.flatten(moved), sign)
                 vec = acc
         return vec
 
@@ -260,7 +261,7 @@ def full_scan(n: int, delta: int, lam: Partition, mu: Partition,
     ech = Echelon()
     w_basis = []
     for b in (v_idx * f + x for v_idx in v_seeds for x in range(f)):
-        v = cell.act_diagram(ident, {b: 1})
+        v = cell.flatten(cell.act_diagram(ident, cell.to_blocks({b: 1})))
         v = group_pass(v, perms.row_blocks(lam), 1)
         v = group_pass(v, perms.col_blocks(lam), -1)
         if v and ech.add(v):
@@ -274,7 +275,7 @@ def full_scan(n: int, delta: int, lam: Partition, mu: Partition,
         for i in range(1, k + 1):
             for j in range(i + 1, k + 1):
                 h = pad(hook_diagram(k, i, j), n)
-                for key, val in cell.act_diagram(h, w).items():
+                for key, val in cell.flatten(cell.act_diagram(h, cell.to_blocks(w))).items():
                     image[(i, j, key)] = val
         stacked.append(image)
     return len(w_basis) - rank_of(stacked), w_basis
@@ -306,7 +307,7 @@ def check_symmetry_cuts(n, delta, lam, mu) -> bool:
             for j in col[a + 1:]:
                 h = pad(hook_diagram(lam.size, i + 1, j + 1), n)
                 for w in w_basis:
-                    assert cell.act_diagram(h, w) == {}, \
+                    assert cell.flatten(cell.act_diagram(h, cell.to_blocks(w))) == {}, \
                         (n, delta, lam, mu, i, j)
     if lam.size != n:
         return False
@@ -334,7 +335,7 @@ def young_sum(cell, vec, blocks, sign):
     when sign = -1), applied to vec one permutation diagram at a time."""
     out = {}
     for p in perms.block_perms(blocks, cell.n):
-        out = vec_add(out, cell.act_diagram(perm_diagram(p), vec),
+        out = vec_add(out, cell.flatten(cell.act_diagram(perm_diagram(p), cell.to_blocks(vec))),
                       perms.sign(p) if sign < 0 else 1)
     return out
 
@@ -385,7 +386,7 @@ def test_invariant_seeds():
             if not dominates(mu, Partition(sorted(a, reverse=True))):
                 assert seeds == [], (n, delta, lam, mu, a)
             for seed in seeds:
-                row_image = young_sum(cell, seed, row_bl, 1)
+                row_image = young_sum(cell, cell.flatten(seed), row_bl, 1)
                 assert row_image, (n, delta, lam, mu, seed)
                 ech.add(young_sum(cell, row_image, col_bl, -1))
         assert ech.rank == len(w_basis), (n, delta, lam, mu)
