@@ -10,7 +10,7 @@ algebra-element coefficients; no floats.
 from brauerblocks.partitions import Box, Partition, SkewShape
 from brauerblocks.diagrams import AlgebraElement, BrauerDiagram
 from brauerblocks.specht import SpechtModule, build_specht
-from brauerblocks.cells import CellModule, build_cell
+from brauerblocks.cells import CellModule
 from brauerblocks.blocks import (BlockPartition, LatticePrediction, WeightSet,
                                  bias, block_partition, hat, hom_target,
                                  is_balanced, is_minimal, lattice_predict,
@@ -28,7 +28,6 @@ __all__ = [
     "SpechtModule",
     "build_specht",
     "CellModule",
-    "build_cell",
     "WeightSet",
     "weights",
     "is_balanced",

@@ -275,14 +275,13 @@ def block_add(a: BlockVec, b: BlockVec, scale: int = 1) -> BlockVec:
     return out
 
 
+# Kept for the life of the process, unlike cell modules: one Specht module
+# per partition, shared by the cell modules of every level at that weight,
+# so a module built again reuses its Specht factor and the permutation
+# matrices cached on it.
 @lru_cache(maxsize=None)
 def _specht(mu: Partition) -> SpechtModule:
     return specht.build_specht(mu)
-
-
-@lru_cache(maxsize=48)
-def build_cell(n: int, delta: int, mu: Partition) -> CellModule:
-    return CellModule(n, delta, mu)
 
 
 def gram_matrix(cell: CellModule) -> list[list[int]]:

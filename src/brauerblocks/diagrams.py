@@ -12,7 +12,6 @@ for use at delta = 0, and Young symmetrizers inside the group algebra.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import factorial
 from typing import Iterator
 

@@ -17,6 +17,13 @@ fixes, so that no seed dies under the row sum; see _hom_dim_compressed.
 Module dimensions are capped via the BRAUER_MAX_DIM environment variable
 (a positive integer, default 400) so that a stray query cannot wedge a
 test run.  Raise it explicitly for big one-off computations.
+
+A cell module lives as long as the run of queries that shares it: the
+oracle keeps only the last module it built, and block_graph and
+verify_blocks ask their queries grouped by module and drop the last one
+before they return, so neither keeps a module alive.  What outlives a
+call holds no module: the Specht modules (cells._specht) and the
+permutation traces of _perm_traces.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from . import perms
 from .blocks import (WeightSet, block_partition, hom_target, is_balanced,
                      is_minimal, weights)
 from .cells import (BlockVec, CellModule, PartialOneRowDiagram, block_add,
-                    build_cell, gram_matrix)
+                    gram_matrix)
 from .diagrams import central_element, hook_diagram, perm_diagram
 from .linalg import Echelon, SparseVec, rank_of
 from .partitions import (Partition, conjugacy_class_size, content_sum,
@@ -63,14 +70,21 @@ def cell_dim(n: int, mu: Partition) -> int:
     return v_count * f
 
 
+@lru_cache(maxsize=1)
+def _last_cell(n: int, delta: int, mu: Partition) -> CellModule:
+    return CellModule(n, delta, mu)
+
+
 def _capped_cell(n: int, delta: int, mu: Partition) -> CellModule:
+    """The cell module, checked against the cap on every call (a memo hit
+    included) and then taken from the one-slot memo."""
     d = cell_dim(n, mu)
     cap = _max_dim()
     if d > cap:
         raise RuntimeError(
             f"cell module at {mu}, n={n} has dimension {d} > cap {cap}; "
             "set BRAUER_MAX_DIM higher to allow it")
-    return build_cell(n, delta, mu)
+    return _last_cell(n, delta, mu)
 
 
 def _check_weight(n: int, delta: int, mu: Partition) -> None:
@@ -158,6 +172,8 @@ def _cycle_rep(rho: Partition) -> tuple[int, ...]:
     return tuple(image)
 
 
+# Holds p(n) ints per (n, delta, mu) and no module: restriction_multiplicity
+# asks about every lam for one mu, and a miss walks the module p(n) times.
 @lru_cache(maxsize=None)
 def _perm_traces(n: int, delta: int, mu: Partition):
     """Trace of each cycle type's permutation diagram on the cell module."""
@@ -375,15 +391,21 @@ def hom_dim(q: HomQuery) -> int:
     return _hom_dim_compressed(delta, lam, mu)
 
 
-@lru_cache(maxsize=None)
 def _hom_edges(n: int, delta: int) -> tuple[tuple[Partition, Partition], ...]:
+    """Every pair (lam, mu) of distinct weights with a nonzero Hom space,
+    source-major in weight order.
+
+    The pairs are asked target-major: hom_dim builds the module at mu
+    over B_|lam|, and weights come grouped by size, so all the queries on
+    one module arrive back to back and the one-slot memo serves them.
+    The memo is emptied on the way out, so no module outlives the call."""
     ws = weights(n, delta).weights
-    edges = []
-    for lam in ws:
-        for mu in ws:
-            if lam != mu and hom_dim(HomQuery(n, delta, lam, mu)) > 0:
-                edges.append((lam, mu))
-    return tuple(edges)
+    try:
+        found = {(lam, mu) for mu in ws for lam in ws
+                 if lam != mu and hom_dim(HomQuery(n, delta, lam, mu)) > 0}
+    finally:
+        _last_cell.cache_clear()
+    return tuple((lam, mu) for lam in ws for mu in ws if (lam, mu) in found)
 
 
 def block_graph(n: int, delta: int) -> BlockGraph:

@@ -16,7 +16,7 @@ from brauerblocks import perms
 from brauerblocks.blocks import (hat_steps, hom_target, is_balanced,
                                  is_minimal, lattice_predict,
                                  maximal_balanced_sub, weights)
-from brauerblocks.cells import build_cell, t_action_check
+from brauerblocks.cells import CellModule, t_action_check
 from brauerblocks.diagrams import (all_diagrams, e, e_bar, from_diagram,
                                    identity_element, transposition_element,
                                    u_diagram, young_symmetrizer)
@@ -81,7 +81,7 @@ def test_criterion_03_hook_sum_action():
     for n in range(1, 7):
         for delta in DELTAS:
             for mu in weights(n, delta).weights:
-                assert t_action_check(build_cell(n, delta, mu)), \
+                assert t_action_check(CellModule(n, delta, mu)), \
                     (n, delta, mu)
 
 

@@ -5,8 +5,8 @@ from math import factorial
 import pytest
 
 from brauerblocks.cells import (CellModule, _one_row_diagram, block_add,
-                                build_cell, enumerate_v, gram_matrix,
-                                restriction_rule, t_action_check)
+                                enumerate_v, gram_matrix, restriction_rule,
+                                t_action_check)
 from brauerblocks.diagrams import (all_diagrams, concat, flip, from_diagram,
                                    hook_diagram, identity_diagram,
                                    identity_element, perm_diagram, u_diagram)
@@ -49,12 +49,12 @@ def test_dims():
     for n in range(1, 6):
         for k in range(n % 2, n + 1, 2):
             for mu in partitions_of(k):
-                cell = build_cell(n, 1, mu)
+                cell = CellModule(n, 1, mu)
                 assert cell.dim == v_count(n, (n - k) // 2) * specht_dim(mu)
 
 
 def test_top_cell_is_specht():
-    cell = build_cell(3, 2, P(2, 1))
+    cell = CellModule(3, 2, P(2, 1))
     assert cell.dim == 2
     assert gram_matrix(cell) == cell.specht.form
     # the diagram of sigma acts through sigma inverse: stacking diagrams
@@ -71,7 +71,7 @@ def test_top_cell_is_specht():
 
 @pytest.mark.parametrize("delta", [0, 2])
 def test_action_is_algebra_representation(delta):
-    cell = build_cell(3, delta, P(1))
+    cell = CellModule(3, delta, P(1))
     pool = list(all_diagrams(3))
     for a in pool:
         ea = from_diagram(a, delta)
@@ -84,7 +84,7 @@ def test_action_is_algebra_representation(delta):
 
 
 def test_act_element_mismatch():
-    cell = build_cell(3, 1, P(1))
+    cell = CellModule(3, 1, P(1))
     with pytest.raises(ValueError):
         cell.act_element(identity_element(3, 2), {0: Fraction(1)})
     with pytest.raises(ValueError):
@@ -92,13 +92,13 @@ def test_act_element_mismatch():
 
 
 def test_single_arc_gram():
-    assert gram_matrix(build_cell(2, 3, EMPTY)) == [[Fraction(3)]]
-    assert gram_matrix(build_cell(2, -1, EMPTY)) == [[Fraction(-1)]]
+    assert gram_matrix(CellModule(2, 3, EMPTY)) == [[Fraction(3)]]
+    assert gram_matrix(CellModule(2, -1, EMPTY)) == [[Fraction(-1)]]
 
 
 @pytest.mark.parametrize("delta", [-1, 0, 2])
 def test_gram_symmetric_and_invariant(delta):
-    cell = build_cell(3, delta, P(1))
+    cell = CellModule(3, delta, P(1))
     gram = gram_matrix(cell)
     dim = cell.dim
     for i in range(dim):
@@ -122,7 +122,7 @@ def test_t_action_small(delta):
             if delta == 0 and k == 0:
                 continue
             for mu in partitions_of(k):
-                assert t_action_check(build_cell(n, delta, mu))
+                assert t_action_check(CellModule(n, delta, mu))
 
 
 def concat_decompose(cell, d, v_idx):
@@ -179,7 +179,7 @@ def test_action_layer_is_integral():
                 if delta == 0 and k == 0:
                     continue
                 for mu in partitions_of(k):
-                    cell = build_cell(n, delta, mu)
+                    cell = CellModule(n, delta, mu)
                     for d in gens:
                         for j in range(cell.dim):
                             unit = cell.to_blocks({j: 1})
@@ -221,7 +221,7 @@ def cell_modules(n, delta):
         if delta == 0 and k == 0:
             continue
         for mu in partitions_of(k):
-            yield build_cell(n, delta, mu)
+            yield CellModule(n, delta, mu)
 
 
 def check_against_reference(cell, diagrams):
@@ -269,7 +269,7 @@ def test_block_action_matches_flat_reference():
 def test_action_does_not_alias():
     # the result of act_diagram and block_add shares no list with the
     # input: the input is unchanged by the call and by mutating the result
-    cell = build_cell(5, 2, P(2, 1))
+    cell = CellModule(5, 2, P(2, 1))
     vec = cell.to_blocks({j: j % 3 + 1 for j in range(cell.dim)})
     before = copy.deepcopy(vec)
     diagrams = [identity_diagram(5), hook_diagram(5, 1, 2), hook_diagram(5, 2, 4)]

@@ -1,11 +1,14 @@
+import gc
 import os
+import weakref
+from collections import Counter
 from unittest import mock
 
 import pytest
 
 from brauerblocks import cli, perms
 from brauerblocks.blocks import hom_target, is_balanced, weights
-from brauerblocks.cells import build_cell, enumerate_v
+from brauerblocks.cells import CellModule, enumerate_v
 from brauerblocks.diagrams import (BrauerDiagram, all_diagrams, concat,
                                    e_bar, hook_diagram, identity_diagram,
                                    perm_diagram)
@@ -33,7 +36,7 @@ def test_cell_dim_formula():
     for n in (3, 4, 5):
         for k in range(n % 2, n + 1, 2):
             for mu in partitions_of(k):
-                assert cell_dim(n, mu) == build_cell(n, 1, mu).dim
+                assert cell_dim(n, mu) == CellModule(n, 1, mu).dim
 
 
 def test_hom_query_validation():
@@ -163,7 +166,7 @@ def reference_hom_dim(n: int, delta: int, lam: Partition,
                       mu: Partition) -> int:
     """Hom dimension by the full intertwiner solve over the generators."""
     gens = generators(n)
-    return intertwiner_dim(build_cell(n, delta, lam), build_cell(n, delta, mu),
+    return intertwiner_dim(CellModule(n, delta, lam), CellModule(n, delta, mu),
                            zip(gens, gens))
 
 
@@ -238,7 +241,7 @@ def full_scan(n: int, delta: int, lam: Partition, mu: Partition,
     bound = even_lr_sum(lam, mu)
     if bound == 0:
         return 0, []
-    cell = build_cell(n, delta, mu)
+    cell = CellModule(n, delta, mu)
 
     def pad_perm(p):
         return padded_diagram(n, k, [(i + 1, -(p[i] + 1)) for i in range(k)])
@@ -301,7 +304,7 @@ def check_symmetry_cuts(n, delta, lam, mu) -> bool:
     W.  Returns whether the orbit seeds were checked."""
     want, w_basis = full_scan(n, delta, lam, mu)
     assert hom_dim(HomQuery(n, delta, lam, mu)) == want, (n, delta, lam, mu)
-    cell = build_cell(n, delta, mu)
+    cell = CellModule(n, delta, mu)
     for col in perms.col_blocks(lam):
         for a, i in enumerate(col):
             for j in col[a + 1:]:
@@ -372,7 +375,7 @@ def test_invariant_seeds():
         if mu.size > k:
             assert w_basis == []
             continue
-        cell = build_cell(k, delta, mu)
+        cell = CellModule(k, delta, mu)
         row_of = [r for r, part in enumerate(lam.parts) for _ in range(part)]
         row_bl, col_bl = perms.row_blocks(lam), perms.col_blocks(lam)
         ech = Echelon()
@@ -404,6 +407,20 @@ def test_cap_applies_at_source_level(capsys, monkeypatch):
     assert full_scan(8, 1, lam, mu)[0] == 1
     assert cli.run(["hom-dim", "--n", "8", "--delta", "1", "3,2,1", "2,2"]) == 0
     assert capsys.readouterr().out.strip() == "1"
+
+
+def test_cap_checked_on_a_repeated_query(capsys, monkeypatch):
+    # the second query finds its module in the oracle's memo; the cap is
+    # read again all the same
+    argv = ["hom-dim", "--n", "8", "--delta", "1", "3,2,1", "2,2"]
+    q = HomQuery(8, 1, P(3, 2, 1), P(2, 2))
+    monkeypatch.setenv("BRAUER_MAX_DIM", "30")
+    assert hom_dim(q) == 1
+    monkeypatch.setenv("BRAUER_MAX_DIM", "29")
+    with pytest.raises(RuntimeError, match="cap 29"):
+        hom_dim(q)
+    assert cli.run(argv) == 2
+    assert "cap 29" in capsys.readouterr().err
 
 
 def test_orbit_reps_count():
@@ -445,8 +462,8 @@ def restricted_hom_dim(n: int, delta: int, src_w: Partition,
                        tgt_w: Partition) -> int:
     """Maps of modules over the algebra on n-1 strands, from its cell at
     src_w into the level-n cell at tgt_w viewed by restriction."""
-    return intertwiner_dim(build_cell(n - 1, delta, src_w),
-                           build_cell(n, delta, tgt_w),
+    return intertwiner_dim(CellModule(n - 1, delta, src_w),
+                           CellModule(n, delta, tgt_w),
                            [(g, embed(g, n)) for g in generators(n - 1)])
 
 
@@ -491,3 +508,29 @@ def test_verify_blocks_passes():
     names = {c["name"] for c in verify_blocks(4, 1)["checks"]}
     assert names == {"unique-minimal", "constant-central-scalar",
                      "hom-edges-balanced", "descent-chain"}
+
+
+def test_no_cell_module_outlives_a_run(monkeypatch):
+    # block_graph and verify_blocks drop every cell module they build, and
+    # verify_blocks builds each module with arcs once; the arcless
+    # Specht-level modules of _orbit_seeds are built per query
+    built = []
+    init = CellModule.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(((self.n, self.delta, self.mu), weakref.ref(self)))
+
+    monkeypatch.setattr(CellModule, "__init__", recording_init)
+    report = verify_blocks(7, 0)
+    assert all(c["status"] == "pass" for c in report["checks"])
+    with_arcs = Counter(key for key, _ in built if key[0] > key[2].size)
+    assert with_arcs and set(with_arcs.values()) == {1}, with_arcs
+    gc.collect()
+    assert [key for key, ref in built if ref() is not None] == []
+
+    built.clear()
+    block_graph(6, 1)
+    gc.collect()
+    assert built
+    assert [key for key, ref in built if ref() is not None] == []
