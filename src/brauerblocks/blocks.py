@@ -52,6 +52,13 @@ def weights(n: int, delta: int) -> WeightSet:
     return WeightSet(n, delta, tuple(out))
 
 
+def check_weight(n: int, delta: int, mu: Partition) -> None:
+    """Membership in weights(n, delta), by arithmetic on |mu| alone."""
+    k = mu.size
+    if k > n or (n - k) % 2 or (delta == 0 and k == 0):
+        raise ValueError(f"{mu} is not a weight of B_{n}({delta})")
+
+
 def _side_balanced(boxes: frozenset[Box], delta: int) -> bool:
     counts = Counter(b.content for b in boxes)
     for c in counts:

@@ -16,8 +16,13 @@ Each diagram gets a move table, a list over one-row indices filled on
 first use: None where the propagating number drops or delta^loops = 0,
 else (target index, Specht matrix of the leftover permutation or None
 for the identity, delta^loops).  One table lookup per call then moves
-every block of a vector.  Lists in a block vector are never shared with
-another vector, so a caller may mutate what it is given back.
+every block of a vector.  block_sum is the one way to combine block
+vectors.  Lists in a block vector are never shared with another vector,
+so a caller may mutate what it is given back.
+
+The Gram form is read through the same strand walk (_move), and
+t_action_check is the one check that the central element acts by its
+closed-form scalar.
 """
 
 from __future__ import annotations
@@ -26,9 +31,10 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterator, NamedTuple
 
-from brauerblocks import linalg, perms, specht
-from brauerblocks.diagrams import (AlgebraElement, BrauerDiagram, concat,
-                                   flip, hook_diagram, perm_diagram)
+from brauerblocks import perms, specht
+from brauerblocks.blocks import check_weight
+from brauerblocks.diagrams import (AlgebraElement, BrauerDiagram, hook_diagram,
+                                   perm_diagram)
 from brauerblocks.linalg import SparseVec
 from brauerblocks.partitions import (Partition, addable_boxes, content_sum,
                                      removable_boxes)
@@ -83,22 +89,11 @@ def enumerate_v(n: int, t: int) -> list[PartialOneRowDiagram]:
     return out
 
 
-def _one_row_diagram(v: PartialOneRowDiagram, m: int) -> BrauerDiagram:
-    """The (n, m) diagram with v's arcs on top and free node number k
-    dropping to southern node k."""
-    pairs = [tuple(a) for a in v.arcs]
-    pairs += [(f, -(k + 1)) for k, f in enumerate(v.free)]
-    return BrauerDiagram(v.n, m, pairs)
-
-
 class CellModule:
     """Immutable cell module of B_n(delta) at weight mu."""
 
     def __init__(self, n: int, delta: int, mu: Partition):
-        if (n - mu.size) % 2 != 0 or mu.size > n:
-            raise ValueError(f"|{mu}| = {mu.size} incompatible with n = {n}")
-        if delta == 0 and mu.size == 0:
-            raise ValueError("empty weight is absent at delta = 0")
+        check_weight(n, delta, mu)
         self.n = n
         self.delta = delta
         self.mu = mu
@@ -125,9 +120,6 @@ class CellModule:
     @property
     def dim(self) -> int:
         return len(self.v_list) * self.specht.dim
-
-    def index(self, v_idx: int, tab_idx: int) -> int:
-        return v_idx * self.specht.dim + tab_idx
 
     def decompose(self, d: BrauerDiagram, v_idx: int):
         """How d moves the v-th one-row diagram: None if the propagating
@@ -247,10 +239,8 @@ class CellModule:
         if elem.n != self.n or elem.delta != self.delta:
             raise ValueError("element and module live over different B_n(delta)")
         blocks = self.to_blocks(vec)
-        out: SparseVec = {}
-        for d, c in elem.terms.items():
-            out = linalg.vec_add(out, self.flatten(self.act_diagram(d, blocks)), c)
-        return out
+        return self.flatten(block_sum((c, self.act_diagram(d, blocks))
+                                      for d, c in elem.terms.items()))
 
     def matrix_of(self, d: BrauerDiagram) -> list[SparseVec]:
         return [self.flatten(self.act_diagram(d, self.to_blocks({j: 1})))
@@ -260,19 +250,20 @@ class CellModule:
         return f"CellModule(n={self.n}, delta={self.delta}, mu={self.mu}, dim={self.dim})"
 
 
-def block_add(a: BlockVec, b: BlockVec, scale: int = 1) -> BlockVec:
-    """a + scale*b in block form, dropping zero blocks; the result shares
-    no list with a or b."""
-    out = {v_idx: list(block) for v_idx, block in a.items() if v_idx not in b}
-    for v_idx, block in b.items():
-        acc = a.get(v_idx)
-        if acc is None:
-            acc = [scale * c for c in block]
-        else:
-            acc = [x + scale * c for x, c in zip(acc, block)]
-        if any(acc):
-            out[v_idx] = acc
-    return out
+def block_sum(terms) -> BlockVec:
+    """The sum of c*vec over the (c, vec) pairs of terms, in block form
+    with no zero block.  Each block is summed into one fresh list, so the
+    result shares no list with any vec."""
+    out: BlockVec = {}
+    for c, vec in terms:
+        for v_idx, block in vec.items():
+            acc = out.get(v_idx)
+            if acc is None:
+                # list() copies without a Python-level loop
+                out[v_idx] = list(block) if c == 1 else [c * x for x in block]
+            else:
+                out[v_idx] = [a + c * x for a, x in zip(acc, block)]
+    return {v_idx: acc for v_idx, acc in out.items() if any(acc)}
 
 
 # Kept for the life of the process, unlike cell modules: one Specht module
@@ -285,31 +276,28 @@ def _specht(mu: Partition) -> SpechtModule:
 
 
 def gram_matrix(cell: CellModule) -> list[list[int]]:
-    """Invariant bilinear form on the cell basis: pair one-row diagrams by
-    stacking the flip of one on the other; a propagating drop gives zero,
-    otherwise the leftover permutation is evaluated in the Specht form."""
-    f = cell.specht.dim
+    """Invariant bilinear form on the cell basis, as dense rows.
+
+    The pairing of one-row diagrams v and w is read off the move of
+    d_v = X_v0 * flip(X_v) at w, where v0 has its arcs on the last n - |mu|
+    nodes: d_v carries v's arcs on its south side and v's free nodes up
+    to nodes 1..|mu|.  Where the propagating number drops or delta^loops
+    is 0 the (v, w) block is zero; otherwise it is delta^loops times the
+    Specht form times the matrix of the leftover permutation."""
+    n, m, f = cell.n, cell.mu.size, cell.specht.dim
     form = cell.specht.form
-    dim = cell.dim
-    gram = [[0] * dim for _ in range(dim)]
-    xv = [_one_row_diagram(v, cell.mu.size) for v in cell.v_list]
-    for vi in range(len(xv)):
-        for wi in range(len(xv)):
-            prod, loops = concat(flip(xv[vi]), xv[wi])
-            if prod.propagating < prod.n:
+    top = [(a, a + 1) for a in range(m + 1, n, 2)]
+    gram = [[0] * cell.dim for _ in range(cell.dim)]
+    for vi, v in enumerate(cell.v_list):
+        d_v = BrauerDiagram(n, n, top + [(k + 1, -x) for k, x in enumerate(v.free)]
+                            + [(-a, -b) for a, b in v.arcs])
+        for wi in range(len(cell.v_list)):
+            move = cell._move(d_v, wi)
+            if move is None:
                 continue
-            scale = cell.delta ** loops
-            if not scale:
-                continue
-            # north a joins south b: the permutation diagram acts on the
-            # Specht factor through its inverse
-            pinv = [0] * prod.n
-            for p in prod.pairs:
-                a, b = max(p), -min(p)
-                pinv[b - 1] = a - 1
-            mat = cell.specht.perm_matrix(tuple(pinv))
+            _, cols, scale = move
             for k in range(f):
-                col = mat[k]
+                col = {k: 1} if cols is None else cols[k]
                 for j in range(f):
                     val = scale * sum(form[j][i] * a for i, a in col.items())
                     gram[vi * f + j][wi * f + k] = val
@@ -319,18 +307,15 @@ def gram_matrix(cell: CellModule) -> list[list[int]]:
 def t_action_check(cell: CellModule) -> bool:
     """Does the sum of all hooks X_{i,j} act as the transposition sum plus
     the scalar t(delta-1) - (content sum of mu)?"""
-    n, delta = cell.n, cell.delta
-    scalar = cell.t * (delta - 1) - content_sum(cell.mu)
+    n = cell.n
+    scalar = cell.t * (cell.delta - 1) - content_sum(cell.mu)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    terms = [(1, hook_diagram(n, i + 1, j + 1)) for i, j in pairs]
+    terms += [(-1, perm_diagram(perms.transposition(n, i, j))) for i, j in pairs]
     for b in range(cell.dim):
         unit = cell.to_blocks({b: 1})
-        lhs: BlockVec = {}
-        rhs = cell.to_blocks({b: scalar})
-        for i in range(n):
-            for j in range(i + 1, n):
-                lhs = block_add(lhs, cell.act_diagram(hook_diagram(n, i + 1, j + 1), unit))
-                rhs = block_add(rhs, cell.act_diagram(
-                    perm_diagram(perms.transposition(n, i, j)), unit))
-        if lhs != rhs:
+        if block_sum([(-scalar, unit)]
+                     + [(c, cell.act_diagram(d, unit)) for c, d in terms]):
             return False
     return True
 

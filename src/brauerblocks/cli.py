@@ -17,9 +17,9 @@ import json
 import random
 import sys
 
-from .blocks import (block_partition, block_partition_json, hat_steps,
-                     hom_target, is_balanced, is_minimal, lattice_predict,
-                     weights)
+from .blocks import (block_partition, block_partition_json, check_weight,
+                     hat_steps, hom_target, is_balanced, is_minimal,
+                     lattice_predict)
 from .diagrams import all_diagrams, from_diagram
 from .oracle import HomQuery, hom_dim, verify_blocks
 from .partitions import EMPTY, Box, Partition, parse_partition
@@ -115,10 +115,8 @@ def _cmd_blocks(args) -> int:
 def _cmd_same_block(args) -> int:
     lam, mu = args.partitions
     if args.n is not None:
-        ws = weights(args.n, args.delta).weights
         for p in (lam, mu):
-            if p not in ws:
-                raise ValueError(f"{p} is not a weight of B_{args.n}({args.delta})")
+            check_weight(args.n, args.delta, p)
     same = is_balanced(lam, mu, args.delta)
     if args.format == "json":
         _print_json({"delta": args.delta, "first": str(lam),

@@ -36,14 +36,15 @@ from math import factorial
 from typing import Callable, Iterator
 
 from . import perms
-from .blocks import (WeightSet, block_partition, hom_target, is_balanced,
-                     is_minimal, weights)
-from .cells import (BlockVec, CellModule, PartialOneRowDiagram, block_add,
-                    gram_matrix)
-from .diagrams import central_element, hook_diagram, perm_diagram
+from .blocks import (WeightSet, block_partition, check_weight, hom_target,
+                     is_balanced, is_minimal, weights)
+from .cells import (BlockVec, CellModule, PartialOneRowDiagram, block_sum,
+                    gram_matrix, t_action_check)
+from .diagrams import hook_diagram, perm_diagram
 from .linalg import Echelon, SparseVec, rank_of
 from .partitions import (Partition, conjugacy_class_size, content_sum,
-                         is_even, lr_coefficient, mn_character, partitions_of)
+                         is_even, lr_coefficient, mn_character, partitions_of,
+                         specht_dim)
 
 DEFAULT_MAX_DIM = 400
 
@@ -66,8 +67,7 @@ def cell_dim(n: int, mu: Partition) -> int:
     """Dimension of the cell module at weight mu, without building it."""
     t = (n - mu.size) // 2
     v_count = factorial(n) // (2 ** t * factorial(t) * factorial(n - 2 * t))
-    f = mn_character(mu, Partition((1,) * mu.size)) if mu.size else 1
-    return v_count * f
+    return v_count * specht_dim(mu)
 
 
 @lru_cache(maxsize=1)
@@ -87,13 +87,6 @@ def _capped_cell(n: int, delta: int, mu: Partition) -> CellModule:
     return _last_cell(n, delta, mu)
 
 
-def _check_weight(n: int, delta: int, mu: Partition) -> None:
-    """Membership in weights(n, delta), by arithmetic on |mu| alone."""
-    k = mu.size
-    if k > n or (n - k) % 2 or (delta == 0 and k == 0):
-        raise ValueError(f"{mu} is not a weight of B_{n}({delta})")
-
-
 @dataclass(frozen=True)
 class HomQuery:
     """A single Hom-space question: maps from the cell module at `source`
@@ -105,8 +98,8 @@ class HomQuery:
     target: Partition
 
     def __post_init__(self):
-        _check_weight(self.n, self.delta, self.source)
-        _check_weight(self.n, self.delta, self.target)
+        check_weight(self.n, self.delta, self.source)
+        check_weight(self.n, self.delta, self.target)
 
 
 @dataclass(frozen=True)
@@ -126,26 +119,21 @@ def central_scalar_value(n: int, delta: int, mu: Partition) -> int:
 def central_scalar(n: int, delta: int, mu: Partition) -> int:
     """Scalar by which the central element acts on the cell module at mu.
 
-    The action matrix is computed in full and checked against the closed
-    form; a non-scalar action would falsify the implementation, so it is
-    an assertion failure rather than a soft error.
+    The closed form is checked on every basis vector of the module by
+    t_action_check; a non-scalar action would falsify the implementation,
+    so it is an assertion failure rather than a soft error.
     """
-    _check_weight(n, delta, mu)
-    expected = central_scalar_value(n, delta, mu)
+    check_weight(n, delta, mu)
     cell = _capped_cell(n, delta, mu)
-    z = central_element(n, delta)
-    for j in range(cell.dim):
-        image = cell.act_element(z, {j: 1})
-        want = {j: expected} if expected else {}
-        assert image == want, (
-            f"central element is not scalar {expected} on basis vector {j} "
-            f"of the cell module at {mu}, n={n}, delta={delta}")
-    return expected
+    assert t_action_check(cell), (
+        f"central element is not scalar on the cell module at {mu}, "
+        f"n={n}, delta={delta}")
+    return central_scalar_value(n, delta, mu)
 
 
 def gram_rank(n: int, delta: int, mu: Partition) -> int:
     """Exact rank of the cellular form on the cell module at mu."""
-    _check_weight(n, delta, mu)
+    check_weight(n, delta, mu)
     cell = _capped_cell(n, delta, mu)
     g = gram_matrix(cell)
     rows = [{j: v for j, v in enumerate(row) if v} for row in g]
@@ -199,7 +187,7 @@ def restriction_multiplicity(n: int, delta: int, mu: Partition,
     """
     if lam.size != n:
         raise ValueError(f"{lam} is not a partition of {n}")
-    _check_weight(n, delta, mu)
+    check_weight(n, delta, mu)
     route_b = even_lr_sum(lam, mu)
     total = sum(conjugacy_class_size(rho) * mn_character(lam, rho) * tr
                 for rho, tr in _perm_traces(n, delta, mu).items())
@@ -239,13 +227,12 @@ def _group_sum(vec: BlockVec, blocks: list[list[int]], sign: int,
     """The sum (sign 1) or signed sum (sign -1) of the Young subgroup on
     blocks, applied to vec; act(i, j, vec) applies the transposition of
     points i and j.  Coset transversals keep the term count at
-    block_len^2 instead of block_len!; the identity coset acts trivially."""
+    block_len^2 instead of block_len!; the identity coset acts trivially.
+    Each coset step is one block_sum of vec and its j transposed images."""
     for pts in blocks:
         for j in range(1, len(pts)):
-            acc = vec
-            for i in range(j):
-                acc = block_add(acc, act(pts[i], pts[j], vec), sign)
-            vec = acc
+            vec = block_sum([(1, vec)] + [(sign, act(pts[i], pts[j], vec))
+                                          for i in range(j)])
     return vec
 
 

@@ -4,12 +4,12 @@ from math import factorial
 
 import pytest
 
-from brauerblocks.cells import (CellModule, _one_row_diagram, block_add,
-                                enumerate_v, gram_matrix, restriction_rule,
-                                t_action_check)
-from brauerblocks.diagrams import (all_diagrams, concat, flip, from_diagram,
-                                   hook_diagram, identity_diagram,
-                                   identity_element, perm_diagram, u_diagram)
+from brauerblocks.cells import (CellModule, block_sum, enumerate_v,
+                                gram_matrix, restriction_rule, t_action_check)
+from brauerblocks.diagrams import (BrauerDiagram, all_diagrams, concat, flip,
+                                   from_diagram, hook_diagram,
+                                   identity_diagram, identity_element,
+                                   perm_diagram, u_diagram)
 from brauerblocks.linalg import mat_vec
 from brauerblocks.partitions import EMPTY, Partition, partitions_of, specht_dim
 from brauerblocks.specht import build_specht
@@ -125,6 +125,14 @@ def test_t_action_small(delta):
                 assert t_action_check(CellModule(n, delta, mu))
 
 
+def _one_row_diagram(v, m):
+    """The (n, m) diagram with v's arcs on top and free node number k
+    dropping to southern node k."""
+    pairs = [tuple(a) for a in v.arcs]
+    pairs += [(f, -(k + 1)) for k, f in enumerate(v.free)]
+    return BrauerDiagram(v.n, m, pairs)
+
+
 def concat_decompose(cell, d, v_idx):
     """Reference reading of decompose: stack d on the one-row diagram as
     an (n, |mu|) diagram and read arcs, through strands and loops off the
@@ -156,6 +164,49 @@ def test_decompose_matches_concat():
             for d in pool:
                 for v_idx in range(len(cell.v_list)):
                     assert cell.decompose(d, v_idx) == concat_decompose(cell, d, v_idx)
+
+
+def concat_gram(cell):
+    """Reference reading of gram_matrix: pair one-row diagrams by stacking
+    the flip of one on the other with concat; a propagating drop gives
+    zero, otherwise the leftover permutation is evaluated in the Specht
+    form."""
+    f = cell.specht.dim
+    form = cell.specht.form
+    dim = cell.dim
+    gram = [[0] * dim for _ in range(dim)]
+    xv = [_one_row_diagram(v, cell.mu.size) for v in cell.v_list]
+    for vi in range(len(xv)):
+        for wi in range(len(xv)):
+            prod, loops = concat(flip(xv[vi]), xv[wi])
+            if prod.propagating < prod.n:
+                continue
+            scale = cell.delta ** loops
+            if not scale:
+                continue
+            # north a joins south b: the permutation diagram acts on the
+            # Specht factor through its inverse
+            pinv = [0] * prod.n
+            for p in prod.pairs:
+                a, b = max(p), -min(p)
+                pinv[b - 1] = a - 1
+            mat = cell.specht.perm_matrix(tuple(pinv))
+            for k in range(f):
+                col = mat[k]
+                for j in range(f):
+                    val = scale * sum(form[j][i] * a for i, a in col.items())
+                    gram[vi * f + j][wi * f + k] = val
+    return gram
+
+
+def test_gram_matches_concat_reading():
+    count = 0
+    for n in range(7):
+        for delta in DELTAS:
+            for cell in cell_modules(n, delta):
+                assert gram_matrix(cell) == concat_gram(cell), cell
+                count += 1
+    assert count == 278
 
 
 def all_int(values) -> bool:
@@ -267,7 +318,7 @@ def test_block_action_matches_flat_reference():
 
 
 def test_action_does_not_alias():
-    # the result of act_diagram and block_add shares no list with the
+    # the result of act_diagram and block_sum shares no list with the
     # input: the input is unchanged by the call and by mutating the result
     cell = CellModule(5, 2, P(2, 1))
     vec = cell.to_blocks({j: j % 3 + 1 for j in range(cell.dim)})
@@ -281,10 +332,16 @@ def test_action_does_not_alias():
         for block in out.values():
             block[:] = [c + 7 for c in block]
         assert vec == before, d
-    for out in (block_add(vec, vec), block_add(vec, {0: [1] * cell.specht.dim}, -1)):
+    ones = {0: [1] * cell.specht.dim}
+    for out in (block_sum([(1, vec), (1, vec)]), block_sum([(1, vec), (-1, ones)])):
         for block in out.values():
             block[:] = [c + 7 for c in block]
         assert vec == before
+    # three terms in which block 0 cancels: it is dropped, the others stay
+    out = block_sum([(1, vec), (-1, {0: vec[0]}), (2, {1: vec[1]})])
+    assert out == {v: [3 * c for c in block] if v == 1 else block
+                   for v, block in vec.items() if v != 0}
+    assert vec == before
 
 
 def test_restriction_rule():

@@ -63,6 +63,9 @@ def test_weight_check_is_membership():
                     with pytest.raises(ValueError) as ranked:
                         gram_rank(n, delta, mu)
                     assert str(ranked.value) == str(built.value)
+                    with pytest.raises(ValueError) as celled:
+                        CellModule(n, delta, mu)
+                    assert str(celled.value) == str(built.value)
 
 
 def test_dimension_cap():
