@@ -20,7 +20,8 @@ every block of a vector.  block_sum is the one way to combine block
 vectors.  Lists in a block vector are never shared with another vector,
 so a caller may mutate what it is given back.
 
-The Gram form is read through the same strand walk (_move), and
+The Gram form is read through the same strand walk (_move), as sparse
+rows, and
 t_action_check is the one check that the central element acts by its
 closed-form scalar.
 """
@@ -275,8 +276,9 @@ def _specht(mu: Partition) -> SpechtModule:
     return specht.build_specht(mu)
 
 
-def gram_matrix(cell: CellModule) -> list[list[int]]:
-    """Invariant bilinear form on the cell basis, as dense rows.
+def gram_matrix(cell: CellModule) -> list[SparseVec]:
+    """Invariant bilinear form on the cell basis, as sparse rows
+    {column: nonzero value}, one per basis vector.
 
     The pairing of one-row diagrams v and w is read off the move of
     d_v = X_v0 * flip(X_v) at w, where v0 has its arcs on the last n - |mu|
@@ -287,7 +289,7 @@ def gram_matrix(cell: CellModule) -> list[list[int]]:
     n, m, f = cell.n, cell.mu.size, cell.specht.dim
     form = cell.specht.form
     top = [(a, a + 1) for a in range(m + 1, n, 2)]
-    gram = [[0] * cell.dim for _ in range(cell.dim)]
+    gram: list[SparseVec] = [{} for _ in range(cell.dim)]
     for vi, v in enumerate(cell.v_list):
         d_v = BrauerDiagram(n, n, top + [(k + 1, -x) for k, x in enumerate(v.free)]
                             + [(-a, -b) for a, b in v.arcs])
@@ -300,7 +302,8 @@ def gram_matrix(cell: CellModule) -> list[list[int]]:
                 col = {k: 1} if cols is None else cols[k]
                 for j in range(f):
                     val = scale * sum(form[j][i] * a for i, a in col.items())
-                    gram[vi * f + j][wi * f + k] = val
+                    if val:
+                        gram[vi * f + j][wi * f + k] = val
     return gram
 
 

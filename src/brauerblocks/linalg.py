@@ -55,9 +55,11 @@ class Echelon:
         return len(self.rows)
 
     def add(self, vec: SparseVec) -> bool:
-        """Insert a vector; returns True if it enlarged the span."""
+        """Insert a vector; returns True if it enlarged the span.  Zero
+        entries are dropped, so the pivot is the least key of a nonzero."""
         den = lcm(*(v.denominator for v in vec.values()))
-        vec = {k: v.numerator * (den // v.denominator) for k, v in vec.items()}
+        vec = {k: v.numerator * (den // v.denominator)
+               for k, v in vec.items() if v}
         while vec:
             pivot = min(vec)
             row = self.rows.get(pivot)

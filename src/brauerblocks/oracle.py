@@ -14,6 +14,12 @@ pair of columns to test.  The row group's leaves one seed one-row
 diagram per orbit, paired only with the Specht vectors its stabiliser
 fixes, so that no seed dies under the row sum; see _hom_dim_compressed.
 
+Each question reads the one cell module it is about, through the move
+tables of its action: the fixed Specht vectors come from the row sum on
+one block of the target module, the permutation traces from the moves
+that send a one-row diagram to itself, and the Gram rank from the sparse
+rows of cells.gram_matrix.
+
 Module dimensions are capped via the BRAUER_MAX_DIM environment variable
 (a positive integer, default 400) so that a stray query cannot wedge a
 test run.  Raise it explicitly for big one-off computations.
@@ -22,8 +28,8 @@ A cell module lives as long as the run of queries that shares it: the
 oracle keeps only the last module it built, and block_graph and
 verify_blocks ask their queries grouped by module and drop the last one
 before they return, so neither keeps a module alive.  What outlives a
-call holds no module: the Specht modules (cells._specht) and the
-permutation traces of _perm_traces.
+call holds no module: the Specht modules (cells._specht) and the last
+module's permutation traces (_perm_traces, one slot).
 """
 
 from __future__ import annotations
@@ -134,10 +140,7 @@ def central_scalar(n: int, delta: int, mu: Partition) -> int:
 def gram_rank(n: int, delta: int, mu: Partition) -> int:
     """Exact rank of the cellular form on the cell module at mu."""
     check_weight(n, delta, mu)
-    cell = _capped_cell(n, delta, mu)
-    g = gram_matrix(cell)
-    rows = [{j: v for j, v in enumerate(row) if v} for row in g]
-    return rank_of(rows)
+    return rank_of(gram_matrix(_capped_cell(n, delta, mu)))
 
 
 def even_lr_sum(lam: Partition, mu: Partition) -> int:
@@ -160,18 +163,27 @@ def _cycle_rep(rho: Partition) -> tuple[int, ...]:
     return tuple(image)
 
 
-# Holds p(n) ints per (n, delta, mu) and no module: restriction_multiplicity
-# asks about every lam for one mu, and a miss walks the module p(n) times.
-@lru_cache(maxsize=None)
-def _perm_traces(n: int, delta: int, mu: Partition):
-    """Trace of each cycle type's permutation diagram on the cell module."""
+# One slot, like the module memo: restriction_multiplicity asks about every
+# lam for one mu, and a miss reads a move per one-row diagram and class.
+@lru_cache(maxsize=1)
+def _perm_traces(n: int, delta: int, mu: Partition) -> dict[Partition, int]:
+    """Trace of each cycle type's permutation diagram on the cell module.
+
+    A permutation diagram closes no loop and keeps every strand, so it
+    moves each one-row diagram v to some w with scale 1, and only the
+    v with w = v add to the trace: f for the identity on the Specht
+    factor, else the diagonal of its matrix."""
     cell = _capped_cell(n, delta, mu)
+    f = cell.specht.dim
     out = {}
     for rho in partitions_of(n):
         d = perm_diagram(_cycle_rep(rho))
         tr = 0
-        for j in range(cell.dim):
-            tr += cell.flatten(cell.act_diagram(d, cell.to_blocks({j: 1}))).get(j, 0)
+        for v_idx in range(len(cell.v_list)):
+            w_idx, cols, _ = cell._move(d, v_idx)
+            if w_idx == v_idx:
+                tr += f if cols is None else sum(cols[j].get(j, 0)
+                                                 for j in range(f))
         out[rho] = tr
     return out
 
@@ -222,8 +234,11 @@ def _orbit_reps(v_list: list[PartialOneRowDiagram], lam: Partition) -> list[int]
     return reps
 
 
+Act = Callable[[int, int, BlockVec], BlockVec]
+
+
 def _group_sum(vec: BlockVec, blocks: list[list[int]], sign: int,
-               act: Callable[[int, int, BlockVec], BlockVec]) -> BlockVec:
+               act: Act) -> BlockVec:
     """The sum (sign 1) or signed sum (sign -1) of the Young subgroup on
     blocks, applied to vec; act(i, j, vec) applies the transposition of
     points i and j.  Coset transversals keep the term count at
@@ -236,49 +251,44 @@ def _group_sum(vec: BlockVec, blocks: list[list[int]], sign: int,
     return vec
 
 
-def _young_invariants(top: CellModule, a: tuple[int, ...]) -> list[list[int]]:
-    """An integer basis of the vectors of the Specht module fixed by the
-    Young subgroup Y_a on consecutive blocks of sizes a, as dense lists.
+def _young_invariants(cell: CellModule, v_idx: int, rows: list[list[int]],
+                      act: Act) -> list[list[int]]:
+    """An integer basis of the Specht vectors fixed by the Young subgroup
+    Y_a, a the sizes of rows, as dense lists.
 
-    top is the cell module with no arcs, which is the Specht module with
-    a single block.  The sum of Y_a is a positive multiple of the
-    projection onto those vectors, so its images of the basis vectors span
-    them; there are K_{mu,sort(a)} (Young's rule), none unless mu
-    dominates sort(a)."""
-    m, f = top.n, top.specht.dim
-    blocks, start = [], 0
-    for size in a:
-        blocks.append(list(range(start, start + size)))
-        start += size
-    swaps = {(p, q): perm_diagram(perms.transposition(m, p, q))
-             for pts in blocks for j, q in enumerate(pts) for p in pts[:j]}
-
-    def act(i: int, j: int, vec: BlockVec) -> BlockVec:
-        return top.act_diagram(swaps[i, j], vec)
-
+    rows lists the free nodes of the v_idx-th one-row diagram v (0-based),
+    grouped by row of lam.  A transposition of two of them in one row
+    fixes v and acts on the Specht factor by the transposition of their
+    ranks, which are consecutive within a row; so the row sum over rows
+    acts on v's block as the sum of Y_a on consecutive blocks of sizes a.
+    That sum is a positive multiple of the projection onto the fixed
+    vectors, so its images of the unit vectors span them; there are
+    K_{mu,sort(a)} (Young's rule), none unless mu dominates sort(a)."""
+    f = cell.specht.dim
     ech = Echelon()
     basis = []
     for x in range(f):
-        y = _group_sum(top.to_blocks({x: 1}), blocks, 1, act)
-        if y and ech.add(top.flatten(y)):
-            basis.append(y[0])
+        y = _group_sum({v_idx: [int(i == x) for i in range(f)]}, rows, 1, act)
+        if y and ech.add(cell.flatten(y)):
+            basis.append(y[v_idx])
     return basis
 
 
-def _orbit_seeds(cell: CellModule, lam: Partition) -> Iterator[list[BlockVec]]:
+def _orbit_seeds(cell: CellModule, lam: Partition,
+                 act: Act) -> Iterator[list[BlockVec]]:
     """For each v in _orbit_reps, the block seeds v (x) y, y over
-    _young_invariants at a(v): the number of v's free nodes in each row
-    of lam.  The invariant bases are memoised per composition a."""
+    _young_invariants of v's free nodes grouped by row of lam; act
+    applies a transposition inside a row of lam.  The invariant bases
+    are memoised per composition a, the free-node count per row."""
     row_of = _node_rows(lam)
-    top = CellModule(cell.mu.size, cell.delta, cell.mu)
     invariants: dict[tuple[int, ...], list[list[int]]] = {}
     for v_idx in _orbit_reps(cell.v_list, lam):
-        counts = [0] * lam.rows
+        rows: list[list[int]] = [[] for _ in range(lam.rows)]
         for node in cell.v_list[v_idx].free:
-            counts[row_of[node]] += 1
-        a = tuple(counts)
+            rows[row_of[node]].append(node - 1)
+        a = tuple(map(len, rows))
         if a not in invariants:
-            invariants[a] = _young_invariants(top, a)
+            invariants[a] = _young_invariants(cell, v_idx, rows, act)
         yield [{v_idx: list(y)} for y in invariants[a]]
 
 
@@ -332,7 +342,7 @@ def _hom_dim_compressed(delta: int, lam: Partition, mu: Partition) -> int:
 
     ech = Echelon()
     w_basis: list[BlockVec] = []
-    for seed in chain.from_iterable(_orbit_seeds(cell, lam)):
+    for seed in chain.from_iterable(_orbit_seeds(cell, lam, act)):
         v = _group_sum(seed, row_bl, 1, act)
         v = _group_sum(v, col_bl, -1, act)
         if v and ech.add(cell.flatten(v)):

@@ -76,3 +76,16 @@ def test_echelon_leaves_its_input_alone():
     assert first == {0: 2, 1: 4}
     assert second == {0: Fraction(1, 2), 2: Fraction(3, 4)}
     assert ech.rows == {0: {0: 1, 1: 2}, 1: {1: 4, 2: -3}}
+
+
+def test_echelon_drops_explicit_zeros():
+    # a zero entry is never a pivot: the rank counts only nonzero rows,
+    # and every stored row's pivot is its least key, with a positive value
+    assert rank_of([{0: 0}]) == 0
+    assert rank_of([{0: 0, 1: 2}, {0: 0, 1: 3}]) == 1
+    ech = Echelon()
+    for row in ({0: 0, 1: 2}, {0: 0, 1: 0, 2: -3}, {0: Fraction(0), 1: 1, 3: 0}):
+        ech.add(row)
+    assert ech.rows == {1: {1: 1}, 2: {2: 1}}
+    for pivot, row in ech.rows.items():
+        assert pivot == min(row) and row[pivot] > 0

@@ -13,7 +13,8 @@ from brauerblocks.diagrams import (BrauerDiagram, all_diagrams, concat,
                                    e_bar, hook_diagram, identity_diagram,
                                    perm_diagram)
 from brauerblocks.linalg import Echelon, rank_of, vec_add
-from brauerblocks.oracle import (HomQuery, _orbit_reps, _orbit_seeds,
+from brauerblocks.oracle import (HomQuery, _cycle_rep, _orbit_reps,
+                                 _orbit_seeds, _perm_traces,
                                  block_graph, cell_dim, central_scalar,
                                  central_scalar_value, even_lr_sum,
                                  gram_rank, hom_dim,
@@ -113,6 +114,29 @@ def test_restriction_multiplicity():
                     P(1, 1, 1, 1): 0}
     with pytest.raises(ValueError):
         restriction_multiplicity(4, 1, EMPTY, P(3))
+
+
+def probe_traces(cell) -> dict:
+    """Trace of each cycle type's permutation diagram, one unit vector
+    per basis element through the full action: the reading that
+    _perm_traces replaced."""
+    out = {}
+    for rho in partitions_of(cell.n):
+        d = perm_diagram(_cycle_rep(rho))
+        out[rho] = sum(cell.flatten(cell.act_diagram(d, cell.to_blocks({j: 1}))).get(j, 0)
+                       for j in range(cell.dim))
+    return out
+
+
+def test_perm_traces_match_probe():
+    count = 0
+    for n in range(7):
+        for delta in DELTAS:
+            for mu in weights(n, delta).weights:
+                cell = CellModule(n, delta, mu)
+                assert _perm_traces(n, delta, mu) == probe_traces(cell), cell
+                count += 1
+    assert count == 278
 
 
 def test_restriction_multiplicity_delta_independent():
@@ -381,9 +405,15 @@ def test_invariant_seeds():
         cell = CellModule(k, delta, mu)
         row_of = [r for r, part in enumerate(lam.parts) for _ in range(part)]
         row_bl, col_bl = perms.row_blocks(lam), perms.col_blocks(lam)
+        swaps = {(i, j): perm_diagram(perms.transposition(k, i, j))
+                 for pts in row_bl for b, j in enumerate(pts) for i in pts[:b]}
+
+        def act(i, j, vec):
+            return cell.act_diagram(swaps[i, j], vec)
+
         ech = Echelon()
         for v_idx, seeds in zip(_orbit_reps(cell.v_list, lam),
-                                _orbit_seeds(cell, lam), strict=True):
+                                _orbit_seeds(cell, lam, act), strict=True):
             a = [0] * lam.rows
             for node in cell.v_list[v_idx].free:
                 a[row_of[node - 1]] += 1
@@ -515,8 +545,8 @@ def test_verify_blocks_passes():
 
 def test_no_cell_module_outlives_a_run(monkeypatch):
     # block_graph and verify_blocks drop every cell module they build, and
-    # verify_blocks builds each module with arcs once; the arcless
-    # Specht-level modules of _orbit_seeds are built per query
+    # verify_blocks builds each module once, with arcs: the Hom route
+    # reads its Young invariants off the target module
     built = []
     init = CellModule.__init__
 
@@ -527,8 +557,9 @@ def test_no_cell_module_outlives_a_run(monkeypatch):
     monkeypatch.setattr(CellModule, "__init__", recording_init)
     report = verify_blocks(7, 0)
     assert all(c["status"] == "pass" for c in report["checks"])
-    with_arcs = Counter(key for key, _ in built if key[0] > key[2].size)
-    assert with_arcs and set(with_arcs.values()) == {1}, with_arcs
+    counts = Counter(key for key, _ in built)
+    assert counts and set(counts.values()) == {1}, counts
+    assert all(n > mu.size for n, _, mu in counts), counts
     gc.collect()
     assert [key for key, ref in built if ref() is not None] == []
 
