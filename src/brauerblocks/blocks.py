@@ -260,19 +260,6 @@ def _imax_skew(lam: Partition, mu: Partition, delta: int, seed: Box) -> frozense
     return frozenset(current)
 
 
-def i_maximal_balanced_sub(lam: Partition, mu: Partition, delta: int,
-                           seed: Box) -> Partition:
-    """The balanced subpartition grown from one removable seed box of
-    the difference shape lam/mu."""
-    if not lam.contains(mu):
-        raise ValueError(f"{mu} is not contained in {lam}")
-    grown = _imax_skew(lam, mu, delta, seed)
-    result = partition_minus(lam, grown)
-    assert result is not None, (lam, mu, seed, sorted(grown))
-    assert is_balanced(lam, result, delta), (lam, result, delta)
-    return result
-
-
 def maximal_balanced_sub(lam: Partition, mu: Partition, delta: int) -> Partition:
     """The closest weight below lam in the direction of mu: grow a skew
     from every removable box of lam/mu, keep the inclusion-minimal

@@ -21,9 +21,8 @@ vectors.  Lists in a block vector are never shared with another vector,
 so a caller may mutate what it is given back.
 
 The Gram form is read through the same strand walk (_move), as sparse
-rows, and
-t_action_check is the one check that the central element acts by its
-closed-form scalar.
+rows, and t_action_check is the one check that the central element acts
+by its closed-form scalar.
 """
 
 from __future__ import annotations
@@ -34,11 +33,9 @@ from typing import Iterator, NamedTuple
 
 from brauerblocks import perms, specht
 from brauerblocks.blocks import check_weight
-from brauerblocks.diagrams import (AlgebraElement, BrauerDiagram, hook_diagram,
-                                   perm_diagram)
+from brauerblocks.diagrams import BrauerDiagram, hook_diagram, perm_diagram
 from brauerblocks.linalg import SparseVec
-from brauerblocks.partitions import (Partition, addable_boxes, content_sum,
-                                     removable_boxes)
+from brauerblocks.partitions import Partition, content_sum
 from brauerblocks.specht import SpechtModule
 
 BlockVec = dict  # one-row index -> list of its f Specht coordinates
@@ -236,17 +233,6 @@ class CellModule:
             out.setdefault(v_idx, [0] * f)[x] = c
         return {v_idx: block for v_idx, block in out.items() if any(block)}
 
-    def act_element(self, elem: AlgebraElement, vec: SparseVec) -> SparseVec:
-        if elem.n != self.n or elem.delta != self.delta:
-            raise ValueError("element and module live over different B_n(delta)")
-        blocks = self.to_blocks(vec)
-        return self.flatten(block_sum((c, self.act_diagram(d, blocks))
-                                      for d, c in elem.terms.items()))
-
-    def matrix_of(self, d: BrauerDiagram) -> list[SparseVec]:
-        return [self.flatten(self.act_diagram(d, self.to_blocks({j: 1})))
-                for j in range(self.dim)]
-
     def __repr__(self) -> str:
         return f"CellModule(n={self.n}, delta={self.delta}, mu={self.mu}, dim={self.dim})"
 
@@ -321,14 +307,3 @@ def t_action_check(cell: CellModule) -> bool:
                      + [(c, cell.act_diagram(d, unit)) for c, d in terms]):
             return False
     return True
-
-
-def restriction_rule(lam: Partition, n: int) -> tuple[list[Partition], list[Partition]]:
-    """Weights appearing under restriction to B_{n-1}: remove-a-box terms
-    and add-a-box terms, the latter only when the result fits in level n-1."""
-    if lam.size > n or (n - lam.size) % 2 != 0:
-        raise ValueError(f"{lam} is not a weight at level {n}")
-    down = [lam.remove_box(b) for b in removable_boxes(lam)]
-    up = ([lam.add_box(b) for b in addable_boxes(lam)]
-          if lam.size + 1 <= n - 1 else [])
-    return down, up

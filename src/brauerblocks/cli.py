@@ -303,6 +303,9 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.verb == "render" and len(args.partitions) > 2:
         parser.error("render takes one partition or a partition pair")
+    if args.verb == "render" and args.format == "dot" and len(args.partitions) == 1:
+        parser.error("render --format dot draws the lattice of a partition "
+                     "pair; give two partitions")
     try:
         return args.func(args)
     except AssertionError as exc:

@@ -4,19 +4,14 @@ Diagrams are reduced perfect matchings on n northern and t southern
 nodes; concatenation returns the reduced diagram together with the
 number of closed loops removed, and the algebra layer applies the
 delta^loops factor (0^0 = 1, so delta = 0 is handled uniformly).
-Distinguished elements: permutation diagrams, the hook elements
-X_{i,j}, the arc idempotents, a delta-independent corner idempotent
-for use at delta = 0, and Young symmetrizers inside the group algebra.
+Distinguished diagrams: permutation diagrams and the hook diagrams
+X_{i,j}.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from typing import Iterator
-
-from brauerblocks import perms
-from brauerblocks.partitions import Partition, specht_dim
 
 # Node encoding inside a diagram: northern i is +i (1..n), southern j is -j.
 
@@ -63,25 +58,6 @@ class BrauerDiagram:
         return sum(1 for p in self.pairs if min(p) < 0 < max(p))
 
 
-def parse_diagram(text: str) -> BrauerDiagram:
-    """Parse "n=4; 1-2 3-1' 4-2' 3'-4'" (primed node = southern).  The
-    southern count is n unless "t=" is also given."""
-    head, _, body = text.partition(";")
-    fields = dict(f.strip().split("=") for f in head.split(",") if "=" in f)
-    n = int(fields["n"])
-    t = int(fields.get("t", n))
-    pairs = []
-    for token in body.split():
-        a, _, b = token.partition("-")
-
-        def node(s: str) -> int:
-            s = s.strip()
-            return -int(s[:-1]) if s.endswith("'") else int(s)
-
-        pairs.append((node(a), node(b)))
-    return BrauerDiagram(n, t, pairs)
-
-
 def format_diagram(d: BrauerDiagram) -> str:
     """Northern-anchored pairs first ascending, then southern pairs, the
     lower-numbered end written first: "n=4; 1-2 3-1' 4-2' 3'-4'"."""
@@ -99,24 +75,11 @@ def format_diagram(d: BrauerDiagram) -> str:
     return f"{head}; {body}"
 
 
-def identity_diagram(n: int) -> BrauerDiagram:
-    return BrauerDiagram(n, n, [(i, -i) for i in range(1, n + 1)])
-
-
 def perm_diagram(sigma: tuple[int, ...]) -> BrauerDiagram:
     """Propagating diagram of a permutation: northern i joins southern
     sigma(i) (0-based tuple in, 1-based nodes out)."""
     n = len(sigma)
     return BrauerDiagram(n, n, [(i + 1, -(sigma[i] + 1)) for i in range(n)])
-
-
-def u_diagram(n: int, i: int) -> BrauerDiagram:
-    """Arcs {i, i+1} on both boundaries, all other strands straight."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"u_diagram index out of range: {i}")
-    pairs = [(i, i + 1), (-i, -(i + 1))]
-    pairs += [(k, -k) for k in range(1, n + 1) if k not in (i, i + 1)]
-    return BrauerDiagram(n, n, pairs)
 
 
 def hook_diagram(n: int, i: int, j: int) -> BrauerDiagram:
@@ -273,89 +236,3 @@ class AlgebraElement:
 
 def from_diagram(d: BrauerDiagram, delta: int, coeff=1) -> AlgebraElement:
     return AlgebraElement(d.n, delta, {d: coeff})
-
-
-def identity_element(n: int, delta: int) -> AlgebraElement:
-    return from_diagram(identity_diagram(n), delta)
-
-
-def transposition_element(n: int, delta: int, i: int) -> AlgebraElement:
-    """The adjacent transposition s_i = (i, i+1), 1-based."""
-    return from_diagram(perm_diagram(perms.transposition(n, i - 1, i)), delta)
-
-
-def x_hook(n: int, delta: int, i: int, j: int) -> AlgebraElement:
-    return from_diagram(hook_diagram(n, i, j), delta)
-
-
-def t_element(n: int, delta: int) -> AlgebraElement:
-    """Sum of all hooks X_{i,j} over 1 <= i < j <= n."""
-    out = AlgebraElement(n, delta)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out = out + x_hook(n, delta, i, j)
-    return out
-
-
-def central_element(n: int, delta: int) -> AlgebraElement:
-    """Sum over i < j of (transposition (i,j) minus hook X_{i,j}); commutes
-    with everything in B_n(delta)."""
-    out = AlgebraElement(n, delta)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out = out + from_diagram(perm_diagram(perms.transposition(n, i - 1, j - 1)), delta)
-            out = out - x_hook(n, delta, i, j)
-    return out
-
-
-def e(n: int, delta: int, t: int | None = None) -> AlgebraElement:
-    """The arc idempotent: t nested-free arc pairs {n-1,n}, {n-3,n-2}, ...
-    scaled by delta^-t.  e(n, delta) is the single-arc case t = 1;
-    e(n, delta, 0) is the identity.  Needs delta != 0."""
-    if t is None:
-        t = 1
-    if not 0 <= 2 * t <= n:
-        raise ValueError(f"arc count out of range: t={t}, n={n}")
-    if t == 0:
-        return identity_element(n, delta)
-    if delta == 0:
-        raise ValueError("arc idempotent needs delta != 0; see e_bar")
-    pairs = []
-    for k in range(t):
-        a = n - 2 * k
-        pairs += [(a - 1, a), (-(a - 1), -a)]
-    pairs += [(i, -i) for i in range(1, n - 2 * t + 1)]
-    return from_diagram(BrauerDiagram(n, n, pairs), delta, Fraction(1, delta ** t))
-
-
-def e_bar(n: int, delta: int) -> AlgebraElement:
-    """A single loop-free diagram idempotent usable at every delta,
-    including 0: northern arc {n-1, n}, southern arc {n-2, n-1}, a line
-    from n-2 down to n, the rest straight.  Squaring creates no loop, so
-    it is idempotent independently of delta, and conjugating B_n by it
-    cuts exactly two strands.  The level-n reference scan in the oracle
-    tests pads the identity of B_{n-2} to this diagram."""
-    if n < 3:
-        raise ValueError("n must be at least 3")
-    pairs = [(n - 1, n), (-(n - 2), -(n - 1)), (n - 2, -n)]
-    pairs += [(i, -i) for i in range(1, n - 2)]
-    return from_diagram(BrauerDiagram(n, n, pairs), delta)
-
-
-def young_symmetrizer(lam: Partition, n: int, delta: int) -> AlgebraElement:
-    """The classical idempotent of the group algebra of the symmetric
-    group sitting inside B_n: (dim/n!) * sum of sgn(c)*c*r over the
-    column and row groups of the row-reading filling of lam."""
-    if lam.size != n:
-        raise ValueError(f"size mismatch: |{lam}| != {n}")
-    scale = Fraction(specht_dim(lam), factorial(n))
-    terms: dict = {}
-    rows = perms.row_blocks(lam)
-    cols = perms.col_blocks(lam)
-    for c in perms.block_perms(cols, n):
-        sgn = perms.sign(c)
-        for r in perms.block_perms(rows, n):
-            # diagram product D(c)*D(r) corresponds to the map r o c
-            d = perm_diagram(perms.compose(r, c))
-            terms[d] = terms.get(d, 0) + sgn
-    return scale * AlgebraElement(n, delta, {d: Fraction(v) for d, v in terms.items()})

@@ -28,8 +28,8 @@ A cell module lives as long as the run of queries that shares it: the
 oracle keeps only the last module it built, and block_graph and
 verify_blocks ask their queries grouped by module and drop the last one
 before they return, so neither keeps a module alive.  What outlives a
-call holds no module: the Specht modules (cells._specht) and the last
-module's permutation traces (_perm_traces, one slot).
+call holds no module: the Specht modules (cells._specht) and the
+permutation traces of the last (n, mu) asked (_perm_traces, one slot).
 """
 
 from __future__ import annotations
@@ -81,15 +81,21 @@ def _last_cell(n: int, delta: int, mu: Partition) -> CellModule:
     return CellModule(n, delta, mu)
 
 
-def _capped_cell(n: int, delta: int, mu: Partition) -> CellModule:
-    """The cell module, checked against the cap on every call (a memo hit
-    included) and then taken from the one-slot memo."""
+def _check_cap(n: int, mu: Partition) -> None:
+    """Refuse a cell module over the cap.  Callers check on every call,
+    so that an answer taken from a memo obeys a lowered cap too."""
     d = cell_dim(n, mu)
     cap = _max_dim()
     if d > cap:
         raise RuntimeError(
             f"cell module at {mu}, n={n} has dimension {d} > cap {cap}; "
             "set BRAUER_MAX_DIM higher to allow it")
+
+
+def _capped_cell(n: int, delta: int, mu: Partition) -> CellModule:
+    """The cell module, checked against the cap and then taken from the
+    one-slot memo."""
+    _check_cap(n, mu)
     return _last_cell(n, delta, mu)
 
 
@@ -166,14 +172,16 @@ def _cycle_rep(rho: Partition) -> tuple[int, ...]:
 # One slot, like the module memo: restriction_multiplicity asks about every
 # lam for one mu, and a miss reads a move per one-row diagram and class.
 @lru_cache(maxsize=1)
-def _perm_traces(n: int, delta: int, mu: Partition) -> dict[Partition, int]:
+def _perm_traces(n: int, mu: Partition) -> dict[Partition, int]:
     """Trace of each cycle type's permutation diagram on the cell module.
 
     A permutation diagram closes no loop and keeps every strand, so it
     moves each one-row diagram v to some w with scale 1, and only the
     v with w = v add to the trace: f for the identity on the Specht
-    factor, else the diagonal of its matrix."""
-    cell = _capped_cell(n, delta, mu)
+    factor, else the diagonal of its matrix.  With no loop there is no
+    power of delta, so the traces are read at delta = 1, where every mu
+    of the right size is a weight.  The caller checks the cap."""
+    cell = _last_cell(n, 1, mu)
     f = cell.specht.dim
     out = {}
     for rho in partitions_of(n):
@@ -200,9 +208,10 @@ def restriction_multiplicity(n: int, delta: int, mu: Partition,
     if lam.size != n:
         raise ValueError(f"{lam} is not a partition of {n}")
     check_weight(n, delta, mu)
+    _check_cap(n, mu)
     route_b = even_lr_sum(lam, mu)
     total = sum(conjugacy_class_size(rho) * mn_character(lam, rho) * tr
-                for rho, tr in _perm_traces(n, delta, mu).items())
+                for rho, tr in _perm_traces(n, mu).items())
     route_a, rem = divmod(total, factorial(n))
     assert rem == 0 and route_a == route_b, (
         f"restriction routes disagree at mu={mu}, lam={lam}, n={n}: "

@@ -182,23 +182,10 @@ class SkewShape:
         return Counter(b.content for b in self.boxes)
 
 
-def contents(lam: Partition) -> Counter:
-    """Multiset of box contents col - row over the whole diagram."""
-    return Counter(b.content for b in lam.boxes())
-
-
 def content_sum(lam: Partition) -> int:
     """Sum of the box contents: row i (0-based) of length p adds
     (0 + 1 + ... + p-1) - i*p."""
     return sum(p * (p - 1) // 2 - i * p for i, p in enumerate(lam.parts))
-
-
-def addable_boxes(lam: Partition) -> list[Box]:
-    """Positions whose addition leaves a partition, sorted by content."""
-    out = [Box(i + 1, lam.row(i) + 1)
-           for i in range(lam.rows + 1)
-           if i == 0 or lam.row(i) < lam.row(i - 1)]
-    return sorted(out, key=lambda b: b.content)
 
 
 def removable_boxes(lam: Partition) -> list[Box]:
@@ -338,24 +325,6 @@ def subpartitions(lam: Partition) -> Iterator[Partition]:
             yield from rec(i + 1, length, acc + [length])
 
     yield from rec(0, lam.row(0) if lam.rows else 0, [])
-
-
-def unique_rectangle_eta(mu: Partition, lam: Partition) -> Partition | None:
-    """For a rectangle lam containing mu, the unique eta with a nonzero
-    LR coefficient: the nonzero skew row lengths reversed.  None when the
-    skew is empty."""
-    if lam.rows and any(p != lam[0] for p in lam.parts):
-        raise ValueError(f"{lam} is not a rectangle")
-    if not lam.contains(mu):
-        raise ValueError(f"{mu} is not contained in {lam}")
-    if mu.size == lam.size:
-        return None
-    skew_rows = [lam.row(i) - mu.row(i) for i in range(lam.rows)]
-    eta = Partition(sorted((r for r in skew_rows if r), reverse=True))
-    # the skew rows, read bottom to top, must already be the parts of eta
-    assert [r for r in reversed(skew_rows) if r] == list(eta.parts)
-    assert lr_coefficient(mu, eta, lam) == 1
-    return eta
 
 
 # ---------------------------------------------------------------------------

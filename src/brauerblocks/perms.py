@@ -1,30 +1,14 @@
-"""Small permutation helpers shared by the algebra and module layers.
+"""Small permutation helpers for the Specht and cell modules and the
+oracle.
 
 Permutations on m points are tuples of images, 0-based:
-p[i] is the image of i.  compose(a, b) applies b first, then a.
+p[i] is the image of i.
 """
 
 from __future__ import annotations
 
 from itertools import permutations as _permutations
-from typing import Iterator
-
-from brauerblocks.partitions import Partition
-
-
-def identity(m: int) -> tuple[int, ...]:
-    return tuple(range(m))
-
-
-def compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a[b[i]] for i in range(len(a)))
-
-
-def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
+from typing import Iterable, Iterator
 
 
 def transposition(m: int, i: int, j: int) -> tuple[int, ...]:
@@ -50,21 +34,6 @@ def sign(p: tuple[int, ...]) -> int:
     return s
 
 
-def cycle_type(p: tuple[int, ...]) -> Partition:
-    seen = [False] * len(p)
-    lengths = []
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        lengths.append(length)
-    return Partition(sorted(lengths, reverse=True))
-
-
 def adjacent_word(p: tuple[int, ...]) -> list[int]:
     """A word in adjacent transpositions s_i = (i, i+1), 0-based i, with
     p = product of the s_i applied left to right as composed maps; bubble
@@ -84,10 +53,6 @@ def adjacent_word(p: tuple[int, ...]) -> list[int]:
     return word
 
 
-def all_perms(m: int) -> Iterator[tuple[int, ...]]:
-    return _permutations(range(m))
-
-
 def block_perms(blocks: list[list[int]], m: int) -> Iterator[tuple[int, ...]]:
     """All permutations of {0..m-1} preserving each block (Young subgroup)."""
 
@@ -104,25 +69,19 @@ def block_perms(blocks: list[list[int]], m: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0, list(range(m)))
 
 
-def row_blocks(lam: Partition) -> list[list[int]]:
-    """Row-reading filling of lam: row i holds consecutive entries; the
-    0-based entry blocks per row."""
+def row_blocks(lam: Iterable[int]) -> list[list[int]]:
+    """Row-reading filling of the shape with row lengths lam: row i holds
+    consecutive entries; the 0-based entry blocks per row."""
     blocks, next_entry = [], 0
-    for p in lam.parts:
+    for p in lam:
         blocks.append(list(range(next_entry, next_entry + p)))
         next_entry += p
     return blocks
 
 
-def col_blocks(lam: Partition) -> list[list[int]]:
-    """Column blocks of the row-reading filling of lam (0-based entries)."""
-    starts = []
-    next_entry = 0
-    for p in lam.parts:
-        starts.append(next_entry)
-        next_entry += p
-    cols = []
-    for c in range(lam.parts[0] if lam.parts else 0):
-        col = [starts[i] + c for i, p in enumerate(lam.parts) if p > c]
-        cols.append(col)
-    return cols
+def col_blocks(lam: Iterable[int]) -> list[list[int]]:
+    """Column blocks of the row-reading filling of the shape with row
+    lengths lam (0-based entries)."""
+    rows = row_blocks(lam)
+    return [[row[c] for row in rows if len(row) > c]
+            for c in range(len(rows[0]) if rows else 0)]

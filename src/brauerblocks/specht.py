@@ -124,11 +124,3 @@ def _dot(a: SparseVec, b: SparseVec) -> int:
     if len(b) < len(a):
         a, b = b, a
     return sum(v * b[k] for k, v in a.items() if k in b)
-
-
-def act_perm(module: SpechtModule, sigma: tuple[int, ...], vec: SparseVec) -> SparseVec:
-    """Left action: act_perm(s, act_perm(t, v)) = act_perm(compose(s, t), v)."""
-    for j in vec:
-        if not 0 <= j < module.dim:
-            raise ValueError(f"coordinate {j} outside dimension {module.dim}")
-    return linalg.mat_vec(module.perm_matrix(sigma), vec)

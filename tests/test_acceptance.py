@@ -17,14 +17,14 @@ from brauerblocks.blocks import (hat_steps, hom_target, is_balanced,
                                  is_minimal, lattice_predict,
                                  maximal_balanced_sub, weights)
 from brauerblocks.cells import CellModule, t_action_check
-from brauerblocks.diagrams import (all_diagrams, e, e_bar, from_diagram,
-                                   identity_element, transposition_element,
-                                   u_diagram, young_symmetrizer)
+from brauerblocks.diagrams import all_diagrams, from_diagram
 from brauerblocks.linalg import Echelon
 from brauerblocks.oracle import HomQuery, hom_dim, restriction_multiplicity, \
     verify_blocks
 from brauerblocks.partitions import (EMPTY, Box, Partition, partitions_of,
                                      subpartitions)
+from references import (e, e_bar, identity_element, transposition_element,
+                        u_diagram, young_symmetrizer)
 
 DELTAS = (-2, -1, 0, 1, 2, 3)
 

@@ -2,13 +2,14 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from brauerblocks.blocks import (bias, block_key, block_partition,
-                                 block_partition_json, hat, hat_steps,
-                                 hom_target, i_maximal_balanced_sub,
-                                 is_balanced, is_minimal, lattice_predict,
+from brauerblocks.blocks import (_imax_skew, bias, block_key,
+                                 block_partition, block_partition_json, hat,
+                                 hat_steps, hom_target, is_balanced,
+                                 is_minimal, lattice_predict,
                                  maximal_balanced_sub, minimal_weight, weights)
-from brauerblocks.partitions import (EMPTY, Box, Partition, partitions_of,
-                                     removable_boxes, subpartitions)
+from brauerblocks.partitions import (EMPTY, Box, Partition, partition_minus,
+                                     partitions_of, removable_boxes,
+                                     subpartitions)
 
 DELTAS = (-2, -1, 0, 1, 2, 3)
 
@@ -134,6 +135,19 @@ def test_block_partition_json_shape():
     doc = block_partition_json(block_partition(4, 1))
     assert doc["n"] == 4 and doc["delta"] == 1
     assert {"minimal": [], "members": [[], [2, 2]]} in doc["blocks"]
+
+
+def i_maximal_balanced_sub(lam: Partition, mu: Partition, delta: int,
+                           seed: Box) -> Partition:
+    """The balanced subpartition grown from one removable seed box of
+    the difference shape lam/mu."""
+    if not lam.contains(mu):
+        raise ValueError(f"{mu} is not contained in {lam}")
+    grown = _imax_skew(lam, mu, delta, seed)
+    result = partition_minus(lam, grown)
+    assert result is not None, (lam, mu, seed, sorted(grown))
+    assert is_balanced(lam, result, delta), (lam, result, delta)
+    return result
 
 
 def test_imax_single_skew_all_seeds():

@@ -178,6 +178,8 @@ def test_usage_errors(capsys):
     run_usage_error(capsys, ["minimal", "--delta", "1", "2,x"])
     run_usage_error(capsys, ["minimal", "2,1"])  # missing --delta
     run_usage_error(capsys, ["render", "--delta", "1", "1", "1", "1"])
+    run_usage_error(capsys, ["render", "--format", "dot", "--delta", "1", "4,2"])
+    assert "--format dot draws the lattice of a partition pair" in capsys.readouterr().err
     run_usage_error(capsys, ["no-such-verb"])
 
 

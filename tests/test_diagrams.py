@@ -4,14 +4,55 @@ import pytest
 
 from brauerblocks import perms
 from brauerblocks.diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
-                                   central_element, concat, e, e_bar, flip,
-                                   format_diagram, from_diagram,
-                                   hook_diagram, identity_diagram,
-                                   identity_element, parse_diagram,
-                                   perm_diagram, t_element,
-                                   transposition_element, u_diagram, x_hook,
-                                   young_symmetrizer)
+                                   concat, flip, format_diagram, from_diagram,
+                                   hook_diagram, perm_diagram)
 from brauerblocks.partitions import Partition, partitions_of
+from references import (all_perms, compose, e, e_bar, identity_diagram,
+                        identity_element, transposition_element, u_diagram,
+                        young_symmetrizer)
+
+
+def parse_diagram(text: str) -> BrauerDiagram:
+    """Parse "n=4; 1-2 3-1' 4-2' 3'-4'" (primed node = southern).  The
+    southern count is n unless "t=" is also given."""
+    head, _, body = text.partition(";")
+    fields = dict(f.strip().split("=") for f in head.split(",") if "=" in f)
+    n = int(fields["n"])
+    t = int(fields.get("t", n))
+    pairs = []
+    for token in body.split():
+        a, _, b = token.partition("-")
+
+        def node(s: str) -> int:
+            s = s.strip()
+            return -int(s[:-1]) if s.endswith("'") else int(s)
+
+        pairs.append((node(a), node(b)))
+    return BrauerDiagram(n, t, pairs)
+
+
+def x_hook(n: int, delta: int, i: int, j: int) -> AlgebraElement:
+    return from_diagram(hook_diagram(n, i, j), delta)
+
+
+def t_element(n: int, delta: int) -> AlgebraElement:
+    """Sum of all hooks X_{i,j} over 1 <= i < j <= n."""
+    out = AlgebraElement(n, delta)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            out = out + x_hook(n, delta, i, j)
+    return out
+
+
+def central_element(n: int, delta: int) -> AlgebraElement:
+    """Sum over i < j of (transposition (i,j) minus hook X_{i,j}); commutes
+    with everything in B_n(delta)."""
+    out = AlgebraElement(n, delta)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            out = out + from_diagram(perm_diagram(perms.transposition(n, i - 1, j - 1)), delta)
+            out = out - x_hook(n, delta, i, j)
+    return out
 
 
 def double_factorial(m: int) -> int:
@@ -86,10 +127,10 @@ def test_identity_neutral():
 
 def test_perm_product_convention():
     # diagram stacking reverses the order of the underlying maps
-    for a in perms.all_perms(3):
-        for b in perms.all_perms(3):
+    for a in all_perms(3):
+        for b in all_perms(3):
             prod = from_diagram(perm_diagram(a), 1) * from_diagram(perm_diagram(b), 1)
-            assert prod == from_diagram(perm_diagram(perms.compose(b, a)), 1)
+            assert prod == from_diagram(perm_diagram(compose(b, a)), 1)
 
 
 def test_associativity_sampled(rng):

@@ -10,9 +10,8 @@ from brauerblocks import cli, perms
 from brauerblocks.blocks import hom_target, is_balanced, weights
 from brauerblocks.cells import CellModule, enumerate_v
 from brauerblocks.diagrams import (BrauerDiagram, all_diagrams, concat,
-                                   e_bar, hook_diagram, identity_diagram,
-                                   perm_diagram)
-from brauerblocks.linalg import Echelon, rank_of, vec_add
+                                   hook_diagram, perm_diagram)
+from brauerblocks.linalg import Echelon, SparseVec, rank_of, vec_add
 from brauerblocks.oracle import (HomQuery, _cycle_rep, _orbit_reps,
                                  _orbit_seeds, _perm_traces,
                                  block_graph, cell_dim, central_scalar,
@@ -22,12 +21,33 @@ from brauerblocks.oracle import (HomQuery, _cycle_rep, _orbit_reps,
 from brauerblocks.partitions import (EMPTY, Partition, mn_character,
                                      partitions_of, removable_boxes,
                                      specht_dim)
+from references import e_bar, identity, identity_diagram
 
 DELTAS = (-2, -1, 0, 1, 2, 3)
 
 
 def P(*parts):
     return Partition(parts)
+
+
+def cycle_type(p: tuple[int, ...]) -> Partition:
+    seen = [False] * len(p)
+    lengths = []
+    for i in range(len(p)):
+        if seen[i]:
+            continue
+        j, length = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            length += 1
+        lengths.append(length)
+    return Partition(sorted(lengths, reverse=True))
+
+
+def matrix_of(cell: CellModule, d: BrauerDiagram) -> list[SparseVec]:
+    return [cell.flatten(cell.act_diagram(d, cell.to_blocks({j: 1})))
+            for j in range(cell.dim)]
 
 
 def test_cell_dim_formula():
@@ -134,7 +154,7 @@ def test_perm_traces_match_probe():
         for delta in DELTAS:
             for mu in weights(n, delta).weights:
                 cell = CellModule(n, delta, mu)
-                assert _perm_traces(n, delta, mu) == probe_traces(cell), cell
+                assert _perm_traces(n, mu) == probe_traces(cell), cell
                 count += 1
     assert count == 278
 
@@ -170,8 +190,8 @@ def intertwiner_dim(src, tgt, gen_pairs) -> int:
     every pair (g, g'), one unknown per entry of M."""
     eqs = []
     for g, g_tgt in gen_pairs:
-        a_cols = src.matrix_of(g)
-        b_cols = tgt.matrix_of(g_tgt)
+        a_cols = matrix_of(src, g)
+        b_cols = matrix_of(tgt, g_tgt)
         b_rows: dict = {}
         for c, col in enumerate(b_cols):
             for a, val in col.items():
@@ -287,7 +307,7 @@ def full_scan(n: int, delta: int, lam: Partition, mu: Partition,
     f = cell.specht.dim
     if v_seeds is None:
         v_seeds = range(len(cell.v_list))
-    ident = pad_perm(perms.identity(k))
+    ident = pad_perm(identity(k))
     ech = Echelon()
     w_basis = []
     for b in (v_idx * f + x for v_idx in v_seeds for x in range(f)):
@@ -378,7 +398,7 @@ def invariant_dim(mu: Partition, a: tuple[int, ...]) -> int:
         blocks.append(list(range(start, start + size)))
         start += size
     group = list(perms.block_perms(blocks, mu.size))
-    total = sum(mn_character(mu, perms.cycle_type(p)) for p in group)
+    total = sum(mn_character(mu, cycle_type(p)) for p in group)
     assert total % len(group) == 0
     return total // len(group)
 
@@ -454,6 +474,22 @@ def test_cap_checked_on_a_repeated_query(capsys, monkeypatch):
         hom_dim(q)
     assert cli.run(argv) == 2
     assert "cap 29" in capsys.readouterr().err
+
+
+def test_trace_cache_obeys_cap_and_ignores_delta(monkeypatch):
+    # the traces of one (n, mu) are built once for every delta, since a
+    # permutation diagram closes no loop; a cached answer still reads
+    # the cap again
+    _perm_traces.cache_clear()
+    monkeypatch.setenv("BRAUER_MAX_DIM", "400")
+    assert cell_dim(6, P(2)) == 45
+    assert restriction_multiplicity(6, 1, P(2), P(6)) == 1
+    assert restriction_multiplicity(6, 2, P(2), P(4, 2)) == 2
+    assert _perm_traces.cache_info().misses == 1
+    monkeypatch.setenv("BRAUER_MAX_DIM", "10")
+    for delta in (1, 2):
+        with pytest.raises(RuntimeError, match="cap 10"):
+            restriction_multiplicity(6, delta, P(2), P(4, 2))
 
 
 def test_orbit_reps_count():

@@ -1,22 +1,46 @@
+from collections import Counter
 from math import factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from brauerblocks.partitions import (EMPTY, Box, Partition, addable_boxes,
+from brauerblocks.partitions import (EMPTY, Box, Partition,
                                      conjugacy_class_size, content_sum,
-                                     contents, is_even,
-                                     lr_coefficient, mn_character,
+                                     is_even, lr_coefficient, mn_character,
                                      parse_partition, partition_minus,
                                      partitions_of, removable_boxes, skew,
                                      specht_dim, standard_tableaux,
-                                     subpartitions, unique_rectangle_eta)
+                                     subpartitions)
+from references import addable_boxes
 
 partitions = st.lists(st.integers(1, 7), max_size=6).map(
     lambda ps: Partition(sorted(ps, reverse=True)))
 
 P_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+
+
+def contents(lam: Partition) -> Counter:
+    """Multiset of box contents col - row over the whole diagram."""
+    return Counter(b.content for b in lam.boxes())
+
+
+def unique_rectangle_eta(mu: Partition, lam: Partition) -> Partition | None:
+    """For a rectangle lam containing mu, the unique eta with a nonzero
+    LR coefficient: the nonzero skew row lengths reversed.  None when the
+    skew is empty."""
+    if lam.rows and any(p != lam[0] for p in lam.parts):
+        raise ValueError(f"{lam} is not a rectangle")
+    if not lam.contains(mu):
+        raise ValueError(f"{mu} is not contained in {lam}")
+    if mu.size == lam.size:
+        return None
+    skew_rows = [lam.row(i) - mu.row(i) for i in range(lam.rows)]
+    eta = Partition(sorted((r for r in skew_rows if r), reverse=True))
+    # the skew rows, read bottom to top, must already be the parts of eta
+    assert [r for r in reversed(skew_rows) if r] == list(eta.parts)
+    assert lr_coefficient(mu, eta, lam) == 1
+    return eta
 
 
 def P(*parts):

@@ -1,0 +1,52 @@
+"""The library holds only what it runs: every public module-level
+function or class of the package is exported or used by the package,
+its scripts or its benchmark.  Tests are not read, so a name only tests
+call belongs beside those tests."""
+
+import ast
+from pathlib import Path
+
+import brauerblocks
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "brauerblocks"
+USERS = [path for folder in (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
+         for path in sorted(folder.glob("*.py"))
+         if not path.name.startswith("test_")]
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Names read as a Name, an Attribute or an import anywhere in tree,
+    except inside the top-level definition of that same name (recursion
+    is not a use)."""
+    found: set[str] = set()
+    for stmt in tree.body:
+        own = stmt.name if isinstance(
+            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.rpartition(".")[2]
+            else:
+                continue
+            if name != own:
+                found.add(name)
+    return found
+
+
+def test_every_public_name_is_used():
+    used: set[str] = set()
+    for path in USERS:
+        used |= used_names(ast.parse(path.read_text(), str(path)))
+    exported = set(brauerblocks.__all__)
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and not stmt.name.startswith("_")
+                    and stmt.name not in exported | used):
+                unused.append(f"{path.stem}.{stmt.name}")
+    assert not unused, f"public names nothing outside tests uses: {unused}"
