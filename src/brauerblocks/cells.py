@@ -20,6 +20,10 @@ every block of a vector.  block_sum is the one way to combine block
 vectors.  Lists in a block vector are never shared with another vector,
 so a caller may mutate what it is given back.
 
+swap applies the transposition of two points through the same move
+tables, so a caller that permutes nodes never builds a diagram: each
+pair's permutation diagram is made on first use and kept on the module.
+
 The Gram form is read through the same strand walk (_move), as sparse
 rows, and t_action_check is the one check that the central element acts
 by its closed-form scalar.
@@ -114,6 +118,7 @@ class CellModule:
             self._rank.append(rank)
         self._identity = tuple(range(mu.size))
         self._moves: dict[BrauerDiagram, list] = {}
+        self._swaps: dict[tuple[int, int], BrauerDiagram] = {}
 
     @property
     def dim(self) -> int:
@@ -218,6 +223,14 @@ class CellModule:
                         acc[i] += a * c
         return {w_idx: acc for w_idx, acc in out.items() if any(acc)}
 
+    def swap(self, i: int, j: int, vec: BlockVec) -> BlockVec:
+        """The transposition of the 0-based points i and j applied to a
+        block vector, through the move table of its permutation diagram."""
+        d = self._swaps.get((i, j))
+        if d is None:
+            d = self._swaps[i, j] = perm_diagram(perms.transposition(self.n, i, j))
+        return self.act_diagram(d, vec)
+
     def flatten(self, vec: BlockVec) -> SparseVec:
         """The flat sparse vector {v*f + x: value} of a block vector."""
         f = self.specht.dim
@@ -299,11 +312,11 @@ def t_action_check(cell: CellModule) -> bool:
     n = cell.n
     scalar = cell.t * (cell.delta - 1) - content_sum(cell.mu)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    terms = [(1, hook_diagram(n, i + 1, j + 1)) for i, j in pairs]
-    terms += [(-1, perm_diagram(perms.transposition(n, i, j))) for i, j in pairs]
+    hooks = [hook_diagram(n, i + 1, j + 1) for i, j in pairs]
     for b in range(cell.dim):
         unit = cell.to_blocks({b: 1})
         if block_sum([(-scalar, unit)]
-                     + [(c, cell.act_diagram(d, unit)) for c, d in terms]):
+                     + [(1, cell.act_diagram(h, unit)) for h in hooks]
+                     + [(-1, cell.swap(i, j, unit)) for i, j in pairs]):
             return False
     return True

@@ -233,6 +233,3 @@ class AlgebraElement:
         return AlgebraElement(self.n, self.delta,
                               {flip(d): c for d, c in self.terms.items()})
 
-
-def from_diagram(d: BrauerDiagram, delta: int, coeff=1) -> AlgebraElement:
-    return AlgebraElement(d.n, delta, {d: coeff})

@@ -18,7 +18,9 @@ Each question reads the one cell module it is about, through the move
 tables of its action: the fixed Specht vectors come from the row sum on
 one block of the target module, the permutation traces from the moves
 that send a one-row diagram to itself, and the Gram rank from the sparse
-rows of cells.gram_matrix.
+rows of cells.gram_matrix.  Every transposition the Hom route applies,
+in a row sum, a column sum or the fixed-vector search, goes through the
+module's own CellModule.swap.
 
 Module dimensions are capped via the BRAUER_MAX_DIM environment variable
 (a positive integer, default 400) so that a stray query cannot wedge a
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import factorial
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import perms
 from .blocks import (WeightSet, block_partition, check_weight, hom_target,
@@ -243,25 +245,22 @@ def _orbit_reps(v_list: list[PartialOneRowDiagram], lam: Partition) -> list[int]
     return reps
 
 
-Act = Callable[[int, int, BlockVec], BlockVec]
-
-
-def _group_sum(vec: BlockVec, blocks: list[list[int]], sign: int,
-               act: Act) -> BlockVec:
+def _group_sum(cell: CellModule, vec: BlockVec, blocks: list[list[int]],
+               sign: int) -> BlockVec:
     """The sum (sign 1) or signed sum (sign -1) of the Young subgroup on
-    blocks, applied to vec; act(i, j, vec) applies the transposition of
-    points i and j.  Coset transversals keep the term count at
-    block_len^2 instead of block_len!; the identity coset acts trivially.
-    Each coset step is one block_sum of vec and its j transposed images."""
+    blocks, applied to vec in the cell module.  Coset transversals keep
+    the term count at block_len^2 instead of block_len!; the identity
+    coset acts trivially.  Each coset step is one block_sum of vec and
+    its j transposed images."""
     for pts in blocks:
         for j in range(1, len(pts)):
-            vec = block_sum([(1, vec)] + [(sign, act(pts[i], pts[j], vec))
+            vec = block_sum([(1, vec)] + [(sign, cell.swap(pts[i], pts[j], vec))
                                           for i in range(j)])
     return vec
 
 
-def _young_invariants(cell: CellModule, v_idx: int, rows: list[list[int]],
-                      act: Act) -> list[list[int]]:
+def _young_invariants(cell: CellModule, v_idx: int,
+                      rows: list[list[int]]) -> list[list[int]]:
     """An integer basis of the Specht vectors fixed by the Young subgroup
     Y_a, a the sizes of rows, as dense lists.
 
@@ -277,18 +276,17 @@ def _young_invariants(cell: CellModule, v_idx: int, rows: list[list[int]],
     ech = Echelon()
     basis = []
     for x in range(f):
-        y = _group_sum({v_idx: [int(i == x) for i in range(f)]}, rows, 1, act)
+        y = _group_sum(cell, {v_idx: [int(i == x) for i in range(f)]}, rows, 1)
         if y and ech.add(cell.flatten(y)):
             basis.append(y[v_idx])
     return basis
 
 
-def _orbit_seeds(cell: CellModule, lam: Partition,
-                 act: Act) -> Iterator[list[BlockVec]]:
+def _orbit_seeds(cell: CellModule, lam: Partition) -> Iterator[list[BlockVec]]:
     """For each v in _orbit_reps, the block seeds v (x) y, y over
-    _young_invariants of v's free nodes grouped by row of lam; act
-    applies a transposition inside a row of lam.  The invariant bases
-    are memoised per composition a, the free-node count per row."""
+    _young_invariants of v's free nodes grouped by row of lam.  The
+    invariant bases are memoised per composition a, the free-node count
+    per row."""
     row_of = _node_rows(lam)
     invariants: dict[tuple[int, ...], list[list[int]]] = {}
     for v_idx in _orbit_reps(cell.v_list, lam):
@@ -297,7 +295,7 @@ def _orbit_seeds(cell: CellModule, lam: Partition,
             rows[row_of[node]].append(node - 1)
         a = tuple(map(len, rows))
         if a not in invariants:
-            invariants[a] = _young_invariants(cell, v_idx, rows, act)
+            invariants[a] = _young_invariants(cell, v_idx, rows)
         yield [{v_idx: list(y)} for y in invariants[a]]
 
 
@@ -342,18 +340,11 @@ def _hom_dim_compressed(delta: int, lam: Partition, mu: Partition) -> int:
     cell = _capped_cell(k, delta, mu)
     row_bl = perms.row_blocks(lam)
     col_bl = perms.col_blocks(lam)
-    swaps = {(a, b): perm_diagram(perms.transposition(k, a, b))
-             for pts in row_bl + col_bl
-             for j, b in enumerate(pts) for a in pts[:j]}
-
-    def act(i: int, j: int, vec: BlockVec) -> BlockVec:
-        return cell.act_diagram(swaps[i, j], vec)
-
     ech = Echelon()
     w_basis: list[BlockVec] = []
-    for seed in chain.from_iterable(_orbit_seeds(cell, lam, act)):
-        v = _group_sum(seed, row_bl, 1, act)
-        v = _group_sum(v, col_bl, -1, act)
+    for seed in chain.from_iterable(_orbit_seeds(cell, lam)):
+        v = _group_sum(cell, seed, row_bl, 1)
+        v = _group_sum(cell, v, col_bl, -1)
         if v and ech.add(cell.flatten(v)):
             w_basis.append(v)
             if ech.rank == bound:

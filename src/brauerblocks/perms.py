@@ -1,5 +1,7 @@
 """Small permutation helpers for the Specht and cell modules and the
-oracle.
+oracle: transpositions, words in adjacent transpositions, and the row
+and column blocks of a shape.  Nothing here enumerates a Young subgroup
+or computes a sign; specht sums each column group one column at a time.
 
 Permutations on m points are tuples of images, 0-based:
 p[i] is the image of i.
@@ -7,8 +9,7 @@ p[i] is the image of i.
 
 from __future__ import annotations
 
-from itertools import permutations as _permutations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 def transposition(m: int, i: int, j: int) -> tuple[int, ...]:
@@ -16,22 +17,6 @@ def transposition(m: int, i: int, j: int) -> tuple[int, ...]:
     out = list(range(m))
     out[i], out[j] = out[j], out[i]
     return tuple(out)
-
-
-def sign(p: tuple[int, ...]) -> int:
-    seen = [False] * len(p)
-    s = 1
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            s = -s
-    return s
 
 
 def adjacent_word(p: tuple[int, ...]) -> list[int]:
@@ -51,22 +36,6 @@ def adjacent_word(p: tuple[int, ...]) -> list[int]:
     # word applied to identity right-to-left rebuilds p
     word.reverse()
     return word
-
-
-def block_perms(blocks: list[list[int]], m: int) -> Iterator[tuple[int, ...]]:
-    """All permutations of {0..m-1} preserving each block (Young subgroup)."""
-
-    def rec(i: int, current: list[int]) -> Iterator[tuple[int, ...]]:
-        if i == len(blocks):
-            yield tuple(current)
-            return
-        block = blocks[i]
-        for images in _permutations(block):
-            for pos, img in zip(block, images):
-                current[pos] = img
-            yield from rec(i + 1, current)
-
-    yield from rec(0, list(range(m)))
 
 
 def row_blocks(lam: Iterable[int]) -> list[list[int]]:

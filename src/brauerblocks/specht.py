@@ -7,6 +7,12 @@ the tabloid-orthonormal form.  Each standard polytabloid e_t has {t} as
 its lex-least tabloid, with coefficient 1, so the basis is unitriangular
 and the generator matrices come from peeling leading tabloids off s_i*e_t:
 integer subtraction only, no solve and no straightening.
+
+The column group of a tableau is the product of the symmetric groups of
+its columns, so e_t is summed column by column from one table of signed
+permutations per column length.  The tables are built from the shape
+for one build_specht (or one form) and dropped with it: the table for
+column length L holds L! permutations, never more than the terms of e_t.
 """
 
 from __future__ import annotations
@@ -41,16 +47,37 @@ def _column_blocks(tab: Tableau) -> list[list[int]]:
             for j in range(width)]
 
 
-def _polytabloid(tab: Tableau, m: int) -> SparseVec:
-    out: SparseVec = {}
-    base = tabloid_of(tab, m)
-    for sigma in perms.block_perms(_column_blocks(tab), m):
-        key = [0] * m
-        for p in range(m):
-            key[sigma[p]] = base[p]
-        key_t = tuple(key)
-        out[key_t] = out.get(key_t, 0) + perms.sign(sigma)
-    return {k: v for k, v in out.items() if v}
+def _signed_perms(mu: Partition) -> dict[int, list[tuple[tuple[int, ...], int]]]:
+    """For each column length L of mu, every permutation of range(L)
+    with its sign.  Inserting x into a permutation of range(x) at position
+    q adds x - q inversions."""
+    lengths = set(mu.conjugate().parts)
+    table, tables = [((), 1)], {}
+    for x in range(max(lengths, default=0)):
+        table = [(p[:q] + (x,) + p[q:], -s if (x - q) % 2 else s)
+                 for p, s in table for q in range(x + 1)]
+        if x + 1 in lengths:
+            tables[x + 1] = table
+    return tables
+
+
+def _polytabloid(tab: Tableau, m: int, tables: dict) -> SparseVec:
+    """e_t: the signed sum of the tabloids {sigma t} over the column
+    group, from the _signed_perms tables of t's shape.  A term gives the
+    entries of column c the rows of one permutation p of its length, the
+    i-th entry row p[i]; so a term's rows, read column by column, are the
+    concatenation of one permutation per column, and its sign the product
+    of theirs.  Distinct column permutations give distinct tabloids, so
+    no terms cancel."""
+    cols = _column_blocks(tab)
+    terms = [((), 1)]
+    for col in cols:
+        terms = [(key + p, c * s) for key, c in terms for p, s in tables[len(col)]]
+    # slot[v]: where entry v + 1 sits in the column-by-column reading
+    slot = [0] * m
+    for k, v in enumerate(chain.from_iterable(cols)):
+        slot[v] = k
+    return {tuple(map(key.__getitem__, slot)): c for key, c in terms}
 
 
 class SpechtModule:
@@ -72,7 +99,8 @@ class SpechtModule:
     def form(self) -> list[list[int]]:
         """Gram matrix of the invariant form on the polytabloid basis,
         built on first use: only Gram matrices read it."""
-        polys = [_polytabloid(tab, self._m) for tab in self.basis]
+        tables = _signed_perms(self.mu)
+        polys = [_polytabloid(tab, self._m, tables) for tab in self.basis]
         return [[_dot(a, b) for b in polys] for a in polys]
 
     def perm_matrix(self, sigma: tuple[int, ...]) -> list[SparseVec]:
@@ -97,7 +125,8 @@ def build_specht(mu: Partition) -> SpechtModule:
     m = mu.size
     basis = sorted(standard_tableaux(mu), key=row_word)
     assert len(basis) == specht_dim(mu)
-    polys = [_polytabloid(tab, m) for tab in basis]
+    tables = _signed_perms(mu)
+    polys = [_polytabloid(tab, m, tables) for tab in basis]
     lead = {tabloid_of(tab, m): idx for idx, tab in enumerate(basis)}
     gen_matrices = []
     for i in range(1, m):  # s_i swaps values i, i+1

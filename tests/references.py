@@ -1,6 +1,8 @@
 """Reference constructions shared by several test files: named diagrams
-and algebra elements, permutation helpers and addable boxes.  The
-library runs none of them; the tests compare it against them."""
+and algebra elements, permutation helpers (among them the whole Young
+subgroup and the sign, which the library does without) and addable
+boxes.  The library runs none of them; the tests compare it
+against them."""
 
 from __future__ import annotations
 
@@ -10,8 +12,7 @@ from math import factorial
 from typing import Iterator
 
 from brauerblocks import perms
-from brauerblocks.diagrams import (AlgebraElement, BrauerDiagram, from_diagram,
-                                   perm_diagram)
+from brauerblocks.diagrams import AlgebraElement, BrauerDiagram, perm_diagram
 from brauerblocks.partitions import Box, Partition, specht_dim
 
 
@@ -27,6 +28,38 @@ def compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 def all_perms(m: int) -> Iterator[tuple[int, ...]]:
     return permutations(range(m))
+
+
+def sign(p: tuple[int, ...]) -> int:
+    seen = [False] * len(p)
+    s = 1
+    for i in range(len(p)):
+        if seen[i]:
+            continue
+        j, length = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            length += 1
+        if length % 2 == 0:
+            s = -s
+    return s
+
+
+def block_perms(blocks: list[list[int]], m: int) -> Iterator[tuple[int, ...]]:
+    """All permutations of {0..m-1} preserving each block (Young subgroup)."""
+
+    def rec(i: int, current: list[int]) -> Iterator[tuple[int, ...]]:
+        if i == len(blocks):
+            yield tuple(current)
+            return
+        block = blocks[i]
+        for images in permutations(block):
+            for pos, img in zip(block, images):
+                current[pos] = img
+            yield from rec(i + 1, current)
+
+    yield from rec(0, list(range(m)))
 
 
 def addable_boxes(lam: Partition) -> list[Box]:
@@ -48,6 +81,10 @@ def u_diagram(n: int, i: int) -> BrauerDiagram:
     pairs = [(i, i + 1), (-i, -(i + 1))]
     pairs += [(k, -k) for k in range(1, n + 1) if k not in (i, i + 1)]
     return BrauerDiagram(n, n, pairs)
+
+
+def from_diagram(d: BrauerDiagram, delta: int, coeff=1) -> AlgebraElement:
+    return AlgebraElement(d.n, delta, {d: coeff})
 
 
 def identity_element(n: int, delta: int) -> AlgebraElement:
@@ -103,9 +140,9 @@ def young_symmetrizer(lam: Partition, n: int, delta: int) -> AlgebraElement:
     terms: dict = {}
     rows = perms.row_blocks(lam)
     cols = perms.col_blocks(lam)
-    for c in perms.block_perms(cols, n):
-        sgn = perms.sign(c)
-        for r in perms.block_perms(rows, n):
+    for c in block_perms(cols, n):
+        sgn = sign(c)
+        for r in block_perms(rows, n):
             # diagram product D(c)*D(r) corresponds to the map r o c
             d = perm_diagram(compose(r, c))
             terms[d] = terms.get(d, 0) + sgn

@@ -8,23 +8,19 @@ value together with the proof that it is wrong.
 """
 
 import random
-from math import factorial
 
-import pytest
-
-from brauerblocks import perms
-from brauerblocks.blocks import (hat_steps, hom_target, is_balanced,
-                                 is_minimal, lattice_predict,
-                                 maximal_balanced_sub, weights)
+from brauerblocks.blocks import (hat_steps, is_balanced, is_minimal,
+                                 lattice_predict, maximal_balanced_sub,
+                                 weights)
 from brauerblocks.cells import CellModule, t_action_check
-from brauerblocks.diagrams import all_diagrams, from_diagram
+from brauerblocks.diagrams import all_diagrams
 from brauerblocks.linalg import Echelon
 from brauerblocks.oracle import HomQuery, hom_dim, restriction_multiplicity, \
     verify_blocks
 from brauerblocks.partitions import (EMPTY, Box, Partition, partitions_of,
                                      subpartitions)
-from references import (e, e_bar, identity_element, transposition_element,
-                        u_diagram, young_symmetrizer)
+from references import (e, e_bar, from_diagram, identity_element,
+                        transposition_element, u_diagram, young_symmetrizer)
 
 DELTAS = (-2, -1, 0, 1, 2, 3)
 

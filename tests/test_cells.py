@@ -7,15 +7,14 @@ import pytest
 from brauerblocks.cells import (CellModule, block_sum, enumerate_v,
                                 gram_matrix, t_action_check)
 from brauerblocks.diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
-                                   concat, flip, from_diagram, hook_diagram,
-                                   perm_diagram)
+                                   concat, flip, hook_diagram, perm_diagram)
 from brauerblocks.linalg import SparseVec, mat_vec
 from brauerblocks.partitions import (EMPTY, Partition, partitions_of,
                                      removable_boxes, specht_dim)
 from brauerblocks.specht import build_specht
 from brauerblocks import perms
-from references import (addable_boxes, all_perms, identity_diagram,
-                        identity_element, u_diagram)
+from references import (addable_boxes, all_perms, from_diagram,
+                        identity_diagram, identity_element, u_diagram)
 
 
 def P(*parts):
@@ -358,15 +357,22 @@ def test_action_does_not_alias():
     cell = CellModule(5, 2, P(2, 1))
     vec = cell.to_blocks({j: j % 3 + 1 for j in range(cell.dim)})
     before = copy.deepcopy(vec)
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     diagrams = [identity_diagram(5), hook_diagram(5, 1, 2), hook_diagram(5, 2, 4)]
-    diagrams += [perm_diagram(perms.transposition(5, i, j))
-                 for i in range(5) for j in range(i + 1, 5)]
+    diagrams += [perm_diagram(perms.transposition(5, i, j)) for i, j in pairs]
     for d in diagrams:
         out = cell.act_diagram(d, vec)
         assert vec == before
         for block in out.values():
             block[:] = [c + 7 for c in block]
         assert vec == before, d
+    # swap applies the same transposition diagram, with the same guarantee
+    for i, j in pairs:
+        out = cell.swap(i, j, vec)
+        assert out == cell.act_diagram(perm_diagram(perms.transposition(5, i, j)), vec)
+        for block in out.values():
+            block[:] = [c + 7 for c in block]
+        assert vec == before, (i, j)
     ones = {0: [1] * cell.specht.dim}
     for out in (block_sum([(1, vec), (1, vec)]), block_sum([(1, vec), (-1, ones)])):
         for block in out.values():

@@ -146,6 +146,27 @@ def test_verify_json(capsys):
     assert "sampled-flip-antihom" in names
 
 
+def test_sampled_checks_see_loop_counts(monkeypatch):
+    # a product that closes one loop too many whenever its left factor
+    # has the northern cup {1, 2} fails the sampled checks at every delta;
+    # algebra elements would miss it at delta = 0 or 1, where both sides
+    # scale alike
+    real = cli.concat
+    cup = frozenset({1, 2})
+
+    def miscount(a, b):
+        d, loops = real(a, b)
+        return d, loops + (loops > 0 and cup in a.pairs)
+
+    def failures():
+        return sum(c["status"] == "fail" for seed in range(10)
+                   for c in cli._sampled_checks(4, seed))
+
+    assert failures() == 0
+    monkeypatch.setattr(cli, "concat", miscount)
+    assert failures() == 6
+
+
 def test_render_grid(capsys):
     out = run_ok(capsys, ["render", "0"])
     assert out.strip() == "(empty)"
@@ -159,9 +180,11 @@ def test_render_skew(capsys):
 
 
 def test_render_lattice_dot(capsys):
-    out = run_ok(capsys, ["render", "--format", "dot", "--delta", "1"]
-                 + STAIR)
-    assert out.splitlines()[0] == "digraph lattice {"
+    # render draws grids only; the DOT lattice is lattice --format dot
+    # (test_lattice_dot), and render takes neither --format nor --delta
+    run_usage_error(capsys, ["render", "--format", "dot", "--delta", "1"]
+                    + STAIR)
+    run_usage_error(capsys, ["render", "--delta", "1", "4,2", "2,1"])
 
 
 def test_hom_dim(capsys):
@@ -179,16 +202,16 @@ def test_usage_errors(capsys):
     run_usage_error(capsys, ["minimal", "2,1"])  # missing --delta
     run_usage_error(capsys, ["render", "--delta", "1", "1", "1", "1"])
     run_usage_error(capsys, ["render", "--format", "dot", "--delta", "1", "4,2"])
-    assert "--format dot draws the lattice of a partition pair" in capsys.readouterr().err
+    assert "usage: brauer render [-h] partitions" in capsys.readouterr().err
     run_usage_error(capsys, ["no-such-verb"])
 
 
 def test_value_errors_exit_two(capsys):
     assert cli.run(["hom-dim", "--n", "3", "--delta", "1", "2", "0"]) == 2
     assert cli.run(["render", "1", "2"]) == 2  # skew needs containment
-    assert cli.run(["render", "--format", "dot"] + STAIR) == 2  # no delta
     assert cli.run(["lattice", "--delta", "1", "2,2", "0"]) == 2
     capsys.readouterr()
+    run_usage_error(capsys, ["render", "--format", "dot"] + STAIR)
 
 
 def test_assertion_exits_three(capsys, monkeypatch):

@@ -4,12 +4,12 @@ import pytest
 
 from brauerblocks import perms
 from brauerblocks.diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
-                                   concat, flip, format_diagram, from_diagram,
-                                   hook_diagram, perm_diagram)
+                                   concat, flip, format_diagram, hook_diagram,
+                                   perm_diagram)
 from brauerblocks.partitions import Partition, partitions_of
-from references import (all_perms, compose, e, e_bar, identity_diagram,
-                        identity_element, transposition_element, u_diagram,
-                        young_symmetrizer)
+from references import (all_perms, compose, e, e_bar, from_diagram,
+                        identity_diagram, identity_element,
+                        transposition_element, u_diagram, young_symmetrizer)
 
 
 def parse_diagram(text: str) -> BrauerDiagram:

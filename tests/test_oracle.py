@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 
 from brauerblocks import cli, perms
-from brauerblocks.blocks import hom_target, is_balanced, weights
+from brauerblocks.blocks import hom_target, weights
 from brauerblocks.cells import CellModule, enumerate_v
 from brauerblocks.diagrams import (BrauerDiagram, all_diagrams, concat,
                                    hook_diagram, perm_diagram)
@@ -21,7 +21,7 @@ from brauerblocks.oracle import (HomQuery, _cycle_rep, _orbit_reps,
 from brauerblocks.partitions import (EMPTY, Partition, mn_character,
                                      partitions_of, removable_boxes,
                                      specht_dim)
-from references import e_bar, identity, identity_diagram
+from references import block_perms, e_bar, identity, identity_diagram, sign
 
 DELTAS = (-2, -1, 0, 1, 2, 3)
 
@@ -380,13 +380,13 @@ def test_symmetry_cuts_match_full_scan():
     assert check_symmetry_cuts(8, -1, P(3, 3, 1, 1), P(1, 1, 1, 1))
 
 
-def young_sum(cell, vec, blocks, sign):
+def young_sum(cell, vec, blocks, signed):
     """Sum over every element of the Young subgroup on blocks (signed
-    when sign = -1), applied to vec one permutation diagram at a time."""
+    when signed = -1), applied to vec one permutation diagram at a time."""
     out = {}
-    for p in perms.block_perms(blocks, cell.n):
+    for p in block_perms(blocks, cell.n):
         out = vec_add(out, cell.flatten(cell.act_diagram(perm_diagram(p), cell.to_blocks(vec))),
-                      perms.sign(p) if sign < 0 else 1)
+                      sign(p) if signed < 0 else 1)
     return out
 
 
@@ -397,7 +397,7 @@ def invariant_dim(mu: Partition, a: tuple[int, ...]) -> int:
     for size in a:
         blocks.append(list(range(start, start + size)))
         start += size
-    group = list(perms.block_perms(blocks, mu.size))
+    group = list(block_perms(blocks, mu.size))
     total = sum(mn_character(mu, cycle_type(p)) for p in group)
     assert total % len(group) == 0
     return total // len(group)
@@ -425,15 +425,9 @@ def test_invariant_seeds():
         cell = CellModule(k, delta, mu)
         row_of = [r for r, part in enumerate(lam.parts) for _ in range(part)]
         row_bl, col_bl = perms.row_blocks(lam), perms.col_blocks(lam)
-        swaps = {(i, j): perm_diagram(perms.transposition(k, i, j))
-                 for pts in row_bl for b, j in enumerate(pts) for i in pts[:b]}
-
-        def act(i, j, vec):
-            return cell.act_diagram(swaps[i, j], vec)
-
         ech = Echelon()
         for v_idx, seeds in zip(_orbit_reps(cell.v_list, lam),
-                                _orbit_seeds(cell, lam, act), strict=True):
+                                _orbit_seeds(cell, lam), strict=True):
             a = [0] * lam.rows
             for node in cell.v_list[v_idx].free:
                 a[row_of[node - 1]] += 1

@@ -7,9 +7,10 @@ from brauerblocks import linalg
 from brauerblocks.linalg import SparseVec
 from brauerblocks.partitions import (Partition, mn_character, partitions_of,
                                      specht_dim, standard_tableaux)
-from brauerblocks.specht import (SpechtModule, _polytabloid, build_specht,
-                                 row_word, tabloid_of)
-from references import all_perms, compose, identity
+from brauerblocks.specht import (SpechtModule, _column_blocks, _polytabloid,
+                                 _signed_perms, build_specht, row_word,
+                                 tabloid_of)
+from references import all_perms, block_perms, compose, identity, sign
 
 
 @lru_cache(maxsize=None)
@@ -51,12 +52,40 @@ def test_polytabloid_leading_tabloid():
     for n in range(8):
         for lam in partitions_of(n):
             leads = set()
+            tables = _signed_perms(lam)
             for tab in standard_tableaux(lam):
-                poly = _polytabloid(tab, n)
+                poly = _polytabloid(tab, n, tables)
                 key = tabloid_of(tab, n)
                 assert min(poly) == key and poly[key] == 1
                 leads.add(key)
             assert len(leads) == specht_dim(lam)
+
+
+def whole_group_polytabloid(tab, m: int) -> SparseVec:
+    """e_t summed over the whole column group at once, each element's
+    sign worked out from its cycles."""
+    out: SparseVec = {}
+    base = tabloid_of(tab, m)
+    for sigma in block_perms(_column_blocks(tab), m):
+        key = [0] * m
+        for p in range(m):
+            key[sigma[p]] = base[p]
+        key_t = tuple(key)
+        out[key_t] = out.get(key_t, 0) + sign(sigma)
+    return {k: v for k, v in out.items() if v}
+
+
+def test_polytabloid_matches_whole_group_sum():
+    # the column-by-column sum equals the sum over the whole column
+    # group on every standard tableau of 0..8 boxes
+    count = 0
+    for n in range(9):
+        for lam in partitions_of(n):
+            tables = _signed_perms(lam)
+            for tab in standard_tableaux(lam):
+                assert _polytabloid(tab, n, tables) == whole_group_polytabloid(tab, n), tab
+                count += 1
+    assert count == 1116
 
 
 def test_dims():

@@ -1,7 +1,8 @@
 """The library holds only what it runs: every public module-level
 function or class of the package is exported or used by the package,
 its scripts or its benchmark.  Tests are not read, so a name only tests
-call belongs beside those tests."""
+call belongs beside those tests.  And no file of the package, its
+tests or its scripts imports a name it never reads."""
 
 import ast
 from pathlib import Path
@@ -50,3 +51,32 @@ def test_every_public_name_is_used():
                     and stmt.name not in exported | used):
                 unused.append(f"{path.stem}.{stmt.name}")
     assert not unused, f"public names nothing outside tests uses: {unused}"
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names an import in tree binds and nothing in tree reads; a name
+    listed in __all__ counts as read, and __future__ imports are exempt."""
+    bound: set[str] = set()
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return sorted(bound - read)
+
+
+def test_no_unused_imports():
+    unused = []
+    for folder in (PACKAGE, ROOT / "tests", ROOT / "scripts"):
+        for path in sorted(folder.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            unused += [f"{path.parent.name}/{path.name}: {name}"
+                       for name in unused_imports(tree)]
+    assert not unused, f"imported and never read: {unused}"
