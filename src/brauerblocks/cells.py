@@ -20,9 +20,15 @@ every block of a vector.  block_sum is the one way to combine block
 vectors.  Lists in a block vector are never shared with another vector,
 so a caller may mutate what it is given back.
 
-swap applies the transposition of two points through the same move
-tables, so a caller that permutes nodes never builds a diagram: each
-pair's permutation diagram is made on first use and kept on the module.
+A transposition of two points needs no diagram and no strand walk: it
+relabels v's arcs, and each free node f of v goes to the rank of its
+image in w.  swap_sum applies vec + sign * (sum of several
+transpositions) in one pass, from one such move table per pair, filled
+in that closed form on first use and kept on the module.  Every other
+diagram's node links are read once, into a table kept on the module
+beside its move table (gram_matrix drops each row's diagram's table
+with the row), and each one-row diagram's free nodes are stored at
+construction.
 
 The Gram form is read through the same strand walk (_move), as sparse
 rows, and t_action_check is the one check that the central element acts
@@ -37,7 +43,7 @@ from typing import Iterator, NamedTuple
 
 from brauerblocks import perms, specht
 from brauerblocks.blocks import check_weight
-from brauerblocks.diagrams import BrauerDiagram, hook_diagram, perm_diagram
+from brauerblocks.diagrams import BrauerDiagram, hook_diagram
 from brauerblocks.linalg import SparseVec
 from brauerblocks.partitions import Partition, content_sum
 from brauerblocks.specht import SpechtModule
@@ -103,22 +109,27 @@ class CellModule:
         self.specht = _specht(mu)
         self.v_list = enumerate_v(n, self.t)
         self._v_index = {v.arcs: i for i, v in enumerate(self.v_list)}
-        # per one-row diagram, indexed by node 1..n: the arc partner (0 if
-        # free) and the rank among the free nodes (-1 if on an arc)
+        # per one-row diagram: its free nodes, and indexed by node 1..n the
+        # arc partner (0 if free) and the rank among the free nodes (-1 if
+        # on an arc)
+        self.free_nodes: list[tuple[int, ...]] = []
         self._mate: list[list[int]] = []
         self._rank: list[list[int]] = []
         for v in self.v_list:
+            free = v.free
             mate = [0] * (n + 1)
             for a, b in v.arcs:
                 mate[a], mate[b] = b, a
             rank = [-1] * (n + 1)
-            for k, f in enumerate(v.free):
+            for k, f in enumerate(free):
                 rank[f] = k
+            self.free_nodes.append(free)
             self._mate.append(mate)
             self._rank.append(rank)
         self._identity = tuple(range(mu.size))
         self._moves: dict[BrauerDiagram, list] = {}
-        self._swaps: dict[tuple[int, int], BrauerDiagram] = {}
+        self._links: dict[BrauerDiagram, list[int]] = {}
+        self._swaps: dict[tuple[int, int], list] = {}
 
     @property
     def dim(self) -> int:
@@ -135,12 +146,14 @@ class CellModule:
         into loops."""
         n, m = self.n, self.mu.size
         mate, rank = self._mate[v_idx], self._rank[v_idx]
-        # north x sits at x, south j at n + j
-        link = [0] * (2 * n + 1)
-        for a, b in d.pairs:
-            a = a if a > 0 else n - a
-            b = b if b > 0 else n - b
-            link[a], link[b] = b, a
+        link = self._links.get(d)
+        if link is None:
+            # north x sits at x, south j at n + j
+            link = self._links[d] = [0] * (2 * n + 1)
+            for a, b in d.pairs:
+                a = a if a > 0 else n - a
+                b = b if b > 0 else n - b
+                link[a], link[b] = b, a
         seen = [False] * (2 * n + 1)
         arcs = []
         pinv = [0] * m
@@ -223,13 +236,48 @@ class CellModule:
                         acc[i] += a * c
         return {w_idx: acc for w_idx, acc in out.items() if any(acc)}
 
-    def swap(self, i: int, j: int, vec: BlockVec) -> BlockVec:
-        """The transposition of the 0-based points i and j applied to a
-        block vector, through the move table of its permutation diagram."""
-        d = self._swaps.get((i, j))
-        if d is None:
-            d = self._swaps[i, j] = perm_diagram(perms.transposition(self.n, i, j))
-        return self.act_diagram(d, vec)
+    def _swap_move(self, i: int, j: int, v_idx: int):
+        """The move-table entry of the transposition of the 0-based points
+        i and j at the v-th one-row diagram, in closed form: w is v with
+        its arcs relabelled, and free node f of v goes to the rank of its
+        image in w.  No loop closes and no strand drops, so the scale is 1."""
+        tau = perms.transposition(self.n + 1, i + 1, j + 1)
+        arcs = sorted((tau[a], tau[b]) if tau[a] < tau[b] else (tau[b], tau[a])
+                      for a, b in self.v_list[v_idx].arcs)
+        w_idx = self._v_index[tuple(arcs)]
+        rank = self._rank[w_idx]
+        pinv = tuple(rank[tau[f]] for f in self.free_nodes[v_idx])
+        cols = None if pinv == self._identity else self.specht.perm_matrix(pinv)
+        return (w_idx, cols, 1)
+
+    def swap_sum(self, vec: BlockVec, pairs, sign: int) -> BlockVec:
+        """vec + sign * the sum of the transpositions of the 0-based point
+        pairs applied to vec, built in one fresh accumulator: the result
+        shares no list with vec and has no zero block."""
+        f = self.specht.dim
+        out: BlockVec = {v_idx: list(block) for v_idx, block in vec.items()}
+        for i, j in pairs:
+            moves = self._swaps.get((i, j))
+            if moves is None:
+                moves = self._swaps[i, j] = [_UNFILLED] * len(self.v_list)
+            for v_idx, block in vec.items():
+                move = moves[v_idx]
+                if move is _UNFILLED:
+                    move = moves[v_idx] = self._swap_move(i, j, v_idx)
+                w_idx, cols, _ = move
+                acc = out.get(w_idx)
+                if cols is None:
+                    out[w_idx] = ([sign * c for c in block] if acc is None
+                                  else [a + sign * c for a, c in zip(acc, block)])
+                    continue
+                if acc is None:
+                    acc = out[w_idx] = [0] * f
+                for k, c in enumerate(block):
+                    if c:
+                        c *= sign
+                        for x, a in cols[k].items():
+                            acc[x] += a * c
+        return {w_idx: acc for w_idx, acc in out.items() if any(acc)}
 
     def flatten(self, vec: BlockVec) -> SparseVec:
         """The flat sparse vector {v*f + x: value} of a block vector."""
@@ -290,7 +338,8 @@ def gram_matrix(cell: CellModule) -> list[SparseVec]:
     top = [(a, a + 1) for a in range(m + 1, n, 2)]
     gram: list[SparseVec] = [{} for _ in range(cell.dim)]
     for vi, v in enumerate(cell.v_list):
-        d_v = BrauerDiagram(n, n, top + [(k + 1, -x) for k, x in enumerate(v.free)]
+        d_v = BrauerDiagram(n, n, top + [(k + 1, -x)
+                                         for k, x in enumerate(cell.free_nodes[vi])]
                             + [(-a, -b) for a, b in v.arcs])
         for wi in range(len(cell.v_list)):
             move = cell._move(d_v, wi)
@@ -303,6 +352,8 @@ def gram_matrix(cell: CellModule) -> list[SparseVec]:
                     val = scale * sum(form[j][i] * a for i, a in col.items())
                     if val:
                         gram[vi * f + j][wi * f + k] = val
+        # d_v serves this row only; its link table would outlive it
+        del cell._links[d_v]
     return gram
 
 
@@ -315,8 +366,7 @@ def t_action_check(cell: CellModule) -> bool:
     hooks = [hook_diagram(n, i + 1, j + 1) for i, j in pairs]
     for b in range(cell.dim):
         unit = cell.to_blocks({b: 1})
-        if block_sum([(-scalar, unit)]
-                     + [(1, cell.act_diagram(h, unit)) for h in hooks]
-                     + [(-1, cell.swap(i, j, unit)) for i, j in pairs]):
+        if block_sum([(-scalar - 1, unit), (1, cell.swap_sum(unit, pairs, -1))]
+                     + [(1, cell.act_diagram(h, unit)) for h in hooks]):
             return False
     return True

@@ -264,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default="text")
         if seed:
             p.add_argument("--seed", type=int, default=0)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, usage_error=p.error)
         return p
 
     add("blocks", _cmd_blocks, "group the weights of B_n(delta) into blocks",
@@ -285,8 +285,10 @@ def _build_parser() -> argparse.ArgumentParser:
         n="required", seed=True)
     renderp = sub.add_parser("render",
                              help="ASCII grid of a partition or a skew shape")
-    renderp.add_argument("partitions", type=_partition, nargs="+")
-    renderp.set_defaults(func=_cmd_render)
+    # read as text and parsed in run, so that an unknown option is
+    # reported by name, not as a bad partition literal
+    renderp.add_argument("partitions", nargs="+")
+    renderp.set_defaults(func=_cmd_render, usage_error=renderp.error)
     add("hom-dim", _cmd_hom_dim,
         "dimension of the Hom space between two cell modules", n="required",
         parts=2)
@@ -295,9 +297,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.verb == "render" and len(args.partitions) > 2:
-        parser.error("render takes one partition or a partition pair")
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        args.usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    if args.verb == "render":
+        if len(args.partitions) > 2:
+            args.usage_error("render takes one partition or a partition pair")
+        try:
+            args.partitions = [parse_partition(p) for p in args.partitions]
+        except ValueError as exc:
+            args.usage_error(f"argument partitions: {exc}")
     try:
         return args.func(args)
     except AssertionError as exc:

@@ -20,7 +20,8 @@ one block of the target module, the permutation traces from the moves
 that send a one-row diagram to itself, and the Gram rank from the sparse
 rows of cells.gram_matrix.  Every transposition the Hom route applies,
 in a row sum, a column sum or the fixed-vector search, goes through the
-module's own CellModule.swap.
+module's own CellModule.swap_sum, one call per coset step, which moves
+blocks by the closed-form transposition tables and walks no strand.
 
 Module dimensions are capped via the BRAUER_MAX_DIM environment variable
 (a positive integer, default 400) so that a stray query cannot wedge a
@@ -46,8 +47,8 @@ from typing import Iterator
 from . import perms
 from .blocks import (WeightSet, block_partition, check_weight, hom_target,
                      is_balanced, is_minimal, weights)
-from .cells import (BlockVec, CellModule, PartialOneRowDiagram, block_sum,
-                    gram_matrix, t_action_check)
+from .cells import (BlockVec, CellModule, PartialOneRowDiagram, gram_matrix,
+                    t_action_check)
 from .diagrams import hook_diagram, perm_diagram
 from .linalg import Echelon, SparseVec, rank_of
 from .partitions import (Partition, conjugacy_class_size, content_sum,
@@ -250,12 +251,11 @@ def _group_sum(cell: CellModule, vec: BlockVec, blocks: list[list[int]],
     """The sum (sign 1) or signed sum (sign -1) of the Young subgroup on
     blocks, applied to vec in the cell module.  Coset transversals keep
     the term count at block_len^2 instead of block_len!; the identity
-    coset acts trivially.  Each coset step is one block_sum of vec and
+    coset acts trivially.  Each coset step is one swap_sum of vec and
     its j transposed images."""
     for pts in blocks:
         for j in range(1, len(pts)):
-            vec = block_sum([(1, vec)] + [(sign, cell.swap(pts[i], pts[j], vec))
-                                          for i in range(j)])
+            vec = cell.swap_sum(vec, [(pts[i], pts[j]) for i in range(j)], sign)
     return vec
 
 
@@ -291,7 +291,7 @@ def _orbit_seeds(cell: CellModule, lam: Partition) -> Iterator[list[BlockVec]]:
     invariants: dict[tuple[int, ...], list[list[int]]] = {}
     for v_idx in _orbit_reps(cell.v_list, lam):
         rows: list[list[int]] = [[] for _ in range(lam.rows)]
-        for node in cell.v_list[v_idx].free:
+        for node in cell.free_nodes[v_idx]:
             rows[row_of[node]].append(node - 1)
         a = tuple(map(len, rows))
         if a not in invariants:

@@ -98,10 +98,16 @@ class SpechtModule:
     @cached_property
     def form(self) -> list[list[int]]:
         """Gram matrix of the invariant form on the polytabloid basis,
-        built on first use: only Gram matrices read it."""
+        built on first use: only Gram matrices read it.  The form is
+        symmetric, so each pair is computed once and mirrored."""
         tables = _signed_perms(self.mu)
         polys = [_polytabloid(tab, self._m, tables) for tab in self.basis]
-        return [[_dot(a, b) for b in polys] for a in polys]
+        form = [[0] * len(polys) for _ in polys]
+        for i, a in enumerate(polys):
+            row = form[i]
+            for j in range(i, len(polys)):
+                row[j] = form[j][i] = _dot(a, polys[j])
+        return form
 
     def perm_matrix(self, sigma: tuple[int, ...]) -> list[SparseVec]:
         """Sparse-column matrix of a permutation of 1..m (0-based tuple),

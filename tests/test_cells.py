@@ -237,6 +237,7 @@ def test_gram_matches_concat_reading():
         for delta in DELTAS:
             for cell in cell_modules(n, delta):
                 gram = gram_matrix(cell)
+                assert not cell._links, cell  # no row's diagram outlives it
                 assert all(all(row.values()) for row in gram), cell
                 assert dense(gram, cell.dim) == concat_gram(cell), cell
                 count += 1
@@ -366,13 +367,18 @@ def test_action_does_not_alias():
         for block in out.values():
             block[:] = [c + 7 for c in block]
         assert vec == before, d
-    # swap applies the same transposition diagram, with the same guarantee
-    for i, j in pairs:
-        out = cell.swap(i, j, vec)
-        assert out == cell.act_diagram(perm_diagram(perms.transposition(5, i, j)), vec)
-        for block in out.values():
-            block[:] = [c + 7 for c in block]
-        assert vec == before, (i, j)
+    # swap_sum adds vec and its signed transposed images in a fresh
+    # accumulator, with the same guarantee
+    for sign in (1, -1):
+        for chosen in [[p] for p in pairs] + [pairs]:
+            out = cell.swap_sum(vec, chosen, sign)
+            assert out == block_sum([(1, vec)] + [
+                (sign, cell.act_diagram(perm_diagram(perms.transposition(5, i, j)), vec))
+                for i, j in chosen])
+            assert vec == before
+            for block in out.values():
+                block[:] = [c + 7 for c in block]
+            assert vec == before, (chosen, sign)
     ones = {0: [1] * cell.specht.dim}
     for out in (block_sum([(1, vec), (1, vec)]), block_sum([(1, vec), (-1, ones)])):
         for block in out.values():
@@ -383,6 +389,61 @@ def test_action_does_not_alias():
     assert out == {v: [3 * c for c in block] if v == 1 else block
                    for v, block in vec.items() if v != 0}
     assert vec == before
+
+
+def test_swap_tables_match_decompose():
+    # the closed-form move of each transposition equals the strand walk
+    # of its permutation diagram, entry by entry, on every module of
+    # n <= 7; a vector with every block nonzero fills the whole table
+    count = 0
+    for n in range(8):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        diagrams = {p: perm_diagram(perms.transposition(n, *p)) for p in pairs}
+        for delta in DELTAS:
+            for cell in cell_modules(n, delta):
+                f = cell.specht.dim
+                full = {v_idx: [1] * f for v_idx in range(len(cell.v_list))}
+                cell.swap_sum(full, pairs, 1)
+                for p in pairs:
+                    table = cell._swaps[p]
+                    for v_idx, move in enumerate(table):
+                        assert move == cell._move(diagrams[p], v_idx), (cell, p, v_idx)
+                    count += len(table)
+    assert count == 94244
+
+
+def test_swap_sum_matches_act_diagram(rng):
+    # random integer vectors, random pairs and both signs: swap_sum is the
+    # block_sum of vec and the signed actions of the permutation diagrams
+    for n in range(2, 7):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for delta in (0, 1, 3):
+            for cell in cell_modules(n, delta):
+                f = cell.specht.dim
+                for _ in range(4):
+                    vec = {v_idx: [rng.randint(-3, 3) for _ in range(f)]
+                           for v_idx in range(len(cell.v_list))
+                           if rng.random() < 0.5}
+                    vec = {v_idx: block for v_idx, block in vec.items() if any(block)}
+                    chosen = rng.sample(pairs, rng.randint(1, len(pairs)))
+                    sign = rng.choice((1, -1))
+                    got = cell.swap_sum(vec, chosen, sign)
+                    for block in got.values():
+                        assert type(block) is list and len(block) == f
+                        assert all_int(block) and any(block)
+                    assert got == block_sum([(1, vec)] + [
+                        (sign, cell.act_diagram(perm_diagram(perms.transposition(n, i, j)), vec))
+                        for i, j in chosen]), (cell, chosen, sign)
+    # (1 2) fixes the arc 1-2 and its free nodes, so vec - (1 2)vec
+    # cancels that block and keeps the one it moves
+    cell = CellModule(4, 1, P(1, 1))
+    arcs = [v.arcs for v in cell.v_list]
+    fixed, moved = arcs.index(((1, 2),)), arcs.index(((1, 3),))
+    vec = {fixed: [2, -1], moved: [1, 3]}
+    got = cell.swap_sum(vec, [(0, 1)], -1)
+    assert fixed not in got and moved in got
+    assert got == block_sum([(1, vec), (-1, cell.act_diagram(
+        perm_diagram(perms.transposition(4, 0, 1)), vec))])
 
 
 def test_restriction_rule():

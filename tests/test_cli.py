@@ -206,6 +206,17 @@ def test_usage_errors(capsys):
     run_usage_error(capsys, ["no-such-verb"])
 
 
+def test_render_names_an_unknown_option(capsys):
+    # the unknown option is named, not read as a bad partition literal
+    run_usage_error(capsys, ["render", "--format", "dot", "--delta", "1", "4,2"])
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --format" in err
+    assert "partition literal" not in err
+    run_usage_error(capsys, ["render", "2,x"])
+    assert "bad partition literal '2,x'" in capsys.readouterr().err
+    assert run_ok(capsys, ["render", "4,2", "2,1"]) == "[.][.][2][3]\n[.][0]\n"
+
+
 def test_value_errors_exit_two(capsys):
     assert cli.run(["hom-dim", "--n", "3", "--delta", "1", "2", "0"]) == 2
     assert cli.run(["render", "1", "2"]) == 2  # skew needs containment

@@ -12,7 +12,7 @@ from brauerblocks.cells import CellModule, enumerate_v
 from brauerblocks.diagrams import (BrauerDiagram, all_diagrams, concat,
                                    hook_diagram, perm_diagram)
 from brauerblocks.linalg import Echelon, SparseVec, rank_of, vec_add
-from brauerblocks.oracle import (HomQuery, _cycle_rep, _orbit_reps,
+from brauerblocks.oracle import (HomQuery, _cycle_rep, _last_cell, _orbit_reps,
                                  _orbit_seeds, _perm_traces,
                                  block_graph, cell_dim, central_scalar,
                                  central_scalar_value, even_lr_sum,
@@ -598,3 +598,34 @@ def test_no_cell_module_outlives_a_run(monkeypatch):
     gc.collect()
     assert built
     assert [key for key, ref in built if ref() is not None] == []
+
+
+def test_route_walks_no_permutation_diagram(monkeypatch):
+    # the Hom route applies every transposition through swap_sum's
+    # closed-form tables: on each route query of n <= 6 the strand walk
+    # sees the hooks and never a permutation diagram
+    walked = Counter()
+    decompose = CellModule.decompose
+
+    def recording_decompose(self, d, v_idx):
+        walked[all(min(p) < 0 < max(p) for p in d.pairs)] += 1
+        return decompose(self, d, v_idx)
+
+    monkeypatch.setattr(CellModule, "decompose", recording_decompose)
+    _last_cell.cache_clear()
+    queries = 0
+    try:
+        for n in range(7):
+            for delta in DELTAS:
+                ws = weights(n, delta).weights
+                for lam in ws:
+                    for mu in ws:
+                        if (mu.size < lam.size and even_lr_sum(lam, mu)
+                                and central_scalar_value(n, delta, lam)
+                                == central_scalar_value(n, delta, mu)):
+                            hom_dim(HomQuery(n, delta, lam, mu))
+                            queries += 1
+    finally:
+        _last_cell.cache_clear()
+    assert queries == 41
+    assert walked[False] and not walked[True], walked

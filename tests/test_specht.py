@@ -7,9 +7,9 @@ from brauerblocks import linalg
 from brauerblocks.linalg import SparseVec
 from brauerblocks.partitions import (Partition, mn_character, partitions_of,
                                      specht_dim, standard_tableaux)
-from brauerblocks.specht import (SpechtModule, _column_blocks, _polytabloid,
-                                 _signed_perms, build_specht, row_word,
-                                 tabloid_of)
+from brauerblocks.specht import (SpechtModule, _column_blocks, _dot,
+                                 _polytabloid, _signed_perms, build_specht,
+                                 row_word, tabloid_of)
 from references import all_perms, block_perms, compose, identity, sign
 
 
@@ -86,6 +86,23 @@ def test_polytabloid_matches_whole_group_sum():
                 assert _polytabloid(tab, n, tables) == whole_group_polytabloid(tab, n), tab
                 count += 1
     assert count == 1116
+
+
+def full_form(md: SpechtModule) -> list[list[int]]:
+    """The form over all f^2 ordered pairs of polytabloids: the body of
+    SpechtModule.form before it mirrored the symmetric half."""
+    tables = _signed_perms(md.mu)
+    polys = [_polytabloid(tab, md.mu.size, tables) for tab in md.basis]
+    return [[_dot(a, b) for b in polys] for a in polys]
+
+
+def test_form_matches_full_pairing():
+    count = 0
+    for n in range(9):
+        for lam in partitions_of(n):
+            assert module(lam).form == full_form(module(lam)), lam
+            count += 1
+    assert count == 67
 
 
 def test_dims():
