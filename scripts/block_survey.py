@@ -10,6 +10,10 @@ the linear-algebra oracle (slower; dimensions capped by BRAUER_MAX_DIM).
 import argparse
 import sys
 import time
+from pathlib import Path
+
+# run from a checkout: import the package from the src/ beside this script
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from brauerblocks.blocks import block_partition, hom_target, is_minimal
 from brauerblocks.oracle import verify_blocks

@@ -13,6 +13,10 @@ printed; none is expected.
 import argparse
 import sys
 import time
+from pathlib import Path
+
+# run from a checkout: import the package from the src/ beside this script
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from brauerblocks.blocks import is_balanced, is_minimal, minimal_weight
 from brauerblocks.partitions import EMPTY, Partition, partitions_of, subpartitions

@@ -7,7 +7,7 @@ small n.  Everything runs over Python ints, with Fractions only in
 algebra-element coefficients; no floats.
 """
 
-from brauerblocks.partitions import Box, Partition, SkewShape
+from brauerblocks.partitions import Box, InvariantError, Partition, SkewShape
 from brauerblocks.diagrams import AlgebraElement, BrauerDiagram
 from brauerblocks.specht import SpechtModule, build_specht
 from brauerblocks.cells import CellModule
@@ -21,6 +21,7 @@ from brauerblocks.oracle import (BlockGraph, HomQuery, block_graph,
 
 __all__ = [
     "Box",
+    "InvariantError",
     "Partition",
     "SkewShape",
     "AlgebraElement",

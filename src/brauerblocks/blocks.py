@@ -18,16 +18,17 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, starmap, zip_longest
 
 from .partitions import (
     EMPTY,
     Box,
+    InvariantError,
     Partition,
     SkewShape,
     partition_minus,
     partitions_of,
     removable_boxes,
-    skew,
 )
 
 
@@ -59,24 +60,33 @@ def check_weight(n: int, delta: int, mu: Partition) -> None:
         raise ValueError(f"{mu} is not a weight of B_{n}({delta})")
 
 
-def _side_balanced(boxes: frozenset[Box], delta: int) -> bool:
-    counts = Counter(b.content for b in boxes)
-    for c in counts:
-        if counts[c] != counts[1 - delta - c]:
-            return False
-    if delta % 2 == 0:
-        gamma = (2 - delta) // 2
-        tops = [b for b in boxes if b.content == gamma]
-        if tops:
-            # content-gamma boxes sit on one diagonal, so the latest-row
-            # box is the one with no gamma box in a greater column
-            top = max(tops, key=lambda b: b.row)
-            if Box(top.row + 1, top.col) in boxes and len(tops) % 2 != 0:
-                return False
-    else:
-        if counts[(1 - delta) // 2] % 2 != 0:
-            return False
-    return True
+def _side_balanced(runs: list[tuple[int, int]], delta: int) -> bool:
+    """The balanced test on one difference shape, given row by row as
+    content runs: row i (0-based) holds the contents lo, ..., hi - 1."""
+    contents = sorted(chain.from_iterable(starmap(range, runs)))
+    # symmetric under c -> 1-delta-c exactly when the sorted contents
+    # pair up from both ends; then the self-paired content (odd delta)
+    # has the parity of the whole count
+    if contents != [1 - delta - c for c in reversed(contents)] or len(contents) % 2:
+        return False
+    if delta % 2:
+        return True
+    gamma = (2 - delta) // 2
+    rows = [i for i, (lo, hi) in enumerate(runs) if lo <= gamma < hi]
+    if len(rows) % 2 == 0:
+        return True
+    # content-gamma boxes sit on one diagonal; the box below the latest
+    # one has content gamma - 1 in the next row
+    lo, hi = runs[rows[-1] + 1] if rows[-1] + 1 < len(runs) else (0, 0)
+    return not lo < gamma <= hi
+
+
+def _row_runs(lam: Partition, mu: Partition) -> list[tuple[int, int]]:
+    """Per row i (0-based), (mu_i - i, lam_i - i): lam holds the contents
+    mu_i - i, ..., lam_i - i - 1 beyond mu there, and mu holds the swapped
+    run beyond lam."""
+    rows = zip_longest(lam.parts, mu.parts, fillvalue=0)
+    return [(q - i, p - i) for i, (p, q) in enumerate(rows)]
 
 
 def is_balanced(lam: Partition, mu: Partition, delta: int) -> bool:
@@ -86,9 +96,9 @@ def is_balanced(lam: Partition, mu: Partition, delta: int) -> bool:
     multiset symmetric under c -> 1-delta-c, with an extra parity
     condition on the self-paired content.
     """
-    lam_side, mu_side = skew(lam, mu)
-    return (_side_balanced(lam_side.boxes, delta)
-            and _side_balanced(mu_side.boxes, delta))
+    runs = _row_runs(lam, mu)
+    return (_side_balanced(runs, delta)
+            and _side_balanced([(hi, lo) for lo, hi in runs], delta))
 
 
 def _shifted(lam: Partition, delta: int, rank: int) -> list[int]:
@@ -96,8 +106,7 @@ def _shifted(lam: Partition, delta: int, rank: int) -> list[int]:
     (0-based i), lam' the conjugate padded with zeros to rank entries."""
     if rank <= lam.row(0):
         raise ValueError(f"rank {rank} must exceed the largest part of {lam}")
-    col = lam.conjugate()
-    return [2 * col.row(i) - delta - 2 * i for i in range(rank)]
+    return [2 * c - delta - 2 * i for i, c in enumerate(lam.columns(rank))]
 
 
 def block_key(lam: Partition, delta: int, rank: int) -> tuple:
@@ -113,14 +122,15 @@ def block_key(lam: Partition, delta: int, rank: int) -> tuple:
 def bias(lam: Partition, tau: Partition, delta: int) -> int:
     """Content sum over the symmetric difference, recentred so that
     balanced pairs have bias zero."""
-    lam_side, tau_side = skew(lam, tau)
-    boxes = list(lam_side.boxes) + list(tau_side.boxes)
-    if len(boxes) % 2 != 0:
+    runs = _row_runs(lam, tau)
+    size = sum(abs(hi - lo) for lo, hi in runs)
+    if size % 2 != 0:
         raise ValueError(
-            f"symmetric difference of {lam} and {tau} has odd size {len(boxes)}"
+            f"symmetric difference of {lam} and {tau} has odd size {size}"
         )
-    t = len(boxes) // 2
-    return sum(b.content for b in boxes) - t * (1 - delta)
+    # row i's run holds the contents from min(lo, hi) to max(lo, hi) - 1
+    total = sum(abs(hi - lo) * (lo + hi - 1) // 2 for lo, hi in runs)
+    return total - size // 2 * (1 - delta)
 
 
 @dataclass(frozen=True)
@@ -146,8 +156,10 @@ def block_partition(n: int, delta: int) -> BlockPartition:
     for members in groups.values():
         members.sort(key=lambda p: (p.size, p.parts))
         least = members[0]
-        assert all(is_balanced(least, m, delta) for m in members), (members, delta)
-        assert [m.size for m in members].count(least.size) == 1, members
+        if not all(is_balanced(least, m, delta) for m in members):
+            raise InvariantError((members, delta))
+        if [m.size for m in members].count(least.size) != 1:
+            raise InvariantError(members)
         classes.append((least, tuple(members)))
     classes.sort(key=lambda c: (c[0].size, c[0].parts))
     return BlockPartition(n, delta, tuple(classes))
@@ -283,8 +295,10 @@ def maximal_balanced_sub(lam: Partition, mu: Partition, delta: int) -> Partition
                if not any(t < s for t in grown)]
     chosen = min(minimal, key=lambda s: sorted(s))
     result = partition_minus(lam, chosen)
-    assert result is not None, (lam, mu, sorted(chosen))
-    assert is_balanced(lam, result, delta), (lam, result, delta)
+    if result is None:
+        raise InvariantError((lam, mu, sorted(chosen)))
+    if not is_balanced(lam, result, delta):
+        raise InvariantError((lam, result, delta))
     return result
 
 
@@ -301,20 +315,23 @@ def hat_steps(lam: Partition, delta: int) -> tuple[SkewShape, list[tuple[str, li
     r0, c0 = 0, 0
     steps: list[tuple[str, list[int]]] = []
     remo = removable_boxes(lam)
-    all_boxes = lam.box_set()
     while True:
         alive = [b for b in remo if b.row > r0 and b.col > c0]
         if not alive:
             break
-        region = [b for b in all_boxes if b.row > r0 and b.col > c0]
+        # row i (0-based) of the region holds the contents c0-i ... lam_i-i-1
+        runs = [(c0 - i, p - i)
+                for i, p in enumerate(lam.parts[r0:], r0) if p > c0]
 
         # compare doubled distances to the centre to stay in integers
         def dist(b: Box) -> int:
             return abs(2 * b.content - (1 - delta))
 
         def partnered(b: Box) -> bool:
+            # a centred b finds itself here, but a centred candidate ends
+            # the walk whether it is partnered or not
             want = 1 - delta - b.content
-            return any(o.content == want and o != b for o in region)
+            return any(lo <= want < hi for lo, hi in runs)
 
         best = max(dist(b) for b in alive)
         candidates = [b for b in alive if dist(b) == best]
@@ -372,9 +389,9 @@ def minimal_weight(lam: Partition, delta: int) -> Partition:
     lie under lam, to be balanced with it and to be its own orbit
     minimum."""
     found = _orbit_min(lam, delta)
-    assert lam.contains(found), (lam, found, delta)
-    assert is_balanced(lam, found, delta), (lam, found, delta)
-    assert is_minimal(found, delta), (lam, found, delta)
+    if not (lam.contains(found) and is_balanced(lam, found, delta)
+            and is_minimal(found, delta)):
+        raise InvariantError((lam, found, delta))
     return found
 
 

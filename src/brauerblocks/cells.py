@@ -45,7 +45,7 @@ from brauerblocks import perms, specht
 from brauerblocks.blocks import check_weight
 from brauerblocks.diagrams import BrauerDiagram, hook_diagram
 from brauerblocks.linalg import SparseVec
-from brauerblocks.partitions import Partition, content_sum
+from brauerblocks.partitions import InvariantError, Partition, content_sum
 from brauerblocks.specht import SpechtModule
 
 BlockVec = dict  # one-row index -> list of its f Specht coordinates
@@ -93,7 +93,8 @@ def enumerate_v(n: int, t: int) -> list[PartialOneRowDiagram]:
            for arcs in rec(tuple(range(1, n + 1)), t)]
     out.sort(key=lambda v: v.arcs)
     expected = factorial(n) // (2 ** t * factorial(t) * factorial(n - 2 * t))
-    assert len(out) == expected
+    if len(out) != expected:
+        raise InvariantError((n, t, len(out), expected))
     return out
 
 

@@ -51,9 +51,9 @@ from .cells import (BlockVec, CellModule, PartialOneRowDiagram, gram_matrix,
                     t_action_check)
 from .diagrams import hook_diagram, perm_diagram
 from .linalg import Echelon, SparseVec, rank_of
-from .partitions import (Partition, conjugacy_class_size, content_sum,
-                         is_even, lr_coefficient, mn_character, partitions_of,
-                         specht_dim)
+from .partitions import (InvariantError, Partition, conjugacy_class_size,
+                         content_sum, is_even, lr_coefficient, mn_character,
+                         partitions_of, specht_dim)
 
 DEFAULT_MAX_DIM = 400
 
@@ -136,13 +136,14 @@ def central_scalar(n: int, delta: int, mu: Partition) -> int:
 
     The closed form is checked on every basis vector of the module by
     t_action_check; a non-scalar action would falsify the implementation,
-    so it is an assertion failure rather than a soft error.
+    so it raises InvariantError rather than a soft error.
     """
     check_weight(n, delta, mu)
     cell = _capped_cell(n, delta, mu)
-    assert t_action_check(cell), (
-        f"central element is not scalar on the cell module at {mu}, "
-        f"n={n}, delta={delta}")
+    if not t_action_check(cell):
+        raise InvariantError(
+            f"central element is not scalar on the cell module at {mu}, "
+            f"n={n}, delta={delta}")
     return central_scalar_value(n, delta, mu)
 
 
@@ -216,9 +217,10 @@ def restriction_multiplicity(n: int, delta: int, mu: Partition,
     total = sum(conjugacy_class_size(rho) * mn_character(lam, rho) * tr
                 for rho, tr in _perm_traces(n, mu).items())
     route_a, rem = divmod(total, factorial(n))
-    assert rem == 0 and route_a == route_b, (
-        f"restriction routes disagree at mu={mu}, lam={lam}, n={n}: "
-        f"character count {total}/{factorial(n)} vs LR sum {route_b}")
+    if rem != 0 or route_a != route_b:
+        raise InvariantError(
+            f"restriction routes disagree at mu={mu}, lam={lam}, n={n}: "
+            f"character count {total}/{factorial(n)} vs LR sum {route_b}")
     return route_a
 
 
@@ -349,9 +351,10 @@ def _hom_dim_compressed(delta: int, lam: Partition, mu: Partition) -> int:
             w_basis.append(v)
             if ech.rank == bound:
                 break
-    assert ech.rank == bound, (
-        f"symmetrizer image rank {ech.rank} differs from its multiplicity "
-        f"bound {bound} at lam={lam}, mu={mu}, delta={delta}")
+    if ech.rank != bound:
+        raise InvariantError(
+            f"symmetrizer image rank {ech.rank} differs from its "
+            f"multiplicity bound {bound} at lam={lam}, mu={mu}, delta={delta}")
 
     tops = [col[0] + 1 for col in col_bl]
     hooks = [hook_diagram(k, i, j) for a, i in enumerate(tops)

@@ -13,6 +13,12 @@ from math import factorial
 from typing import Iterable, Iterator, NamedTuple
 
 
+class InvariantError(AssertionError):
+    """A theorem or invariant check of the package failed.  Raised
+    explicitly, so the checks also run under python -O; as an
+    AssertionError it keeps the CLI's exit code 3."""
+
+
 class Box(NamedTuple):
     """A box of a Young diagram at (row, col), both 1-based, top-left origin."""
 
@@ -30,23 +36,19 @@ class Box(NamedTuple):
 class Partition:
     """A partition: weakly decreasing positive parts; () is the empty partition."""
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "size")
 
     def __init__(self, parts: Iterable[int] = ()):
-        ps = tuple(int(p) for p in parts if p != 0)
-        for a, b in zip(ps, ps[1:]):
-            if a < b:
-                raise ValueError(f"parts not weakly decreasing: {ps}")
+        ps = tuple(filter(None, map(int, parts)))
+        if ps != tuple(sorted(ps, reverse=True)):
+            raise ValueError(f"parts not weakly decreasing: {ps}")
         if ps and ps[-1] < 0:
             raise ValueError(f"negative part in {ps}")
         object.__setattr__(self, "parts", ps)
+        object.__setattr__(self, "size", sum(ps))
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
 
     @property
     def rows(self) -> int:
@@ -87,16 +89,15 @@ class Partition:
         """Rowwise containment: other fits inside self."""
         return all(other.row(i) <= self.row(i) for i in range(other.rows))
 
-    def intersect(self, other: "Partition") -> "Partition":
-        """Rowwise minimum, the largest partition inside both."""
-        return Partition(min(a, b) for a, b in zip(self.parts, other.parts))
+    def columns(self, count: int) -> list[int]:
+        """The column lengths, padded with zeros to count entries."""
+        out: list[int] = []
+        for i in range(len(self.parts), 0, -1):
+            out += [i] * (self.parts[i - 1] - len(out))
+        return out + [0] * (count - len(out))
 
     def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition()
-        return Partition(
-            sum(1 for p in self.parts if p > c) for c in range(self.parts[0])
-        )
+        return Partition(self.columns(0))
 
     def boxes(self) -> Iterator[Box]:
         for i, p in enumerate(self.parts):
@@ -190,20 +191,8 @@ def content_sum(lam: Partition) -> int:
 
 def removable_boxes(lam: Partition) -> list[Box]:
     """Positions whose removal leaves a partition, sorted by content."""
-    out = [Box(i + 1, lam.row(i))
-           for i in range(lam.rows)
-           if lam.row(i) > lam.row(i + 1)]
+    out = [Box(i + 1, p) for i, p in enumerate(lam) if p > lam.row(i + 1)]
     return sorted(out, key=lambda b: b.content)
-
-
-def skew(lam: Partition, mu: Partition) -> tuple[SkewShape, SkewShape]:
-    """The two difference shapes of lam and mu around their rowwise
-    intersection.  Containment is not required."""
-    inter = lam.intersect(mu)
-    inter_boxes = inter.box_set()
-    lam_side = SkewShape(b for b in lam.boxes() if b not in inter_boxes)
-    mu_side = SkewShape(b for b in mu.boxes() if b not in inter_boxes)
-    return lam_side, mu_side
 
 
 def partition_minus(lam: Partition, boxes: Iterable[Box]) -> Partition | None:
@@ -304,14 +293,17 @@ def lr_coefficient(mu: Partition, eta: Partition, lam: Partition) -> int:
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
     """All partitions of n, largest part first, in lexicographic descent."""
-    if max_part is None:
-        max_part = n
+    return map(Partition, _part_tuples(n, n if max_part is None else max_part))
+
+
+def _part_tuples(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
+    """The parts of partitions_of(n, max_part), as plain tuples."""
     if n == 0:
-        yield EMPTY
+        yield ()
         return
     for first in range(min(n, max_part), 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield Partition((first,) + rest.parts)
+        for rest in _part_tuples(n - first, first):
+            yield (first,) + rest
 
 
 def subpartitions(lam: Partition) -> Iterator[Partition]:

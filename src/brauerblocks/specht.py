@@ -22,7 +22,8 @@ from itertools import chain
 
 from brauerblocks import linalg, perms
 from brauerblocks.linalg import SparseVec
-from brauerblocks.partitions import Partition, specht_dim, standard_tableaux
+from brauerblocks.partitions import (InvariantError, Partition, specht_dim,
+                                     standard_tableaux)
 
 Tableau = tuple[tuple[int, ...], ...]
 
@@ -130,7 +131,8 @@ class SpechtModule:
 def build_specht(mu: Partition) -> SpechtModule:
     m = mu.size
     basis = sorted(standard_tableaux(mu), key=row_word)
-    assert len(basis) == specht_dim(mu)
+    if len(basis) != specht_dim(mu):
+        raise InvariantError((mu, len(basis)))
     tables = _signed_perms(mu)
     polys = [_polytabloid(tab, m, tables) for tab in basis]
     lead = {tabloid_of(tab, m): idx for idx, tab in enumerate(basis)}
@@ -147,7 +149,8 @@ def build_specht(mu: Partition) -> SpechtModule:
             while moved:
                 key = min(moved)
                 idx = lead.get(key)
-                assert idx is not None  # the Specht span is s_i-stable
+                if idx is None:  # the Specht span is s_i-stable
+                    raise InvariantError((mu, i, key))
                 col[idx] = moved[key]
                 moved = linalg.vec_add(moved, polys[idx], -moved[key])
             cols.append(col)

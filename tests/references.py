@@ -1,11 +1,13 @@
 """Reference constructions shared by several test files: named diagrams
 and algebra elements, permutation helpers (among them the whole Young
-subgroup and the sign, which the library does without) and addable
-boxes.  The library runs none of them; the tests compare it
+subgroup and the sign, which the library does without), addable boxes,
+and the balanced test and bias on Box sets, which the library computes
+from row lengths.  The library runs none of them; the tests compare it
 against them."""
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -13,7 +15,8 @@ from typing import Iterator
 
 from brauerblocks import perms
 from brauerblocks.diagrams import AlgebraElement, BrauerDiagram, perm_diagram
-from brauerblocks.partitions import Box, Partition, specht_dim
+from brauerblocks.partitions import (Box, Partition, SkewShape, removable_boxes,
+                                     specht_dim)
 
 
 # Permutations on m points are tuples of images, 0-based: p[i] is the
@@ -147,3 +150,106 @@ def young_symmetrizer(lam: Partition, n: int, delta: int) -> AlgebraElement:
             d = perm_diagram(compose(r, c))
             terms[d] = terms.get(d, 0) + sgn
     return scale * AlgebraElement(n, delta, {d: Fraction(v) for d, v in terms.items()})
+
+
+def intersect(lam: Partition, mu: Partition) -> Partition:
+    """Rowwise minimum, the largest partition inside both."""
+    return Partition(min(a, b) for a, b in zip(lam.parts, mu.parts))
+
+
+def skew(lam: Partition, mu: Partition) -> tuple[SkewShape, SkewShape]:
+    """The two difference shapes of lam and mu around their rowwise
+    intersection.  Containment is not required."""
+    inter = intersect(lam, mu)
+    inter_boxes = inter.box_set()
+    lam_side = SkewShape(b for b in lam.boxes() if b not in inter_boxes)
+    mu_side = SkewShape(b for b in mu.boxes() if b not in inter_boxes)
+    return lam_side, mu_side
+
+
+def _side_balanced(boxes: frozenset[Box], delta: int) -> bool:
+    counts = Counter(b.content for b in boxes)
+    for c in counts:
+        if counts[c] != counts[1 - delta - c]:
+            return False
+    if delta % 2 == 0:
+        gamma = (2 - delta) // 2
+        tops = [b for b in boxes if b.content == gamma]
+        if tops:
+            # content-gamma boxes sit on one diagonal, so the latest-row
+            # box is the one with no gamma box in a greater column
+            top = max(tops, key=lambda b: b.row)
+            if Box(top.row + 1, top.col) in boxes and len(tops) % 2 != 0:
+                return False
+    else:
+        if counts[(1 - delta) // 2] % 2 != 0:
+            return False
+    return True
+
+
+def is_balanced(lam: Partition, mu: Partition, delta: int) -> bool:
+    """The balanced test on the Box sets of the two difference shapes."""
+    lam_side, mu_side = skew(lam, mu)
+    return (_side_balanced(lam_side.boxes, delta)
+            and _side_balanced(mu_side.boxes, delta))
+
+
+def bias(lam: Partition, tau: Partition, delta: int) -> int:
+    """Content sum over the Box sets of the symmetric difference,
+    recentred so that balanced pairs have bias zero."""
+    lam_side, tau_side = skew(lam, tau)
+    boxes = list(lam_side.boxes) + list(tau_side.boxes)
+    if len(boxes) % 2 != 0:
+        raise ValueError(
+            f"symmetric difference of {lam} and {tau} has odd size {len(boxes)}"
+        )
+    t = len(boxes) // 2
+    return sum(b.content for b in boxes) - t * (1 - delta)
+
+
+def hat_steps(lam: Partition, delta: int) -> tuple[SkewShape, list[tuple[str, list[int]]]]:
+    """hat_steps scanning the region's Box set for each candidate's
+    partner: strip rows and columns from lam until only a core shape
+    remains.
+
+    At each step the surviving removable box with content farthest from
+    (1-delta)/2 is examined.  If any surviving box carries the mirror
+    content the procedure stops; otherwise all rows above and including
+    the examined box (content above centre) or all columns left of and
+    including it (below centre) are discarded.  Returns the surviving
+    boxes and the removal log.
+    """
+    r0, c0 = 0, 0
+    steps: list[tuple[str, list[int]]] = []
+    remo = removable_boxes(lam)
+    all_boxes = lam.box_set()
+    while True:
+        alive = [b for b in remo if b.row > r0 and b.col > c0]
+        if not alive:
+            break
+        region = [b for b in all_boxes if b.row > r0 and b.col > c0]
+
+        # compare doubled distances to the centre to stay in integers
+        def dist(b: Box) -> int:
+            return abs(2 * b.content - (1 - delta))
+
+        def partnered(b: Box) -> bool:
+            want = 1 - delta - b.content
+            return any(o.content == want and o != b for o in region)
+
+        best = max(dist(b) for b in alive)
+        candidates = [b for b in alive if dist(b) == best]
+        free = [b for b in candidates if not partnered(b)]
+        if not free:
+            break
+        eps = min(free)
+        if 2 * eps.content - (1 - delta) > 0:
+            steps.append(("rows", list(range(r0 + 1, eps.row + 1))))
+            r0 = eps.row
+        elif 2 * eps.content - (1 - delta) < 0:
+            steps.append(("cols", list(range(c0 + 1, eps.col + 1))))
+            c0 = eps.col
+        else:
+            break  # centred and unpartnered: nothing forces a strip
+    core = SkewShape(b for b in lam.boxes() if b.row > r0 and b.col > c0)
+    return core, steps

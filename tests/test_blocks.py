@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -10,6 +15,7 @@ from brauerblocks.blocks import (_imax_skew, bias, block_key,
 from brauerblocks.partitions import (EMPTY, Box, Partition, partition_minus,
                                      partitions_of, removable_boxes,
                                      subpartitions)
+import references
 
 DELTAS = (-2, -1, 0, 1, 2, 3)
 
@@ -58,6 +64,26 @@ def test_balanced_symmetric(lam, mu, delta):
 def test_balanced_pairs_have_zero_bias(lam, mu, delta):
     if is_balanced(lam, mu, delta):
         assert bias(lam, mu, delta) == 0
+
+
+SMALL = [lam for k in range(9) for lam in partitions_of(k)]
+
+
+def test_balanced_matches_box_sets():
+    """The balanced test and bias on row lengths equal their Box-set
+    references on every ordered pair of partitions of <= 8 boxes."""
+    pairs = balanced = 0
+    for lam in SMALL:
+        for mu in SMALL:
+            for delta in range(-4, 6):
+                got = is_balanced(lam, mu, delta)
+                assert got == references.is_balanced(lam, mu, delta), (lam, mu, delta)
+                if (lam.size + mu.size) % 2 == 0:
+                    assert (bias(lam, mu, delta)
+                            == references.bias(lam, mu, delta)), (lam, mu, delta)
+                pairs += 1
+                balanced += got
+    assert (pairs, balanced) == (44890, 1026)
 
 
 def test_bias_fixed_values():
@@ -131,6 +157,24 @@ def test_block_key_rejects_short_rank():
         block_key(P(3, 1), 1, 3)
 
 
+def test_block_checks_survive_optimize():
+    """Under python -O, a balanced test planted to fail still trips
+    block_partition's per-class check."""
+    code = ("import brauerblocks.blocks as b\n"
+            "assert not __debug__\n"
+            "b.is_balanced = lambda *args: False\n"
+            "try:\n"
+            "    b.block_partition(4, 1)\n"
+            "except b.InvariantError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_block_partition_json_shape():
     doc = block_partition_json(block_partition(4, 1))
     assert doc["n"] == 4 and doc["delta"] == 1
@@ -194,6 +238,20 @@ def test_hat_stripping_log():
                      ("rows", [3])]
     assert core.boxes == frozenset(
         {Box(4, 3), Box(4, 4), Box(4, 5), Box(5, 3), Box(5, 4)})
+
+
+def test_hat_steps_matches_box_scan():
+    """hat_steps, reading partners off the content runs of the region's
+    rows, equals the Box-scanning reference on every partition of <= 12
+    boxes."""
+    cases = 0
+    for k in range(13):
+        for lam in partitions_of(k):
+            for delta in range(-4, 6):
+                assert (hat_steps(lam, delta)
+                        == references.hat_steps(lam, delta)), (lam, delta)
+                cases += 1
+    assert cases == 2720
 
 
 def test_hat_empty():

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from math import factorial
 
@@ -9,10 +10,10 @@ from brauerblocks.partitions import (EMPTY, Box, Partition,
                                      conjugacy_class_size, content_sum,
                                      is_even, lr_coefficient, mn_character,
                                      parse_partition, partition_minus,
-                                     partitions_of, removable_boxes, skew,
+                                     partitions_of, removable_boxes,
                                      specht_dim, standard_tableaux,
                                      subpartitions)
-from references import addable_boxes
+from references import addable_boxes, intersect, skew
 
 partitions = st.lists(st.integers(1, 7), max_size=6).map(
     lambda ps: Partition(sorted(ps, reverse=True)))
@@ -56,11 +57,27 @@ def test_box_content_and_charge():
 
 
 def test_partition_validation():
-    with pytest.raises(ValueError):
-        Partition((1, 2))
-    with pytest.raises(ValueError):
-        Partition((2, -1))
+    with pytest.raises(ValueError, match=re.escape(
+            "parts not weakly decreasing: (1, 2)")):
+        Partition((1, 0, 2))
+    with pytest.raises(ValueError, match=re.escape("negative part in (2, -1)")):
+        Partition((2, 0, -1))
+    with pytest.raises(ValueError, match=re.escape(
+            "parts not weakly decreasing: (-1, 2)")):
+        Partition((-1, 2))
     assert Partition((3, 0, 1, 0)).parts == (3, 1)
+    assert Partition(iter([2, 2])).parts == (2, 2)
+
+
+def test_size_and_conjugate_match_definitions():
+    """size is the sum of the parts and the conjugate counts the parts
+    exceeding each column index, on every partition of <= 12 boxes."""
+    for k in range(13):
+        for lam in partitions_of(k):
+            assert lam.size == sum(lam.parts) == k
+            assert lam.conjugate().parts == tuple(
+                sum(1 for p in lam.parts if p > c) for c in range(lam.row(0)))
+            assert lam.columns(lam.row(0) + 2) == [*lam.conjugate().parts, 0, 0]
 
 
 @given(partitions)
@@ -76,9 +93,9 @@ def test_conjugate_reverses_containment(lam, mu):
 
 @given(partitions, partitions)
 def test_intersect_is_meet(lam, mu):
-    cap = lam.intersect(mu)
+    cap = intersect(lam, mu)
     assert lam.contains(cap) and mu.contains(cap)
-    assert cap == mu.intersect(lam)
+    assert cap == intersect(mu, lam)
     if lam.contains(mu):
         assert cap == mu
 
@@ -151,7 +168,13 @@ def test_partition_minus_invalid():
 
 def test_partitions_of_counts():
     for n, want in enumerate(P_COUNTS):
-        assert sum(1 for _ in partitions_of(n)) == want
+        parts = [lam.parts for lam in partitions_of(n)]
+        assert len(parts) == want
+        # lexicographic descent of distinct partitions of n fixes the list
+        assert parts == sorted(set(parts), reverse=True)
+        assert all(sum(p) == n for p in parts)
+    assert [lam.parts for lam in partitions_of(5, 2)] == [(2, 2, 1), (2, 1, 1, 1),
+                                                          (1, 1, 1, 1, 1)]
 
 
 def test_is_even():
