@@ -161,7 +161,8 @@ def test_block_checks_survive_optimize():
     """Under python -O, a balanced test planted to fail still trips
     block_partition's per-class check."""
     code = ("import brauerblocks.blocks as b\n"
-            "assert not __debug__\n"
+            "if __debug__:\n"
+            "    raise SystemExit(2)\n"
             "b.is_balanced = lambda *args: False\n"
             "try:\n"
             "    b.block_partition(4, 1)\n"
