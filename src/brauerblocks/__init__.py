@@ -3,12 +3,12 @@
 Partitions and skew shapes, diagram arithmetic, Specht and cell modules,
 the balanced-pair block criterion with homomorphism-target constructions,
 and a brute-force linear-algebra oracle for verifying predictions at
-small n.  Everything runs over Python ints, with Fractions only in
-algebra-element coefficients; no floats.
+small n.  Everything runs over Python ints: no Fraction and no
+floats.
 """
 
 from brauerblocks.partitions import Box, InvariantError, Partition, SkewShape
-from brauerblocks.diagrams import AlgebraElement, BrauerDiagram
+from brauerblocks.diagrams import BrauerDiagram
 from brauerblocks.specht import SpechtModule, build_specht
 from brauerblocks.cells import CellModule
 from brauerblocks.blocks import (BlockPartition, LatticePrediction, WeightSet,
@@ -24,7 +24,6 @@ __all__ = [
     "InvariantError",
     "Partition",
     "SkewShape",
-    "AlgebraElement",
     "BrauerDiagram",
     "SpechtModule",
     "build_specht",

@@ -6,8 +6,9 @@ intersection, or equivalently when their shifted conjugates share a
 type-D Weyl orbit (Cox, De Visscher and Martin).  This module decides
 balancedness, keys and partitions a weight set by that orbit, finds the
 orbit minimum under a weight (a weight is minimal when it is its own),
-builds the maximal balanced subpartition (the predicted homomorphism
-target), strips rows and columns down to a weight's core, and lays out
+finds the maximal balanced subpartition (the predicted homomorphism
+target) as the image of one reflection of that orbit's Weyl group,
+strips rows and columns down to a weight's core, and lays out
 the inclusion lattice of weights between a balanced pair differing by
 isolated boxes.
 
@@ -109,6 +110,12 @@ def _shifted(lam: Partition, delta: int, rank: int) -> list[int]:
     return [2 * c - delta - 2 * i for i, c in enumerate(lam.columns(rank))]
 
 
+def _unshift(y: list[int], delta: int) -> Partition:
+    """The partition whose shifted coordinates are y: the inverse of
+    _shifted."""
+    return Partition((v + delta + 2 * i) // 2 for i, v in enumerate(y)).conjugate()
+
+
 def block_key(lam: Partition, delta: int, rank: int) -> tuple:
     """lam's type-D Weyl orbit at this rank: the sorted |x_i|, plus the
     parity of the negative x_i unless some x_i is 0.  Weights whose sizes
@@ -179,124 +186,48 @@ def block_partition_json(bp: BlockPartition) -> dict:
     }
 
 
-def _maximal_box(boxes) -> Box:
-    """Latest box in the diagram order: boxes of one content share a
-    diagonal, so the latest row is also the latest column."""
-    return max(boxes, key=lambda b: b.row)
-
-
-def _cone_close(current: set[Box], lam_boxes: frozenset[Box]) -> None:
-    """Grow current with every box of lam to the right of or below a
-    member, until stable."""
-    frontier = list(current)
-    while frontier:
-        b = frontier.pop()
-        for nb in (Box(b.row, b.col + 1), Box(b.row + 1, b.col)):
-            if nb in lam_boxes and nb not in current:
-                current.add(nb)
-                frontier.append(nb)
-
-
-def _imax_skew(lam: Partition, mu: Partition, delta: int, seed: Box) -> frozenset[Box]:
-    """The removable skew grown from one seed box: cone closure inside
-    lam alternating with content-partner completion from the difference
-    shape, then a single parity repair when the self-paired content is
-    left odd."""
-    lam_boxes = lam.box_set()
-    skew_boxes = frozenset(b for b in lam_boxes if b.col > mu.row(b.row - 1))
-    if seed not in skew_boxes or seed not in removable_boxes(lam):
-        raise ValueError(f"seed {seed} is not a removable box of {lam}/{mu}")
-
-    partner_content = 1 - delta - seed.content
-    partners = [b for b in skew_boxes
-                if b.content == partner_content and b != seed]
-    if not partners:
-        raise ValueError(
-            f"seed {seed} has no partner of content {partner_content} in {lam}/{mu}"
-        )
-    current: set[Box] = {seed, _maximal_box(partners)}
-
-    def partner_pass() -> bool:
-        counts = Counter(b.content for b in current)
-        added = False
-        for c in sorted(counts):
-            cbar = 1 - delta - c
-            if cbar == c:
-                continue
-            need = counts[c] - counts[cbar]
-            if need <= 0:
-                continue
-            avail = sorted((b for b in skew_boxes - current if b.content == cbar),
-                           key=lambda b: -b.row)
-            if len(avail) < need:
-                raise ValueError(
-                    f"cannot complete content {cbar}: need {need}, "
-                    f"have {len(avail)} in {lam}/{mu}"
-                )
-            current.update(avail[:need])
-            added = True
-        return added
-
-    def close() -> None:
-        while True:
-            _cone_close(current, lam_boxes)
-            if not partner_pass():
-                break
-
-    close()
-
-    # one repair step when the stabilized skew still breaks the parity
-    # condition on the self-paired content; fresh boxes come from all of
-    # lam, not just the difference shape
-    counts = Counter(b.content for b in current)
-    if delta % 2 == 0:
-        gamma = (2 - delta) // 2
-        vertical = any(b.content == gamma and Box(b.row + 1, b.col) in current
-                       for b in current)
-        if vertical and counts[gamma] % 2 != 0:
-            for c in (gamma, -delta // 2):
-                fresh = [b for b in lam_boxes - current if b.content == c]
-                if not fresh:
-                    raise ValueError(f"no box of content {c} left in {lam}")
-                current.add(_maximal_box(fresh))
-            close()
-    else:
-        half = (1 - delta) // 2
-        if counts[half] % 2 != 0:
-            fresh = [b for b in lam_boxes - current if b.content == half]
-            if not fresh:
-                raise ValueError(f"no box of content {half} left in {lam}")
-            current.add(_maximal_box(fresh))
-            close()
-
-    return frozenset(current)
-
-
 def maximal_balanced_sub(lam: Partition, mu: Partition, delta: int) -> Partition:
-    """The closest weight below lam in the direction of mu: grow a skew
-    from every removable box of lam/mu, keep the inclusion-minimal
-    results, and take the lexicographically least."""
+    """The closest weight below lam in the direction of mu: an image of
+    lam under one type-D reflection s_{e_i+e_j}, which swaps x_i, x_j
+    of the shifted coordinates for -x_j, -x_i and so removes x_i + x_j
+    boxes.  Of the images that are partitions between mu and lam, keep
+    the inclusion-maximal ones and take the one whose removed boxes,
+    sorted, are least.
+
+    Raises ValueError when no image contains mu.  On every pair of <= 14
+    boxes that happens only when lam and mu are not balanced, so not in
+    hom_target, whose mu is lam's orbit minimum."""
     if not lam.contains(mu) or lam == mu:
         raise ValueError(f"{mu} must be properly contained in {lam}")
-    skew_boxes = {b for b in lam.boxes() if b.col > mu.row(b.row - 1)}
-    grown: list[frozenset[Box]] = []
-    for seed in removable_boxes(lam):
-        if seed not in skew_boxes:
-            continue
-        try:
-            s = _imax_skew(lam, mu, delta, seed)
-        except ValueError:
-            continue  # unpartnered seed: no skew from here
-        if s not in grown:
-            grown.append(s)
-    if not grown:
-        raise ValueError(f"no removable box of {lam}/{mu} has a partner")
-    minimal = [s for s in grown
-               if not any(t < s for t in grown)]
-    chosen = min(minimal, key=lambda s: sorted(s))
-    result = partition_minus(lam, chosen)
-    if result is None:
-        raise InvariantError((lam, mu, sorted(chosen)))
+    rank = lam.size + abs(delta) + 2
+    x = _shifted(lam, delta, rank)
+    low = _shifted(mu, delta, rank)
+    images: list[list[int]] = []
+    for i, a in enumerate(x):
+        for b in x[i + 1:]:
+            if a + b <= 0:
+                break  # x decreases, so no later b removes a box
+            rest = [v for v in x if v != a and v != b]
+            if -a in rest or -b in rest:
+                continue  # a repeated coordinate: no partition
+            # swapping values for smaller ones keeps the sorted image <= x
+            y = sorted(rest + [-a, -b], reverse=True)
+            if all(map(int.__le__, low, y)):
+                images.append(y)
+    if not images:
+        raise ValueError(f"no reflection image of {lam} lies between {mu} and {lam}")
+    maximal = [y for y in images
+               if not any(z != y and all(map(int.__le__, y, z)) for z in images)]
+
+    def removed(y: list[int]) -> list[tuple[int, int]]:
+        # 1-based column j keeps nu'_j = (v + delta) / 2 + j - 1 boxes
+        # of lam'_j = (u + delta) / 2 + j - 1
+        return sorted((r, j) for j, (v, u) in enumerate(zip(y, x), 1)
+                      for r in range((v + delta) // 2 + j, (u + delta) // 2 + j))
+
+    result = _unshift(min(maximal, key=removed), delta)
+    if not (lam.contains(result) and result.contains(mu)) or result == lam:
+        raise InvariantError((lam, mu, result))
     if not is_balanced(lam, result, delta):
         raise InvariantError((lam, result, delta))
     return result
@@ -372,7 +303,7 @@ def _orbit_min(lam: Partition, delta: int) -> Partition:
         a = min(a for a, c in mags.items() if c == 1)
         y[y.index(-a)] = a
     y.sort(reverse=True)
-    found = Partition((v + delta + 2 * i) // 2 for i, v in enumerate(y)).conjugate()
+    found = _unshift(y, delta)
     if delta == 0 and found == EMPTY and lam != EMPTY:
         found = Partition((2,))
     return found

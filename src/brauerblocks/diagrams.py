@@ -2,7 +2,7 @@
 
 Diagrams are reduced perfect matchings on n northern and t southern
 nodes; concatenation returns the reduced diagram together with the
-number of closed loops removed, and the algebra layer applies the
+number of closed loops removed, and the caller applies the
 delta^loops factor (0^0 = 1, so delta = 0 is handled uniformly).
 Distinguished diagrams: permutation diagrams and the hook diagrams
 X_{i,j}.
@@ -10,7 +10,6 @@ X_{i,j}.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator
 
 # Node encoding inside a diagram: northern i is +i (1..n), southern j is -j.
@@ -36,6 +35,9 @@ class BrauerDiagram:
 
     def __setattr__(self, name, value):
         raise AttributeError("BrauerDiagram is immutable")
+
+    def __reduce__(self):
+        return BrauerDiagram, (self.n, self.t, self.pairs)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BrauerDiagram)
@@ -162,74 +164,3 @@ def all_diagrams(n: int, t: int | None = None) -> Iterator[BrauerDiagram]:
 
     for m in matchings(nodes):
         yield BrauerDiagram(n, t, m)
-
-
-class AlgebraElement:
-    """A formal rational linear combination of (n, n) diagrams at a fixed
-    integer delta.  Zero coefficients are never stored."""
-
-    __slots__ = ("n", "delta", "terms")
-
-    def __init__(self, n: int, delta: int, terms=None):
-        clean = {}
-        for d, c in (terms or {}).items():
-            if d.n != n or d.t != n:
-                raise ValueError(f"diagram size {d.n},{d.t} in B_{n}")
-            c = Fraction(c)
-            if c:
-                clean[d] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraElement is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, AlgebraElement)
-                and (self.n, self.delta, self.terms) == (other.n, other.delta, other.terms))
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.delta, frozenset(self.terms.items())))
-
-    def __repr__(self) -> str:
-        body = " + ".join(f"{c}*[{d}]" for d, c in sorted(
-            self.terms.items(), key=lambda t: t[0].sorted_pairs()))
-        return f"AlgebraElement({self.n}, delta={self.delta}: {body or '0'})"
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other: "AlgebraElement"):
-        if self.n != other.n or self.delta != other.delta:
-            raise ValueError("mixing elements of different B_n(delta)")
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        terms = dict(self.terms)
-        for d, c in other.terms.items():
-            terms[d] = terms.get(d, 0) + c
-        return AlgebraElement(self.n, self.delta, terms)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "AlgebraElement":
-        return AlgebraElement(self.n, self.delta,
-                              {d: scalar * c for d, c in self.terms.items()})
-
-    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        terms: dict = {}
-        for d1, c1 in self.terms.items():
-            for d2, c2 in other.terms.items():
-                prod, loops = concat(d1, d2)
-                c = c1 * c2 * self.delta ** loops
-                if c:
-                    terms[prod] = terms.get(prod, 0) + c
-        return AlgebraElement(self.n, self.delta, terms)
-
-    def flip(self) -> "AlgebraElement":
-        return AlgebraElement(self.n, self.delta,
-                              {flip(d): c for d, c in self.terms.items()})
-

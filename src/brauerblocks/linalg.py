@@ -1,14 +1,14 @@
 """Sparse exact linear algebra.
 
-Vectors are dicts {column index: nonzero int or Fraction}.  Matrices are
-lists of sparse columns; the Specht generator and permutation matrices
-are built here.  The cell action does not go through mat_vec: it keeps
-its own block vectors (see cells) and flattens them into this form for
-elimination.  Matrices and vectors from the action layer are integral,
-and so is the one workhorse, an incremental row echelon for ranks: it
-clears the denominators of what it is given and eliminates over the
-integers.  Exactness is non-negotiable here: every rank decision feeds a
-theorem check.
+Vectors are dicts {column index: nonzero int}; the package makes no
+Fraction.  Matrices are lists of sparse columns; the Specht generator
+and permutation matrices are built here.  The cell action does not go
+through mat_vec: it keeps its own block vectors (see cells) and
+flattens them into this form for elimination.  Matrices and vectors
+from the action layer are integral, and so is the one workhorse, an
+incremental row echelon for ranks: it clears the denominators of what
+it is given and eliminates over the integers.  Exactness is
+non-negotiable here: every rank decision feeds a theorem check.
 """
 
 from __future__ import annotations

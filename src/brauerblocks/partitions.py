@@ -50,6 +50,9 @@ class Partition:
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
+    def __reduce__(self):
+        return Partition, (self.parts,)
+
     @property
     def rows(self) -> int:
         return len(self.parts)
@@ -157,6 +160,9 @@ class SkewShape:
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewShape is immutable")
+
+    def __reduce__(self):
+        return SkewShape, (self.boxes,)
 
     def __len__(self) -> int:
         return len(self.boxes)

@@ -1,9 +1,11 @@
-"""Reference constructions shared by several test files: named diagrams
-and algebra elements, permutation helpers (among them the whole Young
-subgroup and the sign, which the library does without), addable boxes,
-and the balanced test and bias on Box sets, which the library computes
-from row lengths.  The library runs none of them; the tests compare it
-against them."""
+"""Reference constructions shared by several test files: algebra
+elements with rational coefficients and the named diagrams and elements
+built on them, permutation helpers (among them the whole Young subgroup
+and the sign, which the library does without), addable boxes, the
+balanced test and bias on Box sets, which the library computes from row
+lengths, and the Box-set skew growth of maximal_balanced_sub, which the
+library reads off one type-D reflection.  The library runs none of
+them; the tests compare it against them."""
 
 from __future__ import annotations
 
@@ -14,8 +16,9 @@ from math import factorial
 from typing import Iterator
 
 from brauerblocks import perms
-from brauerblocks.diagrams import AlgebraElement, BrauerDiagram, perm_diagram
-from brauerblocks.partitions import (Box, Partition, SkewShape, removable_boxes,
+from brauerblocks.diagrams import BrauerDiagram, concat, flip, perm_diagram
+from brauerblocks.partitions import (Box, InvariantError, Partition, SkewShape,
+                                     partition_minus, removable_boxes,
                                      specht_dim)
 
 
@@ -84,6 +87,76 @@ def u_diagram(n: int, i: int) -> BrauerDiagram:
     pairs = [(i, i + 1), (-i, -(i + 1))]
     pairs += [(k, -k) for k in range(1, n + 1) if k not in (i, i + 1)]
     return BrauerDiagram(n, n, pairs)
+
+
+class AlgebraElement:
+    """A formal rational linear combination of (n, n) diagrams at a fixed
+    integer delta.  Zero coefficients are never stored."""
+
+    __slots__ = ("n", "delta", "terms")
+
+    def __init__(self, n: int, delta: int, terms=None):
+        clean = {}
+        for d, c in (terms or {}).items():
+            if d.n != n or d.t != n:
+                raise ValueError(f"diagram size {d.n},{d.t} in B_{n}")
+            c = Fraction(c)
+            if c:
+                clean[d] = c
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "terms", clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AlgebraElement is immutable")
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, AlgebraElement)
+                and (self.n, self.delta, self.terms) == (other.n, other.delta, other.terms))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.delta, frozenset(self.terms.items())))
+
+    def __repr__(self) -> str:
+        body = " + ".join(f"{c}*[{d}]" for d, c in sorted(
+            self.terms.items(), key=lambda t: t[0].sorted_pairs()))
+        return f"AlgebraElement({self.n}, delta={self.delta}: {body or '0'})"
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _check(self, other: "AlgebraElement"):
+        if self.n != other.n or self.delta != other.delta:
+            raise ValueError("mixing elements of different B_n(delta)")
+
+    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+        self._check(other)
+        terms = dict(self.terms)
+        for d, c in other.terms.items():
+            terms[d] = terms.get(d, 0) + c
+        return AlgebraElement(self.n, self.delta, terms)
+
+    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
+        return self + (-1) * other
+
+    def __rmul__(self, scalar) -> "AlgebraElement":
+        return AlgebraElement(self.n, self.delta,
+                              {d: scalar * c for d, c in self.terms.items()})
+
+    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
+        self._check(other)
+        terms: dict = {}
+        for d1, c1 in self.terms.items():
+            for d2, c2 in other.terms.items():
+                prod, loops = concat(d1, d2)
+                c = c1 * c2 * self.delta ** loops
+                if c:
+                    terms[prod] = terms.get(prod, 0) + c
+        return AlgebraElement(self.n, self.delta, terms)
+
+    def flip(self) -> "AlgebraElement":
+        return AlgebraElement(self.n, self.delta,
+                              {flip(d): c for d, c in self.terms.items()})
 
 
 def from_diagram(d: BrauerDiagram, delta: int, coeff=1) -> AlgebraElement:
@@ -253,3 +326,127 @@ def hat_steps(lam: Partition, delta: int) -> tuple[SkewShape, list[tuple[str, li
             break  # centred and unpartnered: nothing forces a strip
     core = SkewShape(b for b in lam.boxes() if b.row > r0 and b.col > c0)
     return core, steps
+
+
+def _maximal_box(boxes) -> Box:
+    """Latest box in the diagram order: boxes of one content share a
+    diagonal, so the latest row is also the latest column."""
+    return max(boxes, key=lambda b: b.row)
+
+
+def _cone_close(current: set[Box], lam_boxes: frozenset[Box]) -> None:
+    """Grow current with every box of lam to the right of or below a
+    member, until stable."""
+    frontier = list(current)
+    while frontier:
+        b = frontier.pop()
+        for nb in (Box(b.row, b.col + 1), Box(b.row + 1, b.col)):
+            if nb in lam_boxes and nb not in current:
+                current.add(nb)
+                frontier.append(nb)
+
+
+def _imax_skew(lam: Partition, mu: Partition, delta: int, seed: Box) -> frozenset[Box]:
+    """The removable skew grown from one seed box: cone closure inside
+    lam alternating with content-partner completion from the difference
+    shape, then a single parity repair when the self-paired content is
+    left odd."""
+    lam_boxes = lam.box_set()
+    skew_boxes = frozenset(b for b in lam_boxes if b.col > mu.row(b.row - 1))
+    if seed not in skew_boxes or seed not in removable_boxes(lam):
+        raise ValueError(f"seed {seed} is not a removable box of {lam}/{mu}")
+
+    partner_content = 1 - delta - seed.content
+    partners = [b for b in skew_boxes
+                if b.content == partner_content and b != seed]
+    if not partners:
+        raise ValueError(
+            f"seed {seed} has no partner of content {partner_content} in {lam}/{mu}"
+        )
+    current: set[Box] = {seed, _maximal_box(partners)}
+
+    def partner_pass() -> bool:
+        counts = Counter(b.content for b in current)
+        added = False
+        for c in sorted(counts):
+            cbar = 1 - delta - c
+            if cbar == c:
+                continue
+            need = counts[c] - counts[cbar]
+            if need <= 0:
+                continue
+            avail = sorted((b for b in skew_boxes - current if b.content == cbar),
+                           key=lambda b: -b.row)
+            if len(avail) < need:
+                raise ValueError(
+                    f"cannot complete content {cbar}: need {need}, "
+                    f"have {len(avail)} in {lam}/{mu}"
+                )
+            current.update(avail[:need])
+            added = True
+        return added
+
+    def close() -> None:
+        while True:
+            _cone_close(current, lam_boxes)
+            if not partner_pass():
+                break
+
+    close()
+
+    # one repair step when the stabilized skew still breaks the parity
+    # condition on the self-paired content; fresh boxes come from all of
+    # lam, not just the difference shape
+    counts = Counter(b.content for b in current)
+    if delta % 2 == 0:
+        gamma = (2 - delta) // 2
+        vertical = any(b.content == gamma and Box(b.row + 1, b.col) in current
+                       for b in current)
+        if vertical and counts[gamma] % 2 != 0:
+            for c in (gamma, -delta // 2):
+                fresh = [b for b in lam_boxes - current if b.content == c]
+                if not fresh:
+                    raise ValueError(f"no box of content {c} left in {lam}")
+                current.add(_maximal_box(fresh))
+            close()
+    else:
+        half = (1 - delta) // 2
+        if counts[half] % 2 != 0:
+            fresh = [b for b in lam_boxes - current if b.content == half]
+            if not fresh:
+                raise ValueError(f"no box of content {half} left in {lam}")
+            current.add(_maximal_box(fresh))
+            close()
+
+    return frozenset(current)
+
+
+def maximal_balanced_sub(lam: Partition, mu: Partition, delta: int) -> Partition:
+    """maximal_balanced_sub growing Box-set skews: grow a skew from every
+    removable box of lam/mu, keep the inclusion-minimal results, and take
+    the lexicographically least.  Where no result contains mu it still
+    returns one, which the library raises ValueError for instead."""
+    if not lam.contains(mu) or lam == mu:
+        raise ValueError(f"{mu} must be properly contained in {lam}")
+    skew_boxes = {b for b in lam.boxes() if b.col > mu.row(b.row - 1)}
+    grown: list[frozenset[Box]] = []
+    for seed in removable_boxes(lam):
+        if seed not in skew_boxes:
+            continue
+        try:
+            s = _imax_skew(lam, mu, delta, seed)
+        except ValueError:
+            continue  # unpartnered seed: no skew from here
+        if s not in grown:
+            grown.append(s)
+    if not grown:
+        raise ValueError(f"no removable box of {lam}/{mu} has a partner")
+    minimal = [s for s in grown
+               if not any(t < s for t in grown)]
+    chosen = min(minimal, key=lambda s: sorted(s))
+    result = partition_minus(lam, chosen)
+    if result is None:
+        raise InvariantError((lam, mu, sorted(chosen)))
+    if not is_balanced(lam, result, delta):
+        raise InvariantError((lam, result, delta))
+    return result

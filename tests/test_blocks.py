@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from brauerblocks.blocks import (_imax_skew, bias, block_key,
+from brauerblocks.blocks import (bias, block_key,
                                  block_partition, block_partition_json, hat,
                                  hat_steps, hom_target, is_balanced,
                                  is_minimal, lattice_predict,
@@ -16,6 +16,7 @@ from brauerblocks.partitions import (EMPTY, Box, Partition, partition_minus,
                                      partitions_of, removable_boxes,
                                      subpartitions)
 import references
+from references import _imax_skew
 
 DELTAS = (-2, -1, 0, 1, 2, 3)
 
@@ -231,6 +232,66 @@ def test_maximal_balanced_sub_postconditions():
     out = maximal_balanced_sub(lam, P(4, 3, 3, 3, 3), 2)
     assert lam.contains(out) and out != lam
     assert is_balanced(lam, out, 2)
+
+
+def test_maximal_balanced_sub_matches_box_sets():
+    """The reflection rule equals the Box-set skew growth on every pair
+    mu < lam of <= 8 boxes, except where the skew growth returns a
+    partition that does not contain mu: there the rule raises.  The
+    descent chain hom_target builds on it equals the reference chain on
+    every weight of <= 12 boxes."""
+    cases = equal = both_raise = outside_mu = 0
+    for lam in SMALL:
+        for mu in subpartitions(lam):
+            if mu == lam:
+                continue
+            for delta in range(-4, 6):
+                cases += 1
+                try:
+                    old = references.maximal_balanced_sub(lam, mu, delta)
+                except ValueError:
+                    old = None
+                try:
+                    new = maximal_balanced_sub(lam, mu, delta)
+                except ValueError:
+                    new = None
+                if old is not None and not old.contains(mu):
+                    assert new is None, (lam, mu, delta, new)
+                    assert not is_balanced(lam, mu, delta), (lam, mu, delta)
+                    outside_mu += 1
+                else:
+                    assert new == old, (lam, mu, delta, new, old)
+                    equal += new is not None
+                    both_raise += new is None
+    assert (cases, equal, both_raise, outside_mu) == (7950, 915, 7012, 23)
+
+    cases = non_minimal = 0
+    for k in range(13):
+        for lam in partitions_of(k):
+            for delta in range(-4, 6):
+                if delta == 0 and lam == EMPTY:
+                    continue
+                want = None
+                if not is_minimal(lam, delta):
+                    want = references.maximal_balanced_sub(
+                        lam, minimal_weight(lam, delta), delta)
+                    non_minimal += 1
+                assert hom_target(lam, delta) == want, (lam, delta)
+                cases += 1
+    assert (cases, non_minimal) == (2719, 674)
+
+
+def test_maximal_balanced_sub_fixed_values():
+    # the Box-set growth returned the empty partition here, which does
+    # not contain (2,1,1); no reflection image lies between the two
+    assert references.maximal_balanced_sub(P(2, 2, 2), P(2, 1, 1), 2) == EMPTY
+    with pytest.raises(ValueError, match="no reflection image"):
+        maximal_balanced_sub(P(2, 2, 2), P(2, 1, 1), 2)
+    with pytest.raises(ValueError, match="properly contained"):
+        maximal_balanced_sub(P(2, 1), P(2, 1), 1)
+    # two inclusion-maximal images, (4,4) and (6,2,2); the removed boxes
+    # of (4,4) sort first
+    assert hom_target(P(6, 4, 2), -2) == P(4, 4)
 
 
 def test_hat_stripping_log():

@@ -6,15 +6,16 @@ import pytest
 
 from brauerblocks.cells import (CellModule, block_sum, enumerate_v,
                                 gram_matrix, t_action_check)
-from brauerblocks.diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
-                                   concat, flip, hook_diagram, perm_diagram)
+from brauerblocks.diagrams import (BrauerDiagram, all_diagrams, concat, flip,
+                                   hook_diagram, perm_diagram)
 from brauerblocks.linalg import SparseVec, mat_vec
 from brauerblocks.partitions import (EMPTY, Partition, partitions_of,
                                      removable_boxes, specht_dim)
 from brauerblocks.specht import build_specht
 from brauerblocks import perms
-from references import (addable_boxes, all_perms, from_diagram,
-                        identity_diagram, identity_element, u_diagram)
+from references import (AlgebraElement, addable_boxes, all_perms,
+                        from_diagram, identity_diagram, identity_element,
+                        u_diagram)
 
 
 def P(*parts):

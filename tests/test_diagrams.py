@@ -3,12 +3,11 @@ from fractions import Fraction
 import pytest
 
 from brauerblocks import perms
-from brauerblocks.diagrams import (AlgebraElement, BrauerDiagram, all_diagrams,
-                                   concat, flip, format_diagram, hook_diagram,
-                                   perm_diagram)
+from brauerblocks.diagrams import (BrauerDiagram, all_diagrams, concat, flip,
+                                   format_diagram, hook_diagram, perm_diagram)
 from brauerblocks.partitions import Partition, partitions_of
-from references import (all_perms, compose, e, e_bar, from_diagram,
-                        identity_diagram, identity_element,
+from references import (AlgebraElement, all_perms, compose, e, e_bar,
+                        from_diagram, identity_diagram, identity_element,
                         transposition_element, u_diagram, young_symmetrizer)
 
 

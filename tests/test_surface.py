@@ -1,13 +1,18 @@
 """The library holds only what it runs: every public module-level
 function or class of the package is exported or used by the package,
 its scripts or its benchmark.  Tests are not read, so a name only tests
-call belongs beside those tests.  And no file of the package, its
-tests or its scripts imports a name it never reads."""
+call belongs beside those tests.  No file of the package, its tests or
+its scripts imports a name it never reads, and the package does not
+import fractions.  Its values survive pickle and copy."""
 
 import ast
+import copy
+import pickle
 from pathlib import Path
 
 import brauerblocks
+from brauerblocks import (BrauerDiagram, Box, HomQuery, Partition, SkewShape,
+                          block_partition)
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "brauerblocks"
@@ -80,3 +85,31 @@ def test_no_unused_imports():
             unused += [f"{path.parent.name}/{path.name}: {name}"
                        for name in unused_imports(tree)]
     assert not unused, f"imported and never read: {unused}"
+
+
+def test_package_imports_no_fractions():
+    """The runtime is integer-only: rational coefficients live in the
+    test references."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]  # None for "from . import"
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names
+                      if name.partition(".")[0] == "fractions"]
+    assert not found, f"fractions imported: {found}"
+
+
+def test_values_pickle_and_copy():
+    values = [Partition((2, 1)), SkewShape([Box(1, 1)]),
+              BrauerDiagram(2, 2, [(1, -1), (2, -2)]),
+              HomQuery(4, 1, Partition((2, 2)), Partition()),
+              block_partition(4, 1)]
+    for value in values:
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                     copy.deepcopy(value)):
+            assert type(twin) is type(value) and twin == value, value
