@@ -316,12 +316,13 @@ def is_minimal(lam: Partition, delta: int) -> bool:
 
 
 def minimal_weight(lam: Partition, delta: int) -> Partition:
-    """The unique smallest weight under lam balanced with it, checked to
-    lie under lam, to be balanced with it and to be its own orbit
-    minimum."""
+    """The unique smallest weight under lam balanced with it.  A minimum
+    other than lam itself is checked to lie under lam, to be balanced
+    with it and to be its own orbit minimum; for lam these hold
+    trivially."""
     found = _orbit_min(lam, delta)
-    if not (lam.contains(found) and is_balanced(lam, found, delta)
-            and is_minimal(found, delta)):
+    if found != lam and not (lam.contains(found) and is_balanced(lam, found, delta)
+                             and is_minimal(found, delta)):
         raise InvariantError((lam, found, delta))
     return found
 
@@ -329,9 +330,8 @@ def minimal_weight(lam: Partition, delta: int) -> Partition:
 def hom_target(lam: Partition, delta: int) -> Partition | None:
     """The predicted receiver of a nonzero map out of the cell module
     at lam, or None when lam is minimal in its block."""
-    if is_minimal(lam, delta):
-        return None
-    return maximal_balanced_sub(lam, minimal_weight(lam, delta), delta)
+    low = minimal_weight(lam, delta)
+    return None if low == lam else maximal_balanced_sub(lam, low, delta)
 
 
 @dataclass(frozen=True)

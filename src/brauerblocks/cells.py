@@ -12,23 +12,24 @@ lex, then tableaux) so every matrix is reproducible bit for bit.
 The action works on block vectors: {one-row index: list of the f = dim
 S^mu Specht coordinates}, dense and int, with no all-zero block.  Flat
 index v*f + x is coordinate x of block v; flatten and to_blocks convert.
-Each diagram gets a move table, a list over one-row indices filled on
-first use: None where the propagating number drops or delta^loops = 0,
-else (target index, Specht matrix of the leftover permutation or None
-for the identity, delta^loops).  One table lookup per call then moves
-every block of a vector.  block_sum is the one way to combine block
-vectors.  Lists in a block vector are never shared with another vector,
-so a caller may mutate what it is given back.
+Each diagram, and each transposition of two points, gets a move table on
+the module, a list over one-row indices filled on first use: None where
+the propagating number drops or delta^loops = 0, else (target index,
+Specht matrix of the leftover permutation or None for the identity,
+delta^loops).  One kernel, CellModule._add_moved, adds c times a table's
+image of a vector into an accumulator, one table lookup per block:
+act_diagram, swap_sum (a vector plus a signed sum of transpositions, in
+one pass) and t_action_check all move vectors through it.  Lists in a
+block vector are never shared with another vector, so a caller may
+mutate what it is given back.
 
-A transposition of two points needs no diagram and no strand walk: it
-relabels v's arcs, and each free node f of v goes to the rank of its
-image in w.  swap_sum applies vec + sign * (sum of several
-transpositions) in one pass, from one such move table per pair, filled
-in that closed form on first use and kept on the module.  Every other
-diagram's node links are read once, into a table kept on the module
-beside its move table (gram_matrix drops each row's diagram's table
-with the row), and each one-row diagram's free nodes are stored at
-construction.
+A permutation needs no diagram and no strand walk: it relabels v's arcs,
+and each free node f of v goes to the rank of its image in w
+(_perm_move); transpositions and the permutation traces of the oracle
+are read that way.  Every other diagram's node links are read once, into
+a table kept on the module beside its move table (gram_matrix drops each
+row's diagram's table with the row), and each one-row diagram's free
+nodes are stored at construction.
 
 The Gram form is read through the same strand walk (_move), as sparse
 rows, and t_action_check is the one check that the central element acts
@@ -128,9 +129,10 @@ class CellModule:
             self._mate.append(mate)
             self._rank.append(rank)
         self._identity = tuple(range(mu.size))
-        self._moves: dict[BrauerDiagram, list] = {}
+        # move tables, keyed by diagram or by the 0-based point pair of a
+        # transposition
+        self._moves: dict = {}
         self._links: dict[BrauerDiagram, list[int]] = {}
-        self._swaps: dict[tuple[int, int], list] = {}
 
     @property
     def dim(self) -> int:
@@ -206,43 +208,49 @@ class CellModule:
         cols = None if pinv == self._identity else self.specht.perm_matrix(pinv)
         return (w_idx, cols, scale)
 
-    def act_diagram(self, d: BrauerDiagram, vec: BlockVec) -> BlockVec:
-        """Left action of a single diagram, with the delta^loops factor,
-        on a block vector.  The result shares no list with vec."""
-        moves = self._moves.get(d)
+    def _add_moved(self, out: BlockVec, vec: BlockVec, key, fill, c: int) -> None:
+        """Add c * (key acting on vec) into out, through key's move table,
+        filling a missing entry by fill(key, v_idx).  Writes only to lists
+        made here or already owned by out."""
+        moves = self._moves.get(key)
         if moves is None:
-            moves = self._moves[d] = [_UNFILLED] * len(self.v_list)
+            moves = self._moves[key] = [_UNFILLED] * len(self.v_list)
         f = self.specht.dim
-        out: BlockVec = {}
         for v_idx, block in vec.items():
             move = moves[v_idx]
             if move is _UNFILLED:
-                move = moves[v_idx] = self._move(d, v_idx)
+                move = moves[v_idx] = fill(key, v_idx)
             if move is None:
                 continue
             w_idx, cols, scale = move
+            scale *= c
             acc = out.get(w_idx)
             if cols is None:
-                if acc is None:
-                    out[w_idx] = [scale * c for c in block]
-                else:
-                    out[w_idx] = [a + scale * c for a, c in zip(acc, block)]
+                out[w_idx] = ([scale * x for x in block] if acc is None
+                              else [a + scale * x for a, x in zip(acc, block)])
                 continue
             if acc is None:
                 acc = out[w_idx] = [0] * f
-            for j, c in enumerate(block):
-                if c:
-                    c *= scale
+            for j, x in enumerate(block):
+                if x:
+                    x *= scale
                     for i, a in cols[j].items():
-                        acc[i] += a * c
+                        acc[i] += a * x
+
+    def act_diagram(self, d: BrauerDiagram, vec: BlockVec) -> BlockVec:
+        """Left action of a single diagram, with the delta^loops factor,
+        on a block vector.  The result shares no list with vec."""
+        out: BlockVec = {}
+        self._add_moved(out, vec, d, self._move, 1)
         return {w_idx: acc for w_idx, acc in out.items() if any(acc)}
 
-    def _swap_move(self, i: int, j: int, v_idx: int):
-        """The move-table entry of the transposition of the 0-based points
-        i and j at the v-th one-row diagram, in closed form: w is v with
-        its arcs relabelled, and free node f of v goes to the rank of its
-        image in w.  No loop closes and no strand drops, so the scale is 1."""
-        tau = perms.transposition(self.n + 1, i + 1, j + 1)
+    def _perm_move(self, tau, v_idx: int):
+        """The move-table entry at the v-th one-row diagram of the
+        permutation that relabels node x as node tau[x] (1-based, tau[0]
+        unused), in closed form: w is v with its arcs relabelled, and free
+        node f of v goes to the rank of its image in w.  No loop closes and
+        no strand drops, so the scale is 1.  The permutation diagram of
+        sigma moves v as the relabelling by sigma inverse."""
         arcs = sorted((tau[a], tau[b]) if tau[a] < tau[b] else (tau[b], tau[a])
                       for a, b in self.v_list[v_idx].arcs)
         w_idx = self._v_index[tuple(arcs)]
@@ -251,33 +259,19 @@ class CellModule:
         cols = None if pinv == self._identity else self.specht.perm_matrix(pinv)
         return (w_idx, cols, 1)
 
+    def _swap_move(self, pair: tuple[int, int], v_idx: int):
+        """The move-table entry of the transposition of the 0-based points
+        of pair, which is its own relabelling."""
+        i, j = pair
+        return self._perm_move(perms.transposition(self.n + 1, i + 1, j + 1), v_idx)
+
     def swap_sum(self, vec: BlockVec, pairs, sign: int) -> BlockVec:
         """vec + sign * the sum of the transpositions of the 0-based point
         pairs applied to vec, built in one fresh accumulator: the result
         shares no list with vec and has no zero block."""
-        f = self.specht.dim
         out: BlockVec = {v_idx: list(block) for v_idx, block in vec.items()}
-        for i, j in pairs:
-            moves = self._swaps.get((i, j))
-            if moves is None:
-                moves = self._swaps[i, j] = [_UNFILLED] * len(self.v_list)
-            for v_idx, block in vec.items():
-                move = moves[v_idx]
-                if move is _UNFILLED:
-                    move = moves[v_idx] = self._swap_move(i, j, v_idx)
-                w_idx, cols, _ = move
-                acc = out.get(w_idx)
-                if cols is None:
-                    out[w_idx] = ([sign * c for c in block] if acc is None
-                                  else [a + sign * c for a, c in zip(acc, block)])
-                    continue
-                if acc is None:
-                    acc = out[w_idx] = [0] * f
-                for k, c in enumerate(block):
-                    if c:
-                        c *= sign
-                        for x, a in cols[k].items():
-                            acc[x] += a * c
+        for pair in pairs:
+            self._add_moved(out, vec, pair, self._swap_move, sign)
         return {w_idx: acc for w_idx, acc in out.items() if any(acc)}
 
     def flatten(self, vec: BlockVec) -> SparseVec:
@@ -297,22 +291,6 @@ class CellModule:
 
     def __repr__(self) -> str:
         return f"CellModule(n={self.n}, delta={self.delta}, mu={self.mu}, dim={self.dim})"
-
-
-def block_sum(terms) -> BlockVec:
-    """The sum of c*vec over the (c, vec) pairs of terms, in block form
-    with no zero block.  Each block is summed into one fresh list, so the
-    result shares no list with any vec."""
-    out: BlockVec = {}
-    for c, vec in terms:
-        for v_idx, block in vec.items():
-            acc = out.get(v_idx)
-            if acc is None:
-                # list() copies without a Python-level loop
-                out[v_idx] = list(block) if c == 1 else [c * x for x in block]
-            else:
-                out[v_idx] = [a + c * x for a, x in zip(acc, block)]
-    return {v_idx: acc for v_idx, acc in out.items() if any(acc)}
 
 
 # Kept for the life of the process, unlike cell modules: one Specht module
@@ -360,14 +338,20 @@ def gram_matrix(cell: CellModule) -> list[SparseVec]:
 
 def t_action_check(cell: CellModule) -> bool:
     """Does the sum of all hooks X_{i,j} act as the transposition sum plus
-    the scalar t(delta-1) - (content sum of mu)?"""
+    the scalar t(delta-1) - (content sum of mu)?  Each unit vector's
+    -scalar multiple, minus its transposed images, plus its images under
+    the hooks, must vanish."""
     n = cell.n
     scalar = cell.t * (cell.delta - 1) - content_sum(cell.mu)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     hooks = [hook_diagram(n, i + 1, j + 1) for i, j in pairs]
     for b in range(cell.dim):
         unit = cell.to_blocks({b: 1})
-        if block_sum([(-scalar - 1, unit), (1, cell.swap_sum(unit, pairs, -1))]
-                     + [(1, cell.act_diagram(h, unit)) for h in hooks]):
+        out = {v_idx: [-scalar * c for c in block] for v_idx, block in unit.items()}
+        for pair in pairs:
+            cell._add_moved(out, unit, pair, cell._swap_move, -1)
+        for h in hooks:
+            cell._add_moved(out, unit, h, cell._move, 1)
+        if any(map(any, out.values())):
             return False
     return True

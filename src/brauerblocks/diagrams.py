@@ -4,8 +4,8 @@ Diagrams are reduced perfect matchings on n northern and t southern
 nodes; concatenation returns the reduced diagram together with the
 number of closed loops removed, and the caller applies the
 delta^loops factor (0^0 = 1, so delta = 0 is handled uniformly).
-Distinguished diagrams: permutation diagrams and the hook diagrams
-X_{i,j}.
+Distinguished diagrams: the hook diagrams X_{i,j}.  Permutations act on
+cell modules by relabelling nodes (cells), with no diagram built.
 """
 
 from __future__ import annotations
@@ -75,13 +75,6 @@ def format_diagram(d: BrauerDiagram) -> str:
     body = " ".join(f"{node(a)}-{node(b)}" for a, b in shown)
     head = f"n={d.n}" if d.t == d.n else f"n={d.n},t={d.t}"
     return f"{head}; {body}"
-
-
-def perm_diagram(sigma: tuple[int, ...]) -> BrauerDiagram:
-    """Propagating diagram of a permutation: northern i joins southern
-    sigma(i) (0-based tuple in, 1-based nodes out)."""
-    n = len(sigma)
-    return BrauerDiagram(n, n, [(i + 1, -(sigma[i] + 1)) for i in range(n)])
 
 
 def hook_diagram(n: int, i: int, j: int) -> BrauerDiagram:

@@ -16,12 +16,14 @@ fixes, so that no seed dies under the row sum; see _hom_dim_compressed.
 
 Each question reads the one cell module it is about, through the move
 tables of its action: the fixed Specht vectors come from the row sum on
-one block of the target module, the permutation traces from the moves
-that send a one-row diagram to itself, and the Gram rank from the sparse
-rows of cells.gram_matrix.  Every transposition the Hom route applies,
-in a row sum, a column sum or the fixed-vector search, goes through the
-module's own CellModule.swap_sum, one call per coset step, which moves
-blocks by the closed-form transposition tables and walks no strand.
+one block of the target module, the permutation traces from the
+closed-form moves (CellModule._perm_move) that send a one-row diagram
+to itself, and the Gram rank from the sparse rows of cells.gram_matrix.
+Every transposition the Hom route applies, in a row sum, a column sum
+or the fixed-vector search, goes through the module's own
+CellModule.swap_sum, one call per coset step, which moves blocks by the
+closed-form transposition tables.  No question builds a permutation
+diagram or walks one through the strand walk; only hooks are walked.
 
 Module dimensions are capped via the BRAUER_MAX_DIM environment variable
 (a positive integer, default 400) so that a stray query cannot wedge a
@@ -49,7 +51,7 @@ from .blocks import (WeightSet, block_partition, check_weight, hom_target,
                      is_balanced, is_minimal, weights)
 from .cells import (BlockVec, CellModule, PartialOneRowDiagram, gram_matrix,
                     t_action_check)
-from .diagrams import hook_diagram, perm_diagram
+from .diagrams import hook_diagram
 from .linalg import Echelon, SparseVec, rank_of
 from .partitions import (InvariantError, Partition, conjugacy_class_size,
                          content_sum, is_even, lr_coefficient, mn_character,
@@ -177,22 +179,25 @@ def _cycle_rep(rho: Partition) -> tuple[int, ...]:
 # lam for one mu, and a miss reads a move per one-row diagram and class.
 @lru_cache(maxsize=1)
 def _perm_traces(n: int, mu: Partition) -> dict[Partition, int]:
-    """Trace of each cycle type's permutation diagram on the cell module.
+    """Trace of each cycle type's permutation on the cell module.
 
-    A permutation diagram closes no loop and keeps every strand, so it
-    moves each one-row diagram v to some w with scale 1, and only the
+    A permutation closes no loop and keeps every strand, so it moves each
+    one-row diagram v to some w with scale 1, read in closed form from
+    the relabelling of nodes by the cycle representative, and only the
     v with w = v add to the trace: f for the identity on the Specht
-    factor, else the diagonal of its matrix.  With no loop there is no
-    power of delta, so the traces are read at delta = 1, where every mu
-    of the right size is a weight.  The caller checks the cap."""
+    factor, else the diagonal of its matrix.  The relabelling by sigma is
+    the action of sigma's inverse, which has the same cycle type and so
+    the same trace.  With no loop there is no power of delta, so the
+    traces are read at delta = 1, where every mu of the right size is a
+    weight.  The caller checks the cap."""
     cell = _last_cell(n, 1, mu)
     f = cell.specht.dim
     out = {}
     for rho in partitions_of(n):
-        d = perm_diagram(_cycle_rep(rho))
+        tau = (0,) + tuple(x + 1 for x in _cycle_rep(rho))
         tr = 0
         for v_idx in range(len(cell.v_list)):
-            w_idx, cols, _ = cell._move(d, v_idx)
+            w_idx, cols, _ = cell._perm_move(tau, v_idx)
             if w_idx == v_idx:
                 tr += f if cols is None else sum(cols[j].get(j, 0)
                                                  for j in range(f))

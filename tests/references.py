@@ -1,7 +1,9 @@
 """Reference constructions shared by several test files: algebra
 elements with rational coefficients and the named diagrams and elements
 built on them, permutation helpers (among them the whole Young subgroup
-and the sign, which the library does without), addable boxes, the
+and the sign, which the library does without), the permutation diagram
+(the library permutes cell-module nodes in closed form instead), the
+sum of cell-module block vectors, addable boxes, the
 balanced test and bias on Box sets, which the library computes from row
 lengths, and the Box-set skew growth of maximal_balanced_sub, which the
 library reads off one type-D reflection.  The library runs none of
@@ -16,7 +18,7 @@ from math import factorial
 from typing import Iterator
 
 from brauerblocks import perms
-from brauerblocks.diagrams import BrauerDiagram, concat, flip, perm_diagram
+from brauerblocks.diagrams import BrauerDiagram, concat, flip
 from brauerblocks.partitions import (Box, InvariantError, Partition, SkewShape,
                                      partition_minus, removable_boxes,
                                      specht_dim)
@@ -80,6 +82,13 @@ def identity_diagram(n: int) -> BrauerDiagram:
     return BrauerDiagram(n, n, [(i, -i) for i in range(1, n + 1)])
 
 
+def perm_diagram(sigma: tuple[int, ...]) -> BrauerDiagram:
+    """Propagating diagram of a permutation: northern i joins southern
+    sigma(i) (0-based tuple in, 1-based nodes out)."""
+    n = len(sigma)
+    return BrauerDiagram(n, n, [(i + 1, -(sigma[i] + 1)) for i in range(n)])
+
+
 def u_diagram(n: int, i: int) -> BrauerDiagram:
     """Arcs {i, i+1} on both boundaries, all other strands straight."""
     if not 1 <= i <= n - 1:
@@ -87,6 +96,22 @@ def u_diagram(n: int, i: int) -> BrauerDiagram:
     pairs = [(i, i + 1), (-i, -(i + 1))]
     pairs += [(k, -k) for k in range(1, n + 1) if k not in (i, i + 1)]
     return BrauerDiagram(n, n, pairs)
+
+
+def block_sum(terms) -> dict:
+    """The sum of c*vec over the (c, vec) pairs of terms, for cell-module
+    block vectors {one-row index: list of Specht coordinates}, with no
+    zero block.  Each block is summed into one fresh list, so the result
+    shares no list with any vec."""
+    out: dict = {}
+    for c, vec in terms:
+        for v_idx, block in vec.items():
+            acc = out.get(v_idx)
+            if acc is None:
+                out[v_idx] = list(block) if c == 1 else [c * x for x in block]
+            else:
+                out[v_idx] = [a + c * x for a, x in zip(acc, block)]
+    return {v_idx: acc for v_idx, acc in out.items() if any(acc)}
 
 
 class AlgebraElement:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from brauerblocks import blocks
 from brauerblocks.blocks import (bias, block_key,
                                  block_partition, block_partition_json, hat,
                                  hat_steps, hom_target, is_balanced,
@@ -372,6 +373,29 @@ def test_hom_target():
     assert hom_target(P(1), 2) is None
     assert hom_target(P(2, 2), 1) == EMPTY
     assert hom_target(P(7, 6, 6, 5, 4, 4, 2), 1) == P(7, 6, 4, 4, 3, 2, 2)
+
+
+def test_hom_target_finds_orbit_minimum_once(monkeypatch):
+    # one orbit minimum per weight, plus the check that a proper minimum
+    # is its own: 2045 minimal and 674 non-minimal (lam, delta)
+    calls = 0
+    orbit_min = blocks._orbit_min
+
+    def counting(lam, delta):
+        nonlocal calls
+        calls += 1
+        return orbit_min(lam, delta)
+
+    monkeypatch.setattr(blocks, "_orbit_min", counting)
+    asked = moved = 0
+    for delta in range(-4, 6):
+        for size in range(13):
+            for lam in partitions_of(size):
+                if delta == 0 and lam == EMPTY:
+                    continue
+                asked += 1
+                moved += hom_target(lam, delta) is not None
+    assert (asked, moved, calls) == (2719, 674, 3393)
 
 
 @given(partitions, deltas)

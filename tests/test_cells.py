@@ -4,18 +4,20 @@ from math import factorial
 
 import pytest
 
-from brauerblocks.cells import (CellModule, block_sum, enumerate_v,
-                                gram_matrix, t_action_check)
+from brauerblocks import cells, perms
+from brauerblocks.cells import (CellModule, enumerate_v, gram_matrix,
+                                t_action_check)
 from brauerblocks.diagrams import (BrauerDiagram, all_diagrams, concat, flip,
-                                   hook_diagram, perm_diagram)
+                                   hook_diagram)
 from brauerblocks.linalg import SparseVec, mat_vec
-from brauerblocks.partitions import (EMPTY, Partition, partitions_of,
+from brauerblocks.oracle import central_scalar
+from brauerblocks.partitions import (EMPTY, InvariantError, Partition,
+                                     content_sum, partitions_of,
                                      removable_boxes, specht_dim)
 from brauerblocks.specht import build_specht
-from brauerblocks import perms
 from references import (AlgebraElement, addable_boxes, all_perms,
-                        from_diagram, identity_diagram, identity_element,
-                        u_diagram)
+                        block_sum, from_diagram, identity_diagram,
+                        identity_element, perm_diagram, u_diagram)
 
 
 def P(*parts):
@@ -156,6 +158,24 @@ def test_t_action_small(delta):
                 continue
             for mu in partitions_of(k):
                 assert t_action_check(CellModule(n, delta, mu))
+
+
+def test_t_action_check_rejects_wrong_scalar(monkeypatch):
+    # with the content sum off by one the central element misses its
+    # scalar on every module, and central_scalar refuses to answer
+    monkeypatch.setattr(cells, "content_sum", lambda mu: content_sum(mu) + 1)
+    count = 0
+    for delta in (-1, 0, 2):
+        for n in range(1, 5):
+            for k in range(n % 2, n + 1, 2):
+                if delta == 0 and k == 0:
+                    continue
+                for mu in partitions_of(k):
+                    assert not t_action_check(CellModule(n, delta, mu))
+                    with pytest.raises(InvariantError):
+                        central_scalar(n, delta, mu)
+                    count += 1
+    assert count == 46
 
 
 def _one_row_diagram(v, m):
@@ -406,11 +426,26 @@ def test_swap_tables_match_decompose():
                 full = {v_idx: [1] * f for v_idx in range(len(cell.v_list))}
                 cell.swap_sum(full, pairs, 1)
                 for p in pairs:
-                    table = cell._swaps[p]
+                    table = cell._moves[p]
                     for v_idx, move in enumerate(table):
                         assert move == cell._move(diagrams[p], v_idx), (cell, p, v_idx)
                     count += len(table)
     assert count == 94244
+    # every permutation sigma of n <= 5: relabelling the nodes by sigma
+    # inverse is the strand walk of sigma's diagram
+    count = modules = 0
+    for n in range(6):
+        for delta in DELTAS:
+            for cell in cell_modules(n, delta):
+                modules += 1
+                for sigma in all_perms(n):
+                    d = perm_diagram(sigma)
+                    tau = (0,) + tuple(x + 1 for x in inverse(sigma))
+                    for v_idx in range(len(cell.v_list)):
+                        assert cell._perm_move(tau, v_idx) == cell._move(d, v_idx), \
+                            (cell, sigma, v_idx)
+                        count += 1
+    assert (modules, count) == (165, 40509)
 
 
 def test_swap_sum_matches_act_diagram(rng):

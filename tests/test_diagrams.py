@@ -4,11 +4,12 @@ import pytest
 
 from brauerblocks import perms
 from brauerblocks.diagrams import (BrauerDiagram, all_diagrams, concat, flip,
-                                   format_diagram, hook_diagram, perm_diagram)
+                                   format_diagram, hook_diagram)
 from brauerblocks.partitions import Partition, partitions_of
 from references import (AlgebraElement, all_perms, compose, e, e_bar,
                         from_diagram, identity_diagram, identity_element,
-                        transposition_element, u_diagram, young_symmetrizer)
+                        perm_diagram, transposition_element, u_diagram,
+                        young_symmetrizer)
 
 
 def parse_diagram(text: str) -> BrauerDiagram:

@@ -10,7 +10,7 @@ from brauerblocks import cli, perms
 from brauerblocks.blocks import hom_target, weights
 from brauerblocks.cells import CellModule, enumerate_v
 from brauerblocks.diagrams import (BrauerDiagram, all_diagrams, concat,
-                                   hook_diagram, perm_diagram)
+                                   hook_diagram)
 from brauerblocks.linalg import Echelon, SparseVec, rank_of, vec_add
 from brauerblocks.oracle import (HomQuery, _cycle_rep, _last_cell, _orbit_reps,
                                  _orbit_seeds, _perm_traces,
@@ -21,7 +21,8 @@ from brauerblocks.oracle import (HomQuery, _cycle_rep, _last_cell, _orbit_reps,
 from brauerblocks.partitions import (EMPTY, Partition, mn_character,
                                      partitions_of, removable_boxes,
                                      specht_dim)
-from references import block_perms, e_bar, identity, identity_diagram, sign
+from references import (block_perms, e_bar, identity, identity_diagram,
+                        perm_diagram, sign)
 
 DELTAS = (-2, -1, 0, 1, 2, 3)
 
@@ -603,7 +604,8 @@ def test_no_cell_module_outlives_a_run(monkeypatch):
 def test_route_walks_no_permutation_diagram(monkeypatch):
     # the Hom route applies every transposition through swap_sum's
     # closed-form tables: on each route query of n <= 6 the strand walk
-    # sees the hooks and never a permutation diagram
+    # sees the hooks and never a permutation diagram; restriction reads
+    # its traces in closed form and walks nothing
     walked = Counter()
     decompose = CellModule.decompose
 
@@ -629,3 +631,18 @@ def test_route_walks_no_permutation_diagram(monkeypatch):
         _last_cell.cache_clear()
     assert queries == 41
     assert walked[False] and not walked[True], walked
+
+    walked.clear()
+    _perm_traces.cache_clear()
+    queries = 0
+    try:
+        for n in range(1, 7):
+            for mu in weights(n, 1).weights:
+                for lam in partitions_of(n):
+                    restriction_multiplicity(n, 1, mu, lam)
+                    queries += 1
+    finally:
+        _last_cell.cache_clear()
+        _perm_traces.cache_clear()
+    assert queries == 345
+    assert not walked, walked
