@@ -17,12 +17,10 @@ Everything is exact integer combinatorics on partitions.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, starmap, zip_longest
+from typing import NamedTuple
 
 from .partitions import (
-    EMPTY,
     Box,
     InvariantError,
     Partition,
@@ -33,8 +31,7 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
-class WeightSet:
+class WeightSet(NamedTuple):
     """The weights labelling cell modules at a given size: partitions of
     n, n-2, ... down to 1 or 0.  At delta = 0 the empty weight is omitted."""
 
@@ -140,8 +137,7 @@ def bias(lam: Partition, tau: Partition, delta: int) -> int:
     return total - size // 2 * (1 - delta)
 
 
-@dataclass(frozen=True)
-class BlockPartition:
+class BlockPartition(NamedTuple):
     """Weights grouped into blocks, each with its unique minimal member."""
 
     n: int
@@ -286,33 +282,50 @@ def hat(lam: Partition, delta: int) -> SkewShape:
     return hat_steps(lam, delta)[0]
 
 
-def _orbit_min(lam: Partition, delta: int) -> Partition:
-    """The minimum of lam's type-D orbit.  At rank |lam| + |delta| + 2 any
-    x_i can turn negative; every unpaired nonzero |x_i| does, a doubled
-    one keeps one copy of each sign, and if no x_i is 0 and the parity of
-    the negatives changed, the smallest unpaired one turns back.  At
-    delta = 0 the empty partition is no weight; (2) is the only size-2
-    one in its orbit."""
-    rank = lam.size + abs(delta) + 2
-    x = _shifted(lam, delta, rank)
-    mags = Counter(map(abs, x))
-    y = [-a for a in mags if a] + [a for a, c in mags.items() if c == 2]
-    if 0 in mags:
-        y.append(0)
-    elif sum(v < 0 for v in y) % 2 != sum(v < 0 for v in x) % 2:
-        a = min(a for a, c in mags.items() if c == 1)
+_TWO = Partition((2,))
+
+
+def _orbit_min_coords(x: list[int]) -> list[int]:
+    """The minimum of the type-D orbit of the shifted coordinates x, in
+    decreasing order, at a rank where any x_i can turn negative.  x
+    strictly decreases, so a magnitude occurs at most twice, as a and -a.
+    Every positive entry without its negative turns negative, a pair
+    keeps both signs, and if an odd number turned and no entry is 0, the
+    unpaired entry of least magnitude turns back to positive."""
+    have = set(x)
+    y = [-v if v > 0 and -v not in have else v for v in x]
+    if 0 not in have and sum(map(int.__ne__, x, y)) % 2:
+        a = min(abs(v) for v in x if -v not in have)
         y[y.index(-a)] = a
     y.sort(reverse=True)
-    found = _unshift(y, delta)
-    if delta == 0 and found == EMPTY and lam != EMPTY:
-        found = Partition((2,))
-    return found
+    return y
+
+
+def _orbit_coords(lam: Partition, delta: int) -> tuple[list[int], list[int]]:
+    """lam's shifted coordinates at rank |lam| + |delta| + 2, where any
+    x_i can turn negative, and its orbit minimum's there."""
+    x = _shifted(lam, delta, lam.size + abs(delta) + 2)
+    return x, _orbit_min_coords(x)
+
+
+def _orbit_min(lam: Partition, delta: int) -> Partition:
+    """The minimum of lam's type-D orbit: lam itself when its coordinates
+    are already the minimum's.  At delta = 0 the empty partition
+    (leading coordinate 0) is no weight; (2) is the only size-2 one in
+    its orbit."""
+    x, y = _orbit_coords(lam, delta)
+    if y == x:
+        return lam
+    if delta == 0 and y[0] == 0:
+        return _TWO
+    return _unshift(y, delta)
 
 
 def is_minimal(lam: Partition, delta: int) -> bool:
     """Whether lam is the smallest weight in its block: the minimum of
-    its type-D orbit."""
-    return _orbit_min(lam, delta) == lam
+    its type-D orbit, read on coordinates."""
+    x, y = _orbit_coords(lam, delta)
+    return y == x or (delta == 0 and y[0] == 0 and lam == _TWO)
 
 
 def minimal_weight(lam: Partition, delta: int) -> Partition:
@@ -334,8 +347,7 @@ def hom_target(lam: Partition, delta: int) -> Partition | None:
     return None if low == lam else maximal_balanced_sub(lam, low, delta)
 
 
-@dataclass(frozen=True)
-class LatticePrediction:
+class LatticePrediction(NamedTuple):
     """The predicted submodule lattice between a balanced pair whose
     difference is 2m isolated boxes: one node per subset of the m
     mirrored box pairs, ordered by inclusion."""

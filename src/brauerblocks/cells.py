@@ -73,7 +73,11 @@ class PartialOneRowDiagram(NamedTuple):
 
 def enumerate_v(n: int, t: int) -> list[PartialOneRowDiagram]:
     """All partial one-row diagrams with t arcs on n nodes, sorted
-    lexicographically by arc list; n!/(2^t t! (n-2t)!) of them."""
+    lexicographically by arc list; n!/(2^t t! (n-2t)!) of them.
+
+    The recursion puts the first available node on an arc, partners
+    ascending, before leaving it free, and each arc list comes out sorted
+    by its left ends; so the diagrams come out in lex order."""
     if not 0 <= 2 * t <= n:
         raise ValueError(f"arc count out of range: t={t}, n={n}")
 
@@ -84,15 +88,13 @@ def enumerate_v(n: int, t: int) -> list[PartialOneRowDiagram]:
         if len(avail) < 2 * k:
             return
         first = avail[0]
-        yield from rec(avail[1:], k)  # first node left free
         for idx in range(1, len(avail)):
             rest = avail[1:idx] + avail[idx + 1:]
             for tail in rec(rest, k - 1):
                 yield ((first, avail[idx]),) + tail
+        yield from rec(avail[1:], k)  # first node left free
 
-    out = [PartialOneRowDiagram(n, tuple(sorted(arcs)))
-           for arcs in rec(tuple(range(1, n + 1)), t)]
-    out.sort(key=lambda v: v.arcs)
+    out = [PartialOneRowDiagram(n, arcs) for arcs in rec(tuple(range(1, n + 1)), t)]
     expected = factorial(n) // (2 ** t * factorial(t) * factorial(n - 2 * t))
     if len(out) != expected:
         raise InvariantError((n, t, len(out), expected))
@@ -118,13 +120,13 @@ class CellModule:
         self._mate: list[list[int]] = []
         self._rank: list[list[int]] = []
         for v in self.v_list:
-            free = v.free
             mate = [0] * (n + 1)
             for a, b in v.arcs:
                 mate[a], mate[b] = b, a
+            free = tuple(x for x in range(1, n + 1) if not mate[x])
             rank = [-1] * (n + 1)
-            for k, f in enumerate(free):
-                rank[f] = k
+            for k, x in enumerate(free):
+                rank[x] = k
             self.free_nodes.append(free)
             self._mate.append(mate)
             self._rank.append(rank)

@@ -40,11 +40,10 @@ permutation traces of the last (n, mu) asked (_perm_traces, one slot).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import factorial
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import perms
 from .blocks import (WeightSet, block_partition, check_weight, hom_target,
@@ -104,23 +103,32 @@ def _capped_cell(n: int, delta: int, mu: Partition) -> CellModule:
     return _last_cell(n, delta, mu)
 
 
-@dataclass(frozen=True)
-class HomQuery:
-    """A single Hom-space question: maps from the cell module at `source`
-    to the one at `target`, both over B_n(delta)."""
-
+class _HomQueryFields(NamedTuple):
     n: int
     delta: int
     source: Partition
     target: Partition
 
-    def __post_init__(self):
-        check_weight(self.n, self.delta, self.source)
-        check_weight(self.n, self.delta, self.target)
+
+class HomQuery(_HomQueryFields):
+    """A single Hom-space question: maps from the cell module at `source`
+    to the one at `target`, both over B_n(delta).  Both must be weights
+    there."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, delta: int, source: Partition, target: Partition):
+        check_weight(n, delta, source)
+        check_weight(n, delta, target)
+        return tuple.__new__(cls, (n, delta, source, target))
+
+    @classmethod
+    def _make(cls, iterable) -> "HomQuery":
+        # _replace builds through _make, so a replaced field is checked too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class BlockGraph:
+class BlockGraph(NamedTuple):
     """Weights of B_n(delta) with one directed edge per nonzero Hom space."""
 
     vertices: WeightSet
@@ -439,15 +447,20 @@ def verify_blocks(n: int, delta: int) -> dict:
         checks.append(entry)
 
     bp = block_partition(n, delta)
+    # each weight's minimality, and each non-minimal weight's target, is
+    # computed once here; the descent chains only read them
+    minimal = {w: is_minimal(w, delta) for _, members in bp.classes
+               for w in members}
     for _, members in bp.classes:
         names = [str(w) for w in members]
-        minimal = [w for w in members if is_minimal(w, delta)]
-        record("unique-minimal", {"class": names}, len(minimal) == 1,
-               None if len(minimal) == 1 else [str(w) for w in minimal])
+        lows = [w for w in members if minimal[w]]
+        record("unique-minimal", {"class": names}, len(lows) == 1,
+               None if len(lows) == 1 else [str(w) for w in lows])
         scalars = {central_scalar_value(n, delta, w) for w in members}
         record("constant-central-scalar", {"class": names},
                len(scalars) == 1,
                None if len(scalars) == 1 else sorted(scalars))
+    target = {w: hom_target(w, delta) for w, least in minimal.items() if not least}
 
     edges = _hom_edges(n, delta)
     edge_set = set(edges)
@@ -457,15 +470,17 @@ def verify_blocks(n: int, delta: int) -> dict:
            {"n": n, "delta": delta, "edges": len(edges)},
            not unbalanced, unbalanced or None)
 
+    # a hop is taken only along an edge, and edges join weights, so every
+    # cur has an entry in minimal and, unless minimal, in target
     for _, members in bp.classes:
         for w in members:
-            if is_minimal(w, delta):
+            if minimal[w]:
                 continue
             chain = [w]
             cur = w
             ok, witness = True, None
-            while not is_minimal(cur, delta):
-                nxt = hom_target(cur, delta)
+            while not minimal[cur]:
+                nxt = target[cur]
                 if (cur, nxt) not in edge_set:
                     ok, witness = False, {"hop": [str(cur), str(nxt)]}
                     break

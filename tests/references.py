@@ -6,8 +6,10 @@ and the sign, which the library does without), the permutation diagram
 sum of cell-module block vectors, addable boxes, the
 balanced test and bias on Box sets, which the library computes from row
 lengths, and the Box-set skew growth of maximal_balanced_sub, which the
-library reads off one type-D reflection.  The library runs none of
-them; the tests compare it against them."""
+library reads off one type-D reflection, the Counter-based orbit
+minimum, which the library reads off coordinates, and the sort-based
+one-row diagram enumeration, which the library yields in order.  The
+library runs none of them; the tests compare it against them."""
 
 from __future__ import annotations
 
@@ -18,10 +20,12 @@ from math import factorial
 from typing import Iterator
 
 from brauerblocks import perms
+from brauerblocks.blocks import _shifted, _unshift
+from brauerblocks.cells import PartialOneRowDiagram
 from brauerblocks.diagrams import BrauerDiagram, concat, flip
-from brauerblocks.partitions import (Box, InvariantError, Partition, SkewShape,
-                                     partition_minus, removable_boxes,
-                                     specht_dim)
+from brauerblocks.partitions import (EMPTY, Box, InvariantError, Partition,
+                                     SkewShape, partition_minus,
+                                     removable_boxes, specht_dim)
 
 
 # Permutations on m points are tuples of images, 0-based: p[i] is the
@@ -475,3 +479,52 @@ def maximal_balanced_sub(lam: Partition, mu: Partition, delta: int) -> Partition
     if not is_balanced(lam, result, delta):
         raise InvariantError((lam, result, delta))
     return result
+
+
+def orbit_min(lam: Partition, delta: int) -> Partition:
+    """The minimum of lam's type-D orbit from the magnitude counts of its
+    shifted coordinates.  At rank |lam| + |delta| + 2 any x_i can turn
+    negative; every unpaired nonzero |x_i| does, a doubled one keeps one
+    copy of each sign, and if no x_i is 0 and the parity of the negatives
+    changed, the smallest unpaired one turns back.  At delta = 0 the
+    empty partition is no weight; (2) is the only size-2 one in its
+    orbit."""
+    rank = lam.size + abs(delta) + 2
+    x = _shifted(lam, delta, rank)
+    mags = Counter(map(abs, x))
+    y = [-a for a in mags if a] + [a for a, c in mags.items() if c == 2]
+    if 0 in mags:
+        y.append(0)
+    elif sum(v < 0 for v in y) % 2 != sum(v < 0 for v in x) % 2:
+        a = min(a for a, c in mags.items() if c == 1)
+        y[y.index(-a)] = a
+    y.sort(reverse=True)
+    found = _unshift(y, delta)
+    if delta == 0 and found == EMPTY and lam != EMPTY:
+        found = Partition((2,))
+    return found
+
+
+def enumerate_v(n: int, t: int) -> list[PartialOneRowDiagram]:
+    """All partial one-row diagrams with t arcs on n nodes, each arc list
+    sorted and then the whole list sorted lexicographically."""
+    if not 0 <= 2 * t <= n:
+        raise ValueError(f"arc count out of range: t={t}, n={n}")
+
+    def rec(avail: tuple[int, ...], k: int) -> Iterator[tuple[tuple[int, int], ...]]:
+        if k == 0:
+            yield ()
+            return
+        if len(avail) < 2 * k:
+            return
+        first = avail[0]
+        yield from rec(avail[1:], k)  # first node left free
+        for idx in range(1, len(avail)):
+            rest = avail[1:idx] + avail[idx + 1:]
+            for tail in rec(rest, k - 1):
+                yield ((first, avail[idx]),) + tail
+
+    out = [PartialOneRowDiagram(n, tuple(sorted(arcs)))
+           for arcs in rec(tuple(range(1, n + 1)), t)]
+    out.sort(key=lambda v: v.arcs)
+    return out

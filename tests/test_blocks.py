@@ -376,8 +376,8 @@ def test_hom_target():
 
 
 def test_hom_target_finds_orbit_minimum_once(monkeypatch):
-    # one orbit minimum per weight, plus the check that a proper minimum
-    # is its own: 2045 minimal and 674 non-minimal (lam, delta)
+    # one orbit minimum per weight (the check that a proper minimum is its
+    # own reads coordinates): 2045 minimal and 674 non-minimal (lam, delta)
     calls = 0
     orbit_min = blocks._orbit_min
 
@@ -395,7 +395,25 @@ def test_hom_target_finds_orbit_minimum_once(monkeypatch):
                     continue
                 asked += 1
                 moved += hom_target(lam, delta) is not None
-    assert (asked, moved, calls) == (2719, 674, 3393)
+    assert (asked, moved, calls) == (2719, 674, 2719)
+
+
+def test_orbit_minimum_matches_reference():
+    # every weight of <= 12 boxes at delta -4..5, against the orbit
+    # minimum read off the magnitude counts
+    asked = 0
+    for delta in range(-4, 6):
+        for size in range(13):
+            for lam in partitions_of(size):
+                if delta == 0 and lam == EMPTY:
+                    continue
+                asked += 1
+                low = references.orbit_min(lam, delta)
+                assert minimal_weight(lam, delta) == low, (lam, delta)
+                assert is_minimal(lam, delta) == (low == lam), (lam, delta)
+                want = None if low == lam else maximal_balanced_sub(lam, low, delta)
+                assert hom_target(lam, delta) == want, (lam, delta)
+    assert asked == 2719
 
 
 @given(partitions, deltas)

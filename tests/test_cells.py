@@ -15,6 +15,7 @@ from brauerblocks.partitions import (EMPTY, InvariantError, Partition,
                                      content_sum, partitions_of,
                                      removable_boxes, specht_dim)
 from brauerblocks.specht import build_specht
+import references
 from references import (AlgebraElement, addable_boxes, all_perms,
                         block_sum, from_diagram, identity_diagram,
                         identity_element, perm_diagram, u_diagram)
@@ -60,6 +61,18 @@ def restriction_rule(lam: Partition, n: int) -> tuple[list[Partition], list[Part
     up = ([lam.add_box(b) for b in addable_boxes(lam)]
           if lam.size + 1 <= n - 1 else [])
     return down, up
+
+
+def test_enumerate_v_matches_reference():
+    # yielded in lex order, as the sort-based reference builds it
+    cases = diagrams = 0
+    for n in range(11):
+        for t in range(n // 2 + 1):
+            got = enumerate_v(n, t)
+            assert got == references.enumerate_v(n, t), (n, t)
+            cases += 1
+            diagrams += len(got)
+    assert (cases, diagrams) == (36, 13232)
 
 
 def test_enumerate_v():

@@ -6,7 +6,7 @@ from unittest import mock
 
 import pytest
 
-from brauerblocks import cli, perms
+from brauerblocks import cli, oracle, perms
 from brauerblocks.blocks import hom_target, weights
 from brauerblocks.cells import CellModule, enumerate_v
 from brauerblocks.diagrams import (BrauerDiagram, all_diagrams, concat,
@@ -69,6 +69,15 @@ def test_hom_query_validation():
         HomQuery(2, 0, EMPTY, P(2))  # empty weight absent at delta 0
     with pytest.raises(ValueError):
         HomQuery(2, 1, P(3), P(1))  # size above n
+
+
+def test_hom_query_replace_is_checked():
+    q = HomQuery(4, 1, P(2, 2), EMPTY)
+    assert q._replace(n=6) == HomQuery(6, 1, P(2, 2), EMPTY)
+    with pytest.raises(ValueError):
+        q._replace(n=3)  # wrong parity
+    with pytest.raises(ValueError):
+        q._replace(delta=0)  # empty weight absent at delta 0
 
 
 def test_weight_check_is_membership():
@@ -572,6 +581,35 @@ def test_verify_blocks_passes():
     names = {c["name"] for c in verify_blocks(4, 1)["checks"]}
     assert names == {"unique-minimal", "constant-central-scalar",
                      "hom-edges-balanced", "descent-chain"}
+
+
+def test_verify_blocks_asks_each_fact_once(monkeypatch):
+    # the descent chains read minimality and targets from verify_blocks'
+    # own tables: is_minimal runs once per weight, hom_target once per
+    # non-minimal weight
+    for delta in DELTAS:
+        minimal, targets = Counter(), Counter()
+        real_minimal, real_target = oracle.is_minimal, oracle.hom_target
+
+        def counting_minimal(lam, d):
+            minimal[lam] += 1
+            return real_minimal(lam, d)
+
+        def counting_target(lam, d):
+            targets[lam] += 1
+            return real_target(lam, d)
+
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "is_minimal", counting_minimal)
+            m.setattr(oracle, "hom_target", counting_target)
+            report = verify_blocks(7, delta)
+        assert all(c["status"] == "pass" for c in report["checks"])
+        ws = weights(7, delta).weights
+        lows = [w for w in ws if real_minimal(w, delta)]
+        assert minimal == Counter(ws), delta
+        assert targets == Counter(w for w in ws if w not in lows), delta
+        assert sum(c["name"] == "descent-chain" for c in report["checks"]) \
+            == len(ws) - len(lows)
 
 
 def test_no_cell_module_outlives_a_run(monkeypatch):

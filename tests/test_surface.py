@@ -3,11 +3,14 @@ function or class of the package is exported or used by the package,
 its scripts or its benchmark.  Tests are not read, so a name only tests
 call belongs beside those tests.  No file of the package, its tests or
 its scripts imports a name it never reads, and the package does not
-import fractions.  Its values survive pickle and copy."""
+import fractions or dataclasses.  Its values survive pickle and copy."""
 
 import ast
 import copy
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import brauerblocks
@@ -102,6 +105,17 @@ def test_package_imports_no_fractions():
             found += [f"{path.name}: {name}" for name in names
                       if name.partition(".")[0] == "fractions"]
     assert not found, f"fractions imported: {found}"
+
+
+def test_package_does_without_dataclasses():
+    # pytest itself loads dataclasses, so the import is watched in a
+    # fresh interpreter
+    code = "import sys, brauerblocks; print('dataclasses' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_values_pickle_and_copy():
