@@ -25,7 +25,6 @@ from .partitions import (
     InvariantError,
     Partition,
     SkewShape,
-    partition_minus,
     partitions_of,
     removable_boxes,
 )
@@ -384,16 +383,15 @@ def lattice_predict(lam: Partition, mu: Partition, delta: int) -> LatticePredict
         unused.remove(match)
         pairs.append((first, match))
 
+    # with no two boxes adjacent, each box ends its row of lam above a
+    # shorter row: a removable corner, and any set of them leaves a
+    # partition
     m = len(pairs)
     nodes: dict[frozenset[int], Partition] = {}
     for mask in range(1 << m):
         x = frozenset(i + 1 for i in range(m) if mask >> i & 1)
-        removed = [b for i in x for b in pairs[i - 1]]
-        node = partition_minus(lam, removed)
-        if node is None:
-            raise ValueError(f"removing pairs {sorted(x)} of {pairs} "
-                             f"does not leave a partition")
-        nodes[x] = node
+        rows = {b.row for i in x for b in pairs[i - 1]}
+        nodes[x] = Partition(p - (r in rows) for r, p in enumerate(lam, 1))
     covers = tuple(
         (x, x | {j})
         for x in nodes

@@ -55,16 +55,11 @@ _UNFILLED = object()  # move-table entry not computed yet
 
 
 class PartialOneRowDiagram(NamedTuple):
-    """t disjoint arcs on the nodes 1..n; free nodes are the rest, read
-    left to right."""
+    """t disjoint arcs on the nodes 1..n; the other nodes are free, and
+    CellModule.free_nodes lists them left to right."""
 
     n: int
     arcs: tuple[tuple[int, int], ...]
-
-    @property
-    def free(self) -> tuple[int, ...]:
-        taken = {x for a in self.arcs for x in a}
-        return tuple(i for i in range(1, self.n + 1) if i not in taken)
 
     def __str__(self) -> str:
         body = " ".join(f"{a}-{b}" for a, b in self.arcs) or "-"

@@ -55,10 +55,6 @@ class BrauerDiagram:
     def __str__(self) -> str:
         return format_diagram(self)
 
-    @property
-    def propagating(self) -> int:
-        return sum(1 for p in self.pairs if min(p) < 0 < max(p))
-
 
 def format_diagram(d: BrauerDiagram) -> str:
     """Northern-anchored pairs first ascending, then southern pairs, the

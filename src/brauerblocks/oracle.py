@@ -53,7 +53,7 @@ from .cells import (BlockVec, CellModule, PartialOneRowDiagram, gram_matrix,
 from .diagrams import hook_diagram
 from .linalg import Echelon, SparseVec, rank_of
 from .partitions import (InvariantError, Partition, conjugacy_class_size,
-                         content_sum, is_even, lr_coefficient, mn_character,
+                         content_sum, even_lr_sum, mn_character,
                          partitions_of, specht_dim)
 
 DEFAULT_MAX_DIM = 400
@@ -161,16 +161,6 @@ def gram_rank(n: int, delta: int, mu: Partition) -> int:
     """Exact rank of the cellular form on the cell module at mu."""
     check_weight(n, delta, mu)
     return rank_of(gram_matrix(_capped_cell(n, delta, mu)))
-
-
-def even_lr_sum(lam: Partition, mu: Partition) -> int:
-    """Sum of Littlewood-Richardson coefficients c^lam_{mu,eta} over
-    partitions eta of |lam|-|mu| with all parts even."""
-    gap = lam.size - mu.size
-    if gap < 0 or gap % 2:
-        return 0
-    return sum(lr_coefficient(mu, eta, lam)
-               for eta in partitions_of(gap) if is_even(eta))
 
 
 def _cycle_rep(rho: Partition) -> tuple[int, ...]:

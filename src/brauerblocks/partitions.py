@@ -1,6 +1,7 @@
-"""Young-diagram combinatorics: partitions, boxes, contents, charges,
-skew shapes, Littlewood-Richardson coefficients by box addition,
-standard-tableau counting, and symmetric-group characters.
+"""Young-diagram combinatorics: partitions, boxes and their contents,
+skew shapes, the sum of Littlewood-Richardson coefficients over even
+contents as one count of LR tableaux, standard-tableau counting, and
+symmetric-group characters.
 
 Everything here is pure and exact; partitions are immutable values.
 """
@@ -28,9 +29,6 @@ class Box(NamedTuple):
     @property
     def content(self) -> int:
         return self.col - self.row
-
-    def charge(self, delta: int) -> int:
-        return delta - 1 + 2 * self.content
 
 
 class Partition:
@@ -107,25 +105,6 @@ class Partition:
             for j in range(p):
                 yield Box(i + 1, j + 1)
 
-    def box_set(self) -> frozenset[Box]:
-        return frozenset(self.boxes())
-
-    def add_box(self, box: Box) -> "Partition":
-        lengths = list(self.parts)
-        while len(lengths) < box.row:
-            lengths.append(0)
-        if lengths[box.row - 1] + 1 != box.col:
-            raise ValueError(f"{box} is not addable to {self}")
-        lengths[box.row - 1] += 1
-        return Partition(lengths)
-
-    def remove_box(self, box: Box) -> "Partition":
-        if self.row(box.row - 1) != box.col:
-            raise ValueError(f"{box} is not removable from {self}")
-        lengths = list(self.parts)
-        lengths[box.row - 1] -= 1
-        return Partition(lengths)
-
 
 EMPTY = Partition()
 
@@ -185,9 +164,6 @@ class SkewShape:
     def sorted_boxes(self) -> list[Box]:
         return sorted(self.boxes)
 
-    def contents(self) -> Counter:
-        return Counter(b.content for b in self.boxes)
-
 
 def content_sum(lam: Partition) -> int:
     """Sum of the box contents: row i (0-based) of length p adds
@@ -199,102 +175,6 @@ def removable_boxes(lam: Partition) -> list[Box]:
     """Positions whose removal leaves a partition, sorted by content."""
     out = [Box(i + 1, p) for i, p in enumerate(lam) if p > lam.row(i + 1)]
     return sorted(out, key=lambda b: b.content)
-
-
-def partition_minus(lam: Partition, boxes: Iterable[Box]) -> Partition | None:
-    """lam with the given boxes deleted, or None if the rest is not a
-    partition shape (a deleted box must be a row suffix)."""
-    drop: Counter = Counter()
-    box_list = list(boxes)
-    for b in box_list:
-        drop[b.row] += 1
-    lengths = [lam.row(i) - drop.get(i + 1, 0) for i in range(lam.rows)]
-    # the deleted boxes must exactly fill the removed suffixes
-    expected = set()
-    for i, new_len in enumerate(lengths):
-        for c in range(new_len + 1, lam.row(i) + 1):
-            expected.add(Box(i + 1, c))
-    if expected != set(box_list) or len(box_list) != len(set(box_list)):
-        return None
-    if any(lengths[i] < lengths[i + 1] for i in range(len(lengths) - 1)):
-        return None
-    if any(l < 0 for l in lengths):
-        return None
-    return Partition(lengths)
-
-
-def is_even(eta: Partition) -> bool:
-    """True iff every part is even (vacuously true for the empty partition)."""
-    return all(p % 2 == 0 for p in eta.parts)
-
-
-# ---------------------------------------------------------------------------
-# Littlewood-Richardson coefficients by brute-force box addition.
-#
-# c^lam_{mu,eta} counts chains mu = nu^0 < nu^1 < ... < nu^r = lam where
-# step i adds a horizontal strip of eta_i boxes (distinct columns), the
-# strip's boxes are labelled right to left, and for every label position j
-# the rows of the j-th boxes strictly increase from one strip to the next.
-
-
-def _horizontal_strips(nu: Partition, k: int, lam: Partition) -> Iterator[Partition]:
-    """All partitions nu' with nu <= nu' <= lam, |nu'/nu| = k and nu'/nu a
-    horizontal strip (nu'_{i+1} <= nu_i)."""
-    rows = max(nu.rows + 1, 1)
-
-    def rec(i: int, remaining: int, acc: list[int]) -> Iterator[list[int]]:
-        if i == rows:
-            if remaining == 0:
-                yield acc
-            return
-        lo = nu.row(i)
-        hi = min(lam.row(i), lo + remaining)
-        if i > 0:
-            # partition shape below the previous new row, at most one new
-            # box per column
-            hi = min(hi, acc[i - 1], nu.row(i - 1))
-        for new_len in range(lo, hi + 1):
-            yield from rec(i + 1, remaining - (new_len - lo), acc + [new_len])
-
-    for lengths in rec(0, k, []):
-        yield Partition(lengths)
-
-
-def _strip_rows(nu: Partition, nu2: Partition) -> list[int]:
-    """Rows of nu2/nu boxes listed by decreasing column (label order)."""
-    boxes = []
-    for i in range(nu2.rows):
-        for c in range(nu.row(i) + 1, nu2.row(i) + 1):
-            boxes.append(Box(i + 1, c))
-    boxes.sort(key=lambda b: -b.col)
-    return [b.row for b in boxes]
-
-
-def lr_coefficient(mu: Partition, eta: Partition, lam: Partition) -> int:
-    """The Littlewood-Richardson coefficient for adding eta to mu to get lam,
-    by direct enumeration of valid box-addition sequences."""
-    if mu.size + eta.size != lam.size or not lam.contains(mu):
-        return 0
-    if eta.size == 0:
-        return 1 if mu == lam else 0
-
-    count = 0
-
-    def rec(current: Partition, i: int, prev_rows: list[int]) -> None:
-        nonlocal count
-        if i == eta.rows:
-            if current == lam:
-                count += 1
-            return
-        k = eta[i]
-        for nxt in _horizontal_strips(current, k, lam):
-            rows = _strip_rows(current, nxt)
-            # label position j: its row must strictly increase strip to strip
-            if all(prev_rows[j] < rows[j] for j in range(k if prev_rows else 0)):
-                rec(nxt, i + 1, rows)
-
-    rec(mu, 0, [])
-    return count
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
@@ -323,6 +203,45 @@ def subpartitions(lam: Partition) -> Iterator[Partition]:
             yield from rec(i + 1, length, acc + [length])
 
     yield from rec(0, lam.row(0) if lam.rows else 0, [])
+
+
+def even_lr_sum(lam: Partition, mu: Partition) -> int:
+    """Sum of Littlewood-Richardson coefficients c^lam_{mu,eta} over
+    partitions eta of |lam|-|mu| with all parts even.
+
+    c^lam_{mu,eta} counts the LR tableaux of shape lam/mu and content
+    eta (Fulton, Young Tableaux, section 5), so the sum is one count of
+    the LR tableaux whose label counts are all even.  The boxes are
+    filled in reading order, rows top to bottom and each row right to
+    left: going left along a row labels weakly decrease, each label
+    exceeds the one directly above it in lam/mu, and the reading word
+    stays a lattice word, so label l goes in only while fewer l than
+    l-1 have been read."""
+    gap = lam.size - mu.size
+    if gap < 0 or gap % 2 or not lam.contains(mu):
+        return 0
+    rows = lam.rows
+    boxes = [(r, c) for r in range(rows)
+             for c in range(lam[r] - 1, mu.row(r) - 1, -1)]
+    label = [[0] * p for p in lam]  # 0 on the boxes of mu
+    count = [gap + 1] + [0] * rows  # count[0] never blocks label 1
+
+    def fill(k: int) -> int:
+        if k == gap:
+            return int(all(x % 2 == 0 for x in count[1:]))
+        r, c = boxes[k]
+        top = label[r][c + 1] if c + 1 < lam[r] else rows
+        low = label[r - 1][c] + 1 if r else 1
+        found = 0
+        for l in range(low, top + 1):
+            if count[l] < count[l - 1]:
+                count[l] += 1
+                label[r][c] = l
+                found += fill(k + 1)
+                count[l] -= 1
+        return found
+
+    return fill(0)
 
 
 # ---------------------------------------------------------------------------

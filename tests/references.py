@@ -3,7 +3,12 @@ elements with rational coefficients and the named diagrams and elements
 built on them, permutation helpers (among them the whole Young subgroup
 and the sign, which the library does without), the permutation diagram
 (the library permutes cell-module nodes in closed form instead), the
-sum of cell-module block vectors, addable boxes, the
+sum of cell-module block vectors, addable boxes, the Partition, Box
+and diagram helpers the library does without (box sets, adding and
+removing one box, skew-shape contents, deleting a box set, the
+propagating number, the free nodes of a one-row diagram), the
+strip-chain Littlewood-Richardson coefficient, which the library sums
+over even contents in one tableau count, the
 balanced test and bias on Box sets, which the library computes from row
 lengths, and the Box-set skew growth of maximal_balanced_sub, which the
 library reads off one type-D reflection, the Counter-based orbit
@@ -17,15 +22,14 @@ from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from brauerblocks import perms
 from brauerblocks.blocks import _shifted, _unshift
 from brauerblocks.cells import PartialOneRowDiagram
 from brauerblocks.diagrams import BrauerDiagram, concat, flip
 from brauerblocks.partitions import (EMPTY, Box, InvariantError, Partition,
-                                     SkewShape, partition_minus,
-                                     removable_boxes, specht_dim)
+                                     SkewShape, removable_boxes, specht_dim)
 
 
 # Permutations on m points are tuples of images, 0-based: p[i] is the
@@ -80,6 +84,140 @@ def addable_boxes(lam: Partition) -> list[Box]:
            for i in range(lam.rows + 1)
            if i == 0 or lam.row(i) < lam.row(i - 1)]
     return sorted(out, key=lambda b: b.content)
+
+
+def box_set(lam: Partition) -> frozenset[Box]:
+    return frozenset(lam.boxes())
+
+
+def add_box(lam: Partition, box: Box) -> Partition:
+    lengths = list(lam.parts)
+    while len(lengths) < box.row:
+        lengths.append(0)
+    if lengths[box.row - 1] + 1 != box.col:
+        raise ValueError(f"{box} is not addable to {lam}")
+    lengths[box.row - 1] += 1
+    return Partition(lengths)
+
+
+def remove_box(lam: Partition, box: Box) -> Partition:
+    if lam.row(box.row - 1) != box.col:
+        raise ValueError(f"{box} is not removable from {lam}")
+    lengths = list(lam.parts)
+    lengths[box.row - 1] -= 1
+    return Partition(lengths)
+
+
+def shape_contents(shape: SkewShape) -> Counter:
+    """Multiset of the contents of the boxes of a skew shape."""
+    return Counter(b.content for b in shape.boxes)
+
+
+def partition_minus(lam: Partition, boxes: Iterable[Box]) -> Partition | None:
+    """lam with the given boxes deleted, or None if the rest is not a
+    partition shape (a deleted box must be a row suffix)."""
+    drop: Counter = Counter()
+    box_list = list(boxes)
+    for b in box_list:
+        drop[b.row] += 1
+    lengths = [lam.row(i) - drop.get(i + 1, 0) for i in range(lam.rows)]
+    # the deleted boxes must exactly fill the removed suffixes
+    expected = set()
+    for i, new_len in enumerate(lengths):
+        for c in range(new_len + 1, lam.row(i) + 1):
+            expected.add(Box(i + 1, c))
+    if expected != set(box_list) or len(box_list) != len(set(box_list)):
+        return None
+    if any(lengths[i] < lengths[i + 1] for i in range(len(lengths) - 1)):
+        return None
+    if any(l < 0 for l in lengths):
+        return None
+    return Partition(lengths)
+
+
+def is_even(eta: Partition) -> bool:
+    """True iff every part is even (vacuously true for the empty partition)."""
+    return all(p % 2 == 0 for p in eta.parts)
+
+
+# ---------------------------------------------------------------------------
+# Littlewood-Richardson coefficients by brute-force box addition.
+#
+# c^lam_{mu,eta} counts chains mu = nu^0 < nu^1 < ... < nu^r = lam where
+# step i adds a horizontal strip of eta_i boxes (distinct columns), the
+# strip's boxes are labelled right to left, and for every label position j
+# the rows of the j-th boxes strictly increase from one strip to the next.
+
+
+def _horizontal_strips(nu: Partition, k: int, lam: Partition) -> Iterator[Partition]:
+    """All partitions nu' with nu <= nu' <= lam, |nu'/nu| = k and nu'/nu a
+    horizontal strip (nu'_{i+1} <= nu_i)."""
+    rows = max(nu.rows + 1, 1)
+
+    def rec(i: int, remaining: int, acc: list[int]) -> Iterator[list[int]]:
+        if i == rows:
+            if remaining == 0:
+                yield acc
+            return
+        lo = nu.row(i)
+        hi = min(lam.row(i), lo + remaining)
+        if i > 0:
+            # partition shape below the previous new row, at most one new
+            # box per column
+            hi = min(hi, acc[i - 1], nu.row(i - 1))
+        for new_len in range(lo, hi + 1):
+            yield from rec(i + 1, remaining - (new_len - lo), acc + [new_len])
+
+    for lengths in rec(0, k, []):
+        yield Partition(lengths)
+
+
+def _strip_rows(nu: Partition, nu2: Partition) -> list[int]:
+    """Rows of nu2/nu boxes listed by decreasing column (label order)."""
+    boxes = []
+    for i in range(nu2.rows):
+        for c in range(nu.row(i) + 1, nu2.row(i) + 1):
+            boxes.append(Box(i + 1, c))
+    boxes.sort(key=lambda b: -b.col)
+    return [b.row for b in boxes]
+
+
+def lr_coefficient(mu: Partition, eta: Partition, lam: Partition) -> int:
+    """The Littlewood-Richardson coefficient for adding eta to mu to get lam,
+    by direct enumeration of valid box-addition sequences."""
+    if mu.size + eta.size != lam.size or not lam.contains(mu):
+        return 0
+    if eta.size == 0:
+        return 1 if mu == lam else 0
+
+    count = 0
+
+    def rec(current: Partition, i: int, prev_rows: list[int]) -> None:
+        nonlocal count
+        if i == eta.rows:
+            if current == lam:
+                count += 1
+            return
+        k = eta[i]
+        for nxt in _horizontal_strips(current, k, lam):
+            rows = _strip_rows(current, nxt)
+            # label position j: its row must strictly increase strip to strip
+            if all(prev_rows[j] < rows[j] for j in range(k if prev_rows else 0)):
+                rec(nxt, i + 1, rows)
+
+    rec(mu, 0, [])
+    return count
+
+
+def propagating(d: BrauerDiagram) -> int:
+    """Number of strands of d joining its northern and southern sides."""
+    return sum(1 for p in d.pairs if min(p) < 0 < max(p))
+
+
+def free_nodes(v: PartialOneRowDiagram) -> tuple[int, ...]:
+    """The nodes of v on no arc, left to right."""
+    taken = {x for a in v.arcs for x in a}
+    return tuple(i for i in range(1, v.n + 1) if i not in taken)
 
 
 def identity_diagram(n: int) -> BrauerDiagram:
@@ -263,7 +401,7 @@ def skew(lam: Partition, mu: Partition) -> tuple[SkewShape, SkewShape]:
     """The two difference shapes of lam and mu around their rowwise
     intersection.  Containment is not required."""
     inter = intersect(lam, mu)
-    inter_boxes = inter.box_set()
+    inter_boxes = box_set(inter)
     lam_side = SkewShape(b for b in lam.boxes() if b not in inter_boxes)
     mu_side = SkewShape(b for b in mu.boxes() if b not in inter_boxes)
     return lam_side, mu_side
@@ -324,7 +462,7 @@ def hat_steps(lam: Partition, delta: int) -> tuple[SkewShape, list[tuple[str, li
     r0, c0 = 0, 0
     steps: list[tuple[str, list[int]]] = []
     remo = removable_boxes(lam)
-    all_boxes = lam.box_set()
+    all_boxes = box_set(lam)
     while True:
         alive = [b for b in remo if b.row > r0 and b.col > c0]
         if not alive:
@@ -380,7 +518,7 @@ def _imax_skew(lam: Partition, mu: Partition, delta: int, seed: Box) -> frozense
     lam alternating with content-partner completion from the difference
     shape, then a single parity repair when the self-paired content is
     left odd."""
-    lam_boxes = lam.box_set()
+    lam_boxes = box_set(lam)
     skew_boxes = frozenset(b for b in lam_boxes if b.col > mu.row(b.row - 1))
     if seed not in skew_boxes or seed not in removable_boxes(lam):
         raise ValueError(f"seed {seed} is not a removable box of {lam}/{mu}")

@@ -19,7 +19,7 @@ from brauerblocks.oracle import HomQuery, hom_dim, restriction_multiplicity, \
     verify_blocks
 from brauerblocks.partitions import (EMPTY, Box, Partition, partitions_of,
                                      subpartitions)
-from references import (e, e_bar, from_diagram, identity_element,
+from references import (box_set, e, e_bar, from_diagram, identity_element,
                         transposition_element, u_diagram, young_symmetrizer)
 
 DELTAS = (-2, -1, 0, 1, 2, 3)
@@ -154,7 +154,7 @@ def test_criterion_07_construction_fixtures():
     # abstract, and no delta in -6..7 gives this weight a one-row core
     # together with minimality, so a misprinted delta does not explain it.
     lam, witness = P(7, 6, 6, 5, 2, 2), P(7, 5, 5, 5, 1, 1)
-    removed = lam.box_set() - witness.box_set()
+    removed = box_set(lam) - box_set(witness)
     assert lam.contains(witness)
     assert sorted(b.content for b in removed) == [-4, -3, 3, 4]
     balanced_below = [mu for mu in subpartitions(lam)

@@ -13,11 +13,10 @@ from brauerblocks.blocks import (bias, block_key,
                                  hat_steps, hom_target, is_balanced,
                                  is_minimal, lattice_predict,
                                  maximal_balanced_sub, minimal_weight, weights)
-from brauerblocks.partitions import (EMPTY, Box, Partition, partition_minus,
-                                     partitions_of, removable_boxes,
-                                     subpartitions)
+from brauerblocks.partitions import (EMPTY, Box, Partition, partitions_of,
+                                     removable_boxes, subpartitions)
 import references
-from references import _imax_skew
+from references import _imax_skew, partition_minus
 
 DELTAS = (-2, -1, 0, 1, 2, 3)
 
@@ -450,6 +449,25 @@ def test_lattice_m3_staircase():
         assert is_balanced(lam, node, 1)
     for x, y in lat.covers:
         assert x < y and len(y - x) == 1
+
+
+def test_lattice_nodes_match_box_deletion():
+    # the row-length nodes against deleting each node's boxes from lam
+    lattices = nodes = 0
+    for k in range(13):
+        for lam in partitions_of(k):
+            for mu in subpartitions(lam):
+                for delta in range(-4, 6):
+                    try:
+                        lat = lattice_predict(lam, mu, delta)
+                    except ValueError:
+                        continue
+                    for x, node in lat.nodes.items():
+                        removed = [b for i in x for b in lat.pairs[i - 1]]
+                        assert node == partition_minus(lam, removed), (lam, mu, x)
+                    lattices += 1
+                    nodes += len(lat.nodes)
+    assert (lattices, nodes) == (3071, 3430)
 
 
 def test_lattice_rejects_bad_skews():

@@ -16,9 +16,10 @@ from brauerblocks.partitions import (EMPTY, InvariantError, Partition,
                                      removable_boxes, specht_dim)
 from brauerblocks.specht import build_specht
 import references
-from references import (AlgebraElement, addable_boxes, all_perms,
-                        block_sum, from_diagram, identity_diagram,
-                        identity_element, perm_diagram, u_diagram)
+from references import (AlgebraElement, add_box, addable_boxes, all_perms,
+                        block_sum, free_nodes, from_diagram,
+                        identity_diagram, identity_element, perm_diagram,
+                        propagating, remove_box, u_diagram)
 
 
 def P(*parts):
@@ -57,8 +58,8 @@ def restriction_rule(lam: Partition, n: int) -> tuple[list[Partition], list[Part
     and add-a-box terms, the latter only when the result fits in level n-1."""
     if lam.size > n or (n - lam.size) % 2 != 0:
         raise ValueError(f"{lam} is not a weight at level {n}")
-    down = [lam.remove_box(b) for b in removable_boxes(lam)]
-    up = ([lam.add_box(b) for b in addable_boxes(lam)]
+    down = [remove_box(lam, b) for b in removable_boxes(lam)]
+    up = ([add_box(lam, b) for b in addable_boxes(lam)]
           if lam.size + 1 <= n - 1 else [])
     return down, up
 
@@ -79,7 +80,7 @@ def test_enumerate_v():
     assert len(enumerate_v(4, 1)) == 6
     assert len(enumerate_v(5, 2)) == 15
     assert enumerate_v(2, 1)[0].arcs == ((1, 2),)
-    assert enumerate_v(3, 0)[0].free == (1, 2, 3)
+    assert free_nodes(enumerate_v(3, 0)[0]) == (1, 2, 3)
     with pytest.raises(ValueError):
         enumerate_v(3, 2)
 
@@ -191,19 +192,20 @@ def test_t_action_check_rejects_wrong_scalar(monkeypatch):
     assert count == 46
 
 
-def _one_row_diagram(v, m):
-    """The (n, m) diagram with v's arcs on top and free node number k
-    dropping to southern node k."""
-    pairs = [tuple(a) for a in v.arcs]
-    pairs += [(f, -(k + 1)) for k, f in enumerate(v.free)]
-    return BrauerDiagram(v.n, m, pairs)
+def _one_row_diagram(cell, v_idx):
+    """The (n, |mu|) diagram with the arcs of the v_idx-th one-row
+    diagram on top and its free node number k dropping to southern
+    node k."""
+    pairs = [tuple(a) for a in cell.v_list[v_idx].arcs]
+    pairs += [(f, -(k + 1)) for k, f in enumerate(cell.free_nodes[v_idx])]
+    return BrauerDiagram(cell.n, cell.mu.size, pairs)
 
 
 def concat_decompose(cell, d, v_idx):
     """Reference reading of decompose: stack d on the one-row diagram as
     an (n, |mu|) diagram and read arcs, through strands and loops off the
     reduced product."""
-    prod, loops = concat(d, _one_row_diagram(cell.v_list[v_idx], cell.mu.size))
+    prod, loops = concat(d, _one_row_diagram(cell, v_idx))
     arcs, through = [], {}
     for p in prod.pairs:
         a, b = sorted(p, reverse=True)
@@ -214,7 +216,7 @@ def concat_decompose(cell, d, v_idx):
         else:
             through[a] = -b
     w_idx = [v.arcs for v in cell.v_list].index(tuple(sorted(arcs)))
-    rank = {f: k for k, f in enumerate(cell.v_list[w_idx].free)}
+    rank = {f: k for k, f in enumerate(cell.free_nodes[w_idx])}
     pinv = [0] * len(through)
     for f, b in through.items():
         pinv[b - 1] = rank[f]
@@ -241,11 +243,11 @@ def concat_gram(cell):
     form = cell.specht.form
     dim = cell.dim
     gram = [[0] * dim for _ in range(dim)]
-    xv = [_one_row_diagram(v, cell.mu.size) for v in cell.v_list]
+    xv = [_one_row_diagram(cell, vi) for vi in range(len(cell.v_list))]
     for vi in range(len(xv)):
         for wi in range(len(xv)):
             prod, loops = concat(flip(xv[vi]), xv[wi])
-            if prod.propagating < prod.n:
+            if propagating(prod) < prod.n:
                 continue
             scale = cell.delta ** loops
             if not scale:

@@ -8,8 +8,8 @@ from brauerblocks.diagrams import (BrauerDiagram, all_diagrams, concat, flip,
 from brauerblocks.partitions import Partition, partitions_of
 from references import (AlgebraElement, all_perms, compose, e, e_bar,
                         from_diagram, identity_diagram, identity_element,
-                        perm_diagram, transposition_element, u_diagram,
-                        young_symmetrizer)
+                        perm_diagram, propagating, transposition_element,
+                        u_diagram, young_symmetrizer)
 
 
 def parse_diagram(text: str) -> BrauerDiagram:
@@ -92,9 +92,9 @@ def test_parse_format_roundtrip():
 
 
 def test_propagating():
-    assert identity_diagram(4).propagating == 4
-    assert u_diagram(4, 2).propagating == 2
-    assert hook_diagram(5, 1, 4).propagating == 3
+    assert propagating(identity_diagram(4)) == 4
+    assert propagating(u_diagram(4, 2)) == 2
+    assert propagating(hook_diagram(5, 1, 4)) == 3
 
 
 def test_concat_loops():
@@ -208,7 +208,7 @@ def test_e_bar_idempotent(delta):
         el = e_bar(n, delta)
         assert el * el == el
         (d,) = el.terms
-        assert d.propagating == n - 2
+        assert propagating(d) == n - 2
     with pytest.raises(ValueError):
         e_bar(2, delta)
 

@@ -20,9 +20,10 @@ from brauerblocks.oracle import (HomQuery, _cycle_rep, _last_cell, _orbit_reps,
                                  restriction_multiplicity, verify_blocks)
 from brauerblocks.partitions import (EMPTY, Partition, mn_character,
                                      partitions_of, removable_boxes,
-                                     specht_dim)
+                                     specht_dim, subpartitions)
 from references import (block_perms, e_bar, identity, identity_diagram,
-                        perm_diagram, sign)
+                        is_even, lr_coefficient, perm_diagram, remove_box,
+                        sign)
 
 DELTAS = (-2, -1, 0, 1, 2, 3)
 
@@ -135,6 +136,21 @@ def test_even_lr_sum():
     assert even_lr_sum(P(1), P(2)) == 0  # negative gap
     assert even_lr_sum(P(2, 1), EMPTY) == 0  # odd gap
     assert even_lr_sum(P(2), P(2)) == 1  # empty eta
+
+
+def test_even_lr_sum_matches_strip_chains():
+    # the one tableau count against the strip-chain coefficient summed
+    # over even eta, on every mu inside every lam of size at most 12
+    pairs = nonzero = 0
+    for k in range(13):
+        for lam in partitions_of(k):
+            for mu in subpartitions(lam):
+                want = sum(lr_coefficient(mu, eta, lam)
+                           for eta in partitions_of(k - mu.size) if is_even(eta))
+                assert even_lr_sum(lam, mu) == want, (lam, mu)
+                pairs += 1
+                nonzero += want > 0
+    assert (pairs, nonzero) == (8855, 2722)
 
 
 def test_restriction_multiplicity():
@@ -439,7 +455,7 @@ def test_invariant_seeds():
         for v_idx, seeds in zip(_orbit_reps(cell.v_list, lam),
                                 _orbit_seeds(cell, lam), strict=True):
             a = [0] * lam.rows
-            for node in cell.v_list[v_idx].free:
+            for node in cell.free_nodes[v_idx]:
                 a[row_of[node - 1]] += 1
             a = tuple(a)
             assert len(seeds) == invariant_dim(mu, a), (n, delta, lam, mu, a)
@@ -553,8 +569,8 @@ def test_restricted_hom_one_dimensional():
                     if bi == bj:
                         continue
                     delta = 1 - bi.content - bj.content
-                    lam1 = lam.remove_box(bi)
-                    lam2 = lam1.remove_box(bj)
+                    lam1 = remove_box(lam, bi)
+                    lam2 = remove_box(lam1, bj)
                     if delta == 0 and lam2 == EMPTY:
                         continue
                     assert restricted_hom_dim(n, delta, lam1, lam2) == 1, \

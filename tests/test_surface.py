@@ -61,6 +61,26 @@ def test_every_public_name_is_used():
     assert not unused, f"public names nothing outside tests uses: {unused}"
 
 
+def test_every_public_member_is_used():
+    """The same rule for the public methods and properties of the
+    package's classes: each is read as an attribute somewhere in the
+    package, its scripts or its benchmark."""
+    read: set[str] = set()
+    for path in USERS:
+        read |= {node.attr for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(node, ast.Attribute)}
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            unused += [f"{path.stem}.{cls.name}.{stmt.name}" for stmt in cls.body
+                       if isinstance(stmt, ast.FunctionDef)
+                       and not stmt.name.startswith("_")
+                       and stmt.name not in read]
+    assert not unused, f"public members nothing outside tests reads: {unused}"
+
+
 def unused_imports(tree: ast.Module) -> list[str]:
     """Names an import in tree binds and nothing in tree reads; a name
     listed in __all__ counts as read, and __future__ imports are exempt."""
