@@ -1,39 +1,34 @@
 """Cell modules for the Brauer algebra B_n(delta).
 
 The basis pairs a partial one-row diagram (t disjoint arcs on n nodes)
-with a standard tableau of the weight mu, |mu| = n - 2t.  A diagram acts
-on the one-row part by walking its strands through the arcs of the
-one-row diagram, read from index tables built once per module (the arc
-partner and the free-node rank of each node); if the propagating number
-drops the result is zero, otherwise the leftover permutation of free
-nodes is pushed onto the Specht factor.  Basis order is fixed (arc lists
-lex, then tableaux) so every matrix is reproducible bit for bit.
+with a standard tableau of the weight mu, |mu| = n - 2t.  Every move is
+read in closed form off index tables built once per module: each one-row
+diagram's arc partner and free-node rank per node, and its free nodes.
+No diagram is built or walked.  Basis order is fixed (arc lists lex,
+then tableaux) so every matrix is reproducible bit for bit.
 
 The action works on block vectors: {one-row index: list of the f = dim
 S^mu Specht coordinates}, dense and int, with no all-zero block.  Flat
 index v*f + x is coordinate x of block v; flatten and to_blocks convert.
-Each diagram, and each transposition of two points, gets a move table on
-the module, a list over one-row indices filled on first use: None where
-the propagating number drops or delta^loops = 0, else (target index,
-Specht matrix of the leftover permutation or None for the identity,
-delta^loops).  One kernel, CellModule._add_moved, adds c times a table's
-image of a vector into an accumulator, one table lookup per block:
-act_diagram, swap_sum (a vector plus a signed sum of transpositions, in
-one pass) and t_action_check all move vectors through it.  Lists in a
-block vector are never shared with another vector, so a caller may
-mutate what it is given back.
+Each transposition of two points, and each hook X_ij, gets a move table
+on the module, a list over one-row indices filled on first use: None
+where the propagating number drops or delta^loops = 0, else (target
+index, Specht matrix of the leftover permutation or None for the
+identity, delta^loops).  One kernel, CellModule._add_moved, adds c times
+a table's image of a vector into an accumulator, one table lookup per
+block: act_diagram (one hook), swap_sum (a vector plus a signed sum of
+transpositions, in one pass) and t_action_check all move vectors through
+it.  Lists in a block vector are never shared with another vector, so a
+caller may mutate what it is given back.
 
-A permutation needs no diagram and no strand walk: it relabels v's arcs,
-and each free node f of v goes to the rank of its image in w
-(_perm_move); transpositions and the permutation traces of the oracle
-are read that way.  Every other diagram's node links are read once, into
-a table kept on the module beside its move table (gram_matrix drops each
-row's diagram's table with the row), and each one-row diagram's free
-nodes are stored at construction.
-
-The Gram form is read through the same strand walk (_move), as sparse
-rows, and t_action_check is the one check that the central element acts
-by its closed-form scalar.
+A permutation relabels v's arcs, and each free node f of v goes to the
+rank of its image in w (_perm_move); transpositions and the permutation
+traces of the oracle are read that way.  A hook X_ij scales a v with
+the arc i-j by delta, kills a v with i and j both free, and otherwise
+moves v as one transposition does (_hook_move).  The Gram form pairs the arc tables of
+two one-row diagrams (gram_matrix), as sparse rows, and t_action_check
+is the one check that the central element acts by its closed-form
+scalar.
 """
 
 from __future__ import annotations
@@ -44,7 +39,6 @@ from typing import Iterator, NamedTuple
 
 from brauerblocks import perms, specht
 from brauerblocks.blocks import check_weight
-from brauerblocks.diagrams import BrauerDiagram, hook_diagram
 from brauerblocks.linalg import SparseVec
 from brauerblocks.partitions import InvariantError, Partition, content_sum
 from brauerblocks.specht import SpechtModule
@@ -126,84 +120,13 @@ class CellModule:
             self._mate.append(mate)
             self._rank.append(rank)
         self._identity = tuple(range(mu.size))
-        # move tables, keyed by diagram or by the 0-based point pair of a
-        # transposition
+        # move tables, keyed by the 0-based point pair of a transposition
+        # or by ("hook", i, j) for the hook on that pair
         self._moves: dict = {}
-        self._links: dict[BrauerDiagram, list[int]] = {}
 
     @property
     def dim(self) -> int:
         return len(self.v_list) * self.specht.dim
-
-    def decompose(self, d: BrauerDiagram, v_idx: int):
-        """How d moves the v-th one-row diagram: None if the propagating
-        number drops, else (w_idx, perm for the Specht factor, loops).
-
-        Stack d on v and walk from each northern node of d: down its
-        strand, and across an arc of v to the next strand of d, until the
-        walk surfaces at a northern node (an arc of w) or stops on a free
-        node of v (a through strand).  Middle nodes no walk touched close
-        into loops."""
-        n, m = self.n, self.mu.size
-        mate, rank = self._mate[v_idx], self._rank[v_idx]
-        link = self._links.get(d)
-        if link is None:
-            # north x sits at x, south j at n + j
-            link = self._links[d] = [0] * (2 * n + 1)
-            for a, b in d.pairs:
-                a = a if a > 0 else n - a
-                b = b if b > 0 else n - b
-                link[a], link[b] = b, a
-        seen = [False] * (2 * n + 1)
-        arcs = []
-        pinv = [0] * m
-        through = 0
-        for x in range(1, n + 1):
-            if seen[x]:
-                continue
-            y = link[x]
-            while y > n:
-                j = y - n
-                seen[y] = True
-                k = mate[j]
-                if not k:
-                    # free node j of v drops to southern rank[j] + 1; x is
-                    # w's free node number `through`, since x ascends and
-                    # the Specht factor sees the inverse permutation
-                    pinv[rank[j]] = through
-                    through += 1
-                    break
-                seen[n + k] = True
-                y = link[n + k]
-            else:
-                seen[y] = True
-                arcs.append((x, y))
-        if through < m:
-            return None
-        loops = 0
-        for j in range(1, n + 1):
-            if seen[n + j]:
-                continue
-            loops += 1
-            y = n + j
-            while not seen[y]:
-                seen[y] = True
-                k = mate[y - n]
-                seen[n + k] = True
-                y = link[n + k]
-        return (self._v_index[tuple(arcs)], tuple(pinv), loops)
-
-    def _move(self, d: BrauerDiagram, v_idx: int):
-        """The move-table entry of d at the v-th one-row diagram."""
-        dec = self.decompose(d, v_idx)
-        if dec is None:
-            return None
-        w_idx, pinv, loops = dec
-        scale = self.delta ** loops
-        if not scale:
-            return None
-        cols = None if pinv == self._identity else self.specht.perm_matrix(pinv)
-        return (w_idx, cols, scale)
 
     def _add_moved(self, out: BlockVec, vec: BlockVec, key, fill, c: int) -> None:
         """Add c * (key acting on vec) into out, through key's move table,
@@ -234,13 +157,6 @@ class CellModule:
                     for i, a in cols[j].items():
                         acc[i] += a * x
 
-    def act_diagram(self, d: BrauerDiagram, vec: BlockVec) -> BlockVec:
-        """Left action of a single diagram, with the delta^loops factor,
-        on a block vector.  The result shares no list with vec."""
-        out: BlockVec = {}
-        self._add_moved(out, vec, d, self._move, 1)
-        return {w_idx: acc for w_idx, acc in out.items() if any(acc)}
-
     def _perm_move(self, tau, v_idx: int):
         """The move-table entry at the v-th one-row diagram of the
         permutation that relabels node x as node tau[x] (1-based, tau[0]
@@ -261,6 +177,33 @@ class CellModule:
         of pair, which is its own relabelling."""
         i, j = pair
         return self._perm_move(perms.transposition(self.n + 1, i + 1, j + 1), v_idx)
+
+    def _hook_move(self, key, v_idx: int):
+        """The move-table entry of the hook X_ij, key = ("hook", i, j)
+        with 0-based points, at the v-th one-row diagram.  If v joins i
+        and j, the hook's southern arc closes a loop on that arc and v
+        stays, scaled by delta; if both are free, it joins two through
+        strands and the entry is None.  Otherwise the arc reaching i or j
+        runs on to the other one, which is the move of the transposition
+        of that arc's far end and the other point."""
+        _, i, j = key
+        mate = self._mate[v_idx]
+        i, j = i + 1, j + 1
+        if mate[i] == j:
+            return (v_idx, None, self.delta) if self.delta else None
+        if mate[i]:
+            return self._perm_move(perms.transposition(self.n + 1, mate[i], j), v_idx)
+        if mate[j]:
+            return self._perm_move(perms.transposition(self.n + 1, mate[j], i), v_idx)
+        return None
+
+    def act_diagram(self, pair: tuple[int, int], vec: BlockVec) -> BlockVec:
+        """The hook X_ij of the 0-based point pair (i, j), with its delta
+        factor, acting on a block vector.  The result shares no list with
+        vec and has no zero block."""
+        out: BlockVec = {}
+        self._add_moved(out, vec, ("hook", *pair), self._hook_move, 1)
+        return {w_idx: acc for w_idx, acc in out.items() if any(acc)}
 
     def swap_sum(self, vec: BlockVec, pairs, sign: int) -> BlockVec:
         """vec + sign * the sum of the transpositions of the 0-based point
@@ -299,37 +242,62 @@ def _specht(mu: Partition) -> SpechtModule:
     return specht.build_specht(mu)
 
 
+def _pairing(cell: CellModule, vi: int, wi: int):
+    """The one-row diagrams v and w laid together, node by node: None if
+    the run from a free node of v meets another free node of v, else
+    (pinv, loops).  Each run alternates w's arcs and v's arcs; the run
+    from v's free node of rank r ends on w's free node of rank s, and
+    then pinv[s] = r.  The cycles no run touches are the loops."""
+    v_mate, w_mate = cell._mate[vi], cell._mate[wi]
+    seen = [False] * (cell.n + 1)
+    pinv = [0] * cell.mu.size
+    for r, x in enumerate(cell.free_nodes[vi]):
+        seen[x] = True
+        while w_mate[x]:
+            y = w_mate[x]
+            x = v_mate[y]
+            if not x:
+                return None
+            seen[y] = seen[x] = True
+        pinv[cell._rank[wi][x]] = r
+    loops = 0
+    for x in range(1, cell.n + 1):
+        if not seen[x]:
+            loops += 1
+            while not seen[x]:
+                y = w_mate[x]
+                seen[x] = seen[y] = True
+                x = v_mate[y]
+    return tuple(pinv), loops
+
+
 def gram_matrix(cell: CellModule) -> list[SparseVec]:
     """Invariant bilinear form on the cell basis, as sparse rows
     {column: nonzero value}, one per basis vector.
 
-    The pairing of one-row diagrams v and w is read off the move of
-    d_v = X_v0 * flip(X_v) at w, where v0 has its arcs on the last n - |mu|
-    nodes: d_v carries v's arcs on its south side and v's free nodes up
-    to nodes 1..|mu|.  Where the propagating number drops or delta^loops
-    is 0 the (v, w) block is zero; otherwise it is delta^loops times the
-    Specht form times the matrix of the leftover permutation."""
-    n, m, f = cell.n, cell.mu.size, cell.specht.dim
+    The (v, w) block is zero where the pairing of the one-row diagrams v
+    and w (_pairing) drops the propagating number or delta^loops is 0;
+    otherwise it is delta^loops times the Specht form times the matrix
+    of the leftover permutation."""
+    f = cell.specht.dim
     form = cell.specht.form
-    top = [(a, a + 1) for a in range(m + 1, n, 2)]
     gram: list[SparseVec] = [{} for _ in range(cell.dim)]
-    for vi, v in enumerate(cell.v_list):
-        d_v = BrauerDiagram(n, n, top + [(k + 1, -x)
-                                         for k, x in enumerate(cell.free_nodes[vi])]
-                            + [(-a, -b) for a, b in v.arcs])
+    for vi in range(len(cell.v_list)):
         for wi in range(len(cell.v_list)):
-            move = cell._move(d_v, wi)
-            if move is None:
+            paired = _pairing(cell, vi, wi)
+            if paired is None:
                 continue
-            _, cols, scale = move
+            pinv, loops = paired
+            scale = cell.delta ** loops
+            if not scale:
+                continue
+            cols = None if pinv == cell._identity else cell.specht.perm_matrix(pinv)
             for k in range(f):
                 col = {k: 1} if cols is None else cols[k]
                 for j in range(f):
                     val = scale * sum(form[j][i] * a for i, a in col.items())
                     if val:
                         gram[vi * f + j][wi * f + k] = val
-        # d_v serves this row only; its link table would outlive it
-        del cell._links[d_v]
     return gram
 
 
@@ -341,14 +309,14 @@ def t_action_check(cell: CellModule) -> bool:
     n = cell.n
     scalar = cell.t * (cell.delta - 1) - content_sum(cell.mu)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    hooks = [hook_diagram(n, i + 1, j + 1) for i, j in pairs]
+    hooks = [("hook", i, j) for i, j in pairs]
     for b in range(cell.dim):
         unit = cell.to_blocks({b: 1})
         out = {v_idx: [-scalar * c for c in block] for v_idx, block in unit.items()}
         for pair in pairs:
             cell._add_moved(out, unit, pair, cell._swap_move, -1)
         for h in hooks:
-            cell._add_moved(out, unit, h, cell._move, 1)
+            cell._add_moved(out, unit, h, cell._hook_move, 1)
         if any(map(any, out.values())):
             return False
     return True

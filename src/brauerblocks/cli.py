@@ -129,6 +129,10 @@ def _cmd_same_block(args) -> int:
 
 def _cmd_minimal(args) -> int:
     lam = args.partition
+    # a weight of B_|lam| stays one at every larger n of that parity, so
+    # this refuses exactly a weight of no B_n(delta): the empty partition
+    # at delta = 0
+    check_weight(lam.size, args.delta, lam)
     minimal = is_minimal(lam, args.delta)
     if args.format == "json":
         _print_json({"delta": args.delta, "partition": str(lam),
@@ -140,6 +144,7 @@ def _cmd_minimal(args) -> int:
 
 def _cmd_hom_target(args) -> int:
     lam = args.partition
+    check_weight(lam.size, args.delta, lam)  # as in _cmd_minimal
     target = hom_target(lam, args.delta)
     if args.format == "json":
         _print_json({"delta": args.delta, "partition": str(lam),

@@ -3,9 +3,9 @@
 Diagrams are reduced perfect matchings on n northern and t southern
 nodes; concatenation returns the reduced diagram together with the
 number of closed loops removed, and the caller applies the
-delta^loops factor (0^0 = 1, so delta = 0 is handled uniformly).
-Distinguished diagrams: the hook diagrams X_{i,j}.  Permutations act on
-cell modules by relabelling nodes (cells), with no diagram built.
+delta^loops factor (0^0 = 1, so delta = 0 is handled uniformly).  The
+sampled checks of `brauer verify` read these products.  Cell modules are
+acted on in closed form (cells), with no diagram built.
 """
 
 from __future__ import annotations
@@ -71,15 +71,6 @@ def format_diagram(d: BrauerDiagram) -> str:
     body = " ".join(f"{node(a)}-{node(b)}" for a, b in shown)
     head = f"n={d.n}" if d.t == d.n else f"n={d.n},t={d.t}"
     return f"{head}; {body}"
-
-
-def hook_diagram(n: int, i: int, j: int) -> BrauerDiagram:
-    """Arcs {i, j} on both boundaries, all other strands straight."""
-    if not 1 <= i < j <= n:
-        raise ValueError(f"hook indices out of range: {i},{j}")
-    pairs = [(i, j), (-i, -j)]
-    pairs += [(k, -k) for k in range(1, n + 1) if k not in (i, j)]
-    return BrauerDiagram(n, n, pairs)
 
 
 def concat(a: BrauerDiagram, b: BrauerDiagram) -> tuple[BrauerDiagram, int]:

@@ -21,9 +21,9 @@ closed-form moves (CellModule._perm_move) that send a one-row diagram
 to itself, and the Gram rank from the sparse rows of cells.gram_matrix.
 Every transposition the Hom route applies, in a row sum, a column sum
 or the fixed-vector search, goes through the module's own
-CellModule.swap_sum, one call per coset step, which moves blocks by the
-closed-form transposition tables.  No question builds a permutation
-diagram or walks one through the strand walk; only hooks are walked.
+CellModule.swap_sum, one call per coset step, and every hook through
+CellModule.act_diagram; both move blocks by closed-form tables.  No
+question builds a Brauer diagram or walks a strand.
 
 Module dimensions are capped via the BRAUER_MAX_DIM environment variable
 (a positive integer, default 400) so that a stray query cannot wedge a
@@ -50,7 +50,6 @@ from .blocks import (WeightSet, block_partition, check_weight, hom_target,
                      is_balanced, is_minimal, weights)
 from .cells import (BlockVec, CellModule, PartialOneRowDiagram, gram_matrix,
                     t_action_check)
-from .diagrams import hook_diagram
 from .linalg import Echelon, SparseVec, rank_of
 from .partitions import (InvariantError, Partition, conjugacy_class_size,
                          content_sum, even_lr_sum, mn_character,
@@ -359,9 +358,8 @@ def _hom_dim_compressed(delta: int, lam: Partition, mu: Partition) -> int:
             f"symmetrizer image rank {ech.rank} differs from its "
             f"multiplicity bound {bound} at lam={lam}, mu={mu}, delta={delta}")
 
-    tops = [col[0] + 1 for col in col_bl]
-    hooks = [hook_diagram(k, i, j) for a, i in enumerate(tops)
-             for j in tops[a + 1:]]
+    tops = [col[0] for col in col_bl]
+    hooks = [(i, j) for a, i in enumerate(tops) for j in tops[a + 1:]]
     stacked = []
     for w in w_basis:
         image: SparseVec = {}

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 from math import factorial
+from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -32,12 +33,14 @@ class Box(NamedTuple):
 
 
 class Partition:
-    """A partition: weakly decreasing positive parts; () is the empty partition."""
+    """A partition: weakly decreasing positive parts; () is the empty
+    partition.  Parts are read through operator.index, so a float or a
+    string part raises TypeError rather than being truncated."""
 
     __slots__ = ("parts", "size")
 
     def __init__(self, parts: Iterable[int] = ()):
-        ps = tuple(filter(None, map(int, parts)))
+        ps = tuple(filter(None, map(index, parts)))
         if ps != tuple(sorted(ps, reverse=True)):
             raise ValueError(f"parts not weakly decreasing: {ps}")
         if ps and ps[-1] < 0:

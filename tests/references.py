@@ -1,8 +1,10 @@
 """Reference constructions shared by several test files: algebra
 elements with rational coefficients and the named diagrams and elements
 built on them, permutation helpers (among them the whole Young subgroup
-and the sign, which the library does without), the permutation diagram
-(the library permutes cell-module nodes in closed form instead), the
+and the sign, which the library does without), the permutation and
+hook diagrams, the strand walk and the general diagram action on a cell
+module built on it (the library moves cell-module vectors only by
+transpositions, hooks and the Gram pairing, each in closed form), the
 sum of cell-module block vectors, addable boxes, the Partition, Box
 and diagram helpers the library does without (box sets, adding and
 removing one box, skew-shape contents, deleting a box set, the
@@ -20,13 +22,14 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
 from math import factorial
 from typing import Iterable, Iterator
 
 from brauerblocks import perms
 from brauerblocks.blocks import _shifted, _unshift
-from brauerblocks.cells import PartialOneRowDiagram
+from brauerblocks.cells import CellModule, PartialOneRowDiagram
 from brauerblocks.diagrams import BrauerDiagram, concat, flip
 from brauerblocks.partitions import (EMPTY, Box, InvariantError, Partition,
                                      SkewShape, removable_boxes, specht_dim)
@@ -238,6 +241,101 @@ def u_diagram(n: int, i: int) -> BrauerDiagram:
     pairs = [(i, i + 1), (-i, -(i + 1))]
     pairs += [(k, -k) for k in range(1, n + 1) if k not in (i, i + 1)]
     return BrauerDiagram(n, n, pairs)
+
+
+def hook_diagram(n: int, i: int, j: int) -> BrauerDiagram:
+    """Arcs {i, j} on both boundaries, all other strands straight."""
+    if not 1 <= i < j <= n:
+        raise ValueError(f"hook indices out of range: {i},{j}")
+    pairs = [(i, j), (-i, -j)]
+    pairs += [(k, -k) for k in range(1, n + 1) if k not in (i, j)]
+    return BrauerDiagram(n, n, pairs)
+
+
+# ---------------------------------------------------------------------------
+# The general action of a diagram on a cell module, by the strand walk.  The
+# library moves vectors only by transpositions, hooks and the Gram pairing,
+# each in closed form.
+
+
+def decompose(cell: CellModule, d: BrauerDiagram, v_idx: int):
+    """How d moves the v-th one-row diagram: None if the propagating
+    number drops, else (w_idx, perm for the Specht factor, loops).
+
+    Stack d on v and walk from each northern node of d: down its
+    strand, and across an arc of v to the next strand of d, until the
+    walk surfaces at a northern node (an arc of w) or stops on a free
+    node of v (a through strand).  Middle nodes no walk touched close
+    into loops."""
+    n, m = cell.n, cell.mu.size
+    mate, rank = cell._mate[v_idx], cell._rank[v_idx]
+    # north x sits at x, south j at n + j
+    link = [0] * (2 * n + 1)
+    for a, b in d.pairs:
+        a = a if a > 0 else n - a
+        b = b if b > 0 else n - b
+        link[a], link[b] = b, a
+    seen = [False] * (2 * n + 1)
+    arcs = []
+    pinv = [0] * m
+    through = 0
+    for x in range(1, n + 1):
+        if seen[x]:
+            continue
+        y = link[x]
+        while y > n:
+            j = y - n
+            seen[y] = True
+            k = mate[j]
+            if not k:
+                # free node j of v drops to southern rank[j] + 1; x is
+                # w's free node number `through`, since x ascends and
+                # the Specht factor sees the inverse permutation
+                pinv[rank[j]] = through
+                through += 1
+                break
+            seen[n + k] = True
+            y = link[n + k]
+        else:
+            seen[y] = True
+            arcs.append((x, y))
+    if through < m:
+        return None
+    loops = 0
+    for j in range(1, n + 1):
+        if seen[n + j]:
+            continue
+        loops += 1
+        y = n + j
+        while not seen[y]:
+            seen[y] = True
+            k = mate[y - n]
+            seen[n + k] = True
+            y = link[n + k]
+    return (cell._v_index[tuple(arcs)], tuple(pinv), loops)
+
+
+def diagram_move(cell: CellModule, d: BrauerDiagram, v_idx: int):
+    """The move-table entry of d at the v-th one-row diagram, read off
+    the strand walk."""
+    dec = decompose(cell, d, v_idx)
+    if dec is None:
+        return None
+    w_idx, pinv, loops = dec
+    scale = cell.delta ** loops
+    if not scale:
+        return None
+    cols = None if pinv == cell._identity else cell.specht.perm_matrix(pinv)
+    return (w_idx, cols, scale)
+
+
+def act_diagram(cell: CellModule, d: BrauerDiagram, vec: dict) -> dict:
+    """Left action of a single diagram, with the delta^loops factor, on a
+    block vector, through the module's move kernel with d as the table
+    key.  The result shares no list with vec."""
+    out: dict = {}
+    cell._add_moved(out, vec, d, partial(diagram_move, cell), 1)
+    return {w_idx: acc for w_idx, acc in out.items() if any(acc)}
 
 
 def block_sum(terms) -> dict:

@@ -7,8 +7,7 @@ import pytest
 from brauerblocks import cells, perms
 from brauerblocks.cells import (CellModule, enumerate_v, gram_matrix,
                                 t_action_check)
-from brauerblocks.diagrams import (BrauerDiagram, all_diagrams, concat, flip,
-                                   hook_diagram)
+from brauerblocks.diagrams import BrauerDiagram, all_diagrams, concat, flip
 from brauerblocks.linalg import SparseVec, mat_vec
 from brauerblocks.oracle import central_scalar
 from brauerblocks.partitions import (EMPTY, InvariantError, Partition,
@@ -16,8 +15,9 @@ from brauerblocks.partitions import (EMPTY, InvariantError, Partition,
                                      removable_boxes, specht_dim)
 from brauerblocks.specht import build_specht
 import references
-from references import (AlgebraElement, add_box, addable_boxes, all_perms,
-                        block_sum, free_nodes, from_diagram,
+from references import (AlgebraElement, act_diagram, add_box, addable_boxes,
+                        all_perms, block_sum, decompose, diagram_move,
+                        free_nodes, from_diagram, hook_diagram,
                         identity_diagram, identity_element, perm_diagram,
                         propagating, remove_box, u_diagram)
 
@@ -49,7 +49,7 @@ def act_element(cell: CellModule, elem: AlgebraElement, vec: SparseVec) -> Spars
     if elem.n != cell.n or elem.delta != cell.delta:
         raise ValueError("element and module live over different B_n(delta)")
     blocks = cell.to_blocks(vec)
-    return cell.flatten(block_sum((c, cell.act_diagram(d, blocks))
+    return cell.flatten(block_sum((c, act_diagram(cell, d, blocks))
                                   for d, c in elem.terms.items()))
 
 
@@ -113,9 +113,9 @@ def test_top_cell_is_specht():
         inv = cell.specht.perm_matrix(inverse(sigma))
         for j in range(cell.dim):
             unit = cell.to_blocks({j: Fraction(1)})
-            assert cell.flatten(cell.act_diagram(d, unit)) == inv[j]
+            assert cell.flatten(act_diagram(cell, d, unit)) == inv[j]
     # arc diagrams drop the propagating number and act as zero on top
-    assert cell.flatten(cell.act_diagram(u_diagram(3, 1), cell.to_blocks({0: Fraction(1)}))) == {}
+    assert cell.flatten(act_diagram(cell, u_diagram(3, 1), cell.to_blocks({0: Fraction(1)}))) == {}
 
 
 @pytest.mark.parametrize("delta", [0, 2])
@@ -128,7 +128,7 @@ def test_action_is_algebra_representation(delta):
             prod = ea * from_diagram(b, delta)
             for j in range(cell.dim):
                 unit = {j: Fraction(1)}
-                step = cell.flatten(cell.act_diagram(a, cell.act_diagram(b, cell.to_blocks(unit))))
+                step = cell.flatten(act_diagram(cell, a, act_diagram(cell, b, cell.to_blocks(unit))))
                 assert step == act_element(cell, prod, unit)
 
 
@@ -156,10 +156,10 @@ def test_gram_symmetric_and_invariant(delta):
     for d in all_diagrams(3):
         fd = flip(d)
         for b in range(dim):
-            moved = cell.flatten(cell.act_diagram(d, cell.to_blocks({b: Fraction(1)})))
+            moved = cell.flatten(act_diagram(cell, d, cell.to_blocks({b: Fraction(1)})))
             for c in range(dim):
                 lhs = sum(v * gram[a][c] for a, v in moved.items())
-                back = cell.flatten(cell.act_diagram(fd, cell.to_blocks({c: Fraction(1)})))
+                back = cell.flatten(act_diagram(cell, fd, cell.to_blocks({c: Fraction(1)})))
                 rhs = sum(gram[b][a] * v for a, v in back.items())
                 assert lhs == rhs
 
@@ -231,7 +231,7 @@ def test_decompose_matches_concat():
             cell = CellModule(n, 1, P(m) if m else EMPTY)
             for d in pool:
                 for v_idx in range(len(cell.v_list)):
-                    assert cell.decompose(d, v_idx) == concat_decompose(cell, d, v_idx)
+                    assert decompose(cell, d, v_idx) == concat_decompose(cell, d, v_idx)
 
 
 def concat_gram(cell):
@@ -273,7 +273,6 @@ def test_gram_matches_concat_reading():
         for delta in DELTAS:
             for cell in cell_modules(n, delta):
                 gram = gram_matrix(cell)
-                assert not cell._links, cell  # no row's diagram outlives it
                 assert all(all(row.values()) for row in gram), cell
                 assert dense(gram, cell.dim) == concat_gram(cell), cell
                 count += 1
@@ -305,7 +304,7 @@ def test_action_layer_is_integral():
                     for d in gens:
                         for j in range(cell.dim):
                             unit = cell.to_blocks({j: 1})
-                            assert all_int(cell.flatten(cell.act_diagram(d, unit)).values())
+                            assert all_int(cell.flatten(act_diagram(cell, d, unit)).values())
                     assert all(all_int(row.values()) for row in gram_matrix(cell))
 
 
@@ -319,7 +318,7 @@ def reference_act(cell, d, vec):
         grouped.setdefault(idx // f, {})[idx % f] = c
     out = {}
     for v_idx, sub in grouped.items():
-        dec = cell.decompose(d, v_idx)
+        dec = decompose(cell, d, v_idx)
         if dec is None:
             continue
         w_idx, pinv, loops = dec
@@ -354,7 +353,7 @@ def check_against_reference(cell, diagrams):
     full = {j: j % 5 - 2 or 3 for j in range(cell.dim)}
     for d in diagrams:
         for vec in [{j: 1} for j in range(cell.dim)] + [full]:
-            got = cell.act_diagram(d, cell.to_blocks(vec))
+            got = act_diagram(cell, d, cell.to_blocks(vec))
             for block in got.values():
                 assert type(block) is list and len(block) == f
                 assert all_int(block) and any(block)
@@ -389,37 +388,38 @@ def test_block_action_matches_flat_reference():
 
 
 def test_action_does_not_alias():
-    # the result of act_diagram and block_sum shares no list with the
-    # input: the input is unchanged by the call and by mutating the result
+    # the result of act_diagram, swap_sum and block_sum shares no list
+    # with the input: the input is unchanged by the call and by mutating
+    # the result
     cell = CellModule(5, 2, P(2, 1))
     vec = cell.to_blocks({j: j % 3 + 1 for j in range(cell.dim)})
     before = copy.deepcopy(vec)
-    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-    diagrams = [identity_diagram(5), hook_diagram(5, 1, 2), hook_diagram(5, 2, 4)]
-    diagrams += [perm_diagram(perms.transposition(5, i, j)) for i, j in pairs]
-    for d in diagrams:
-        out = cell.act_diagram(d, vec)
-        assert vec == before
+
+    def scribble(out, label):
+        assert vec == before, label
         for block in out.values():
             block[:] = [c + 7 for c in block]
-        assert vec == before, d
+        assert vec == before, label
+
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    for pair in [(0, 1), (1, 3)]:
+        scribble(cell.act_diagram(pair, vec), pair)
+    # the move kernel under the reference action of general diagrams
+    for d in [identity_diagram(5)] + [perm_diagram(perms.transposition(5, i, j))
+                                      for i, j in pairs]:
+        scribble(act_diagram(cell, d, vec), d)
     # swap_sum adds vec and its signed transposed images in a fresh
     # accumulator, with the same guarantee
     for sign in (1, -1):
         for chosen in [[p] for p in pairs] + [pairs]:
             out = cell.swap_sum(vec, chosen, sign)
             assert out == block_sum([(1, vec)] + [
-                (sign, cell.act_diagram(perm_diagram(perms.transposition(5, i, j)), vec))
+                (sign, act_diagram(cell, perm_diagram(perms.transposition(5, i, j)), vec))
                 for i, j in chosen])
-            assert vec == before
-            for block in out.values():
-                block[:] = [c + 7 for c in block]
-            assert vec == before, (chosen, sign)
+            scribble(out, (chosen, sign))
     ones = {0: [1] * cell.specht.dim}
     for out in (block_sum([(1, vec), (1, vec)]), block_sum([(1, vec), (-1, ones)])):
-        for block in out.values():
-            block[:] = [c + 7 for c in block]
-        assert vec == before
+        scribble(out, "block_sum")
     # three terms in which block 0 cancels: it is dropped, the others stay
     out = block_sum([(1, vec), (-1, {0: vec[0]}), (2, {1: vec[1]})])
     assert out == {v: [3 * c for c in block] if v == 1 else block
@@ -443,7 +443,7 @@ def test_swap_tables_match_decompose():
                 for p in pairs:
                     table = cell._moves[p]
                     for v_idx, move in enumerate(table):
-                        assert move == cell._move(diagrams[p], v_idx), (cell, p, v_idx)
+                        assert move == diagram_move(cell, diagrams[p], v_idx), (cell, p, v_idx)
                     count += len(table)
     assert count == 94244
     # every permutation sigma of n <= 5: relabelling the nodes by sigma
@@ -457,10 +457,50 @@ def test_swap_tables_match_decompose():
                     d = perm_diagram(sigma)
                     tau = (0,) + tuple(x + 1 for x in inverse(sigma))
                     for v_idx in range(len(cell.v_list)):
-                        assert cell._perm_move(tau, v_idx) == cell._move(d, v_idx), \
+                        assert cell._perm_move(tau, v_idx) == diagram_move(cell, d, v_idx), \
                             (cell, sigma, v_idx)
                         count += 1
     assert (modules, count) == (165, 40509)
+
+
+def test_hook_tables_match_decompose():
+    # the closed-form move of each hook equals the strand walk of its
+    # hook diagram, entry by entry, on every module of n <= 7; acting on
+    # a vector with every block nonzero fills the whole table
+    count = modules = 0
+    for n in range(8):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        diagrams = {p: hook_diagram(n, p[0] + 1, p[1] + 1) for p in pairs}
+        for delta in DELTAS:
+            for cell in cell_modules(n, delta):
+                modules += 1
+                f = cell.specht.dim
+                full = {v_idx: [1] * f for v_idx in range(len(cell.v_list))}
+                for p in pairs:
+                    cell.act_diagram(p, full)
+                    table = cell._moves[("hook",) + p]
+                    for v_idx, move in enumerate(table):
+                        assert move == diagram_move(cell, diagrams[p], v_idx), (cell, p, v_idx)
+                    count += len(table)
+    assert (modules, count) == (434, 94244)
+
+
+def test_hook_and_swap_tables_are_kept_apart():
+    # one point pair keys both a transposition table and a hook table;
+    # whichever is filled first, each answers for itself
+    pair = (0, 1)
+    hook = hook_diagram(4, 1, 2)
+    swap = perm_diagram(perms.transposition(4, *pair))
+    for swap_first in (False, True):
+        cell = CellModule(4, 2, P(1, 1))
+        full = {v_idx: [1] * cell.specht.dim for v_idx in range(len(cell.v_list))}
+        if swap_first:
+            cell.swap_sum(full, [pair], 1)
+        hooked = cell.act_diagram(pair, full)
+        assert hooked == act_diagram(cell, hook, full)
+        assert hooked != act_diagram(cell, swap, full)
+        assert cell.swap_sum(full, [pair], 1) == block_sum(
+            [(1, full), (1, act_diagram(cell, swap, full))])
 
 
 def test_swap_sum_matches_act_diagram(rng):
@@ -483,7 +523,7 @@ def test_swap_sum_matches_act_diagram(rng):
                         assert type(block) is list and len(block) == f
                         assert all_int(block) and any(block)
                     assert got == block_sum([(1, vec)] + [
-                        (sign, cell.act_diagram(perm_diagram(perms.transposition(n, i, j)), vec))
+                        (sign, act_diagram(cell, perm_diagram(perms.transposition(n, i, j)), vec))
                         for i, j in chosen]), (cell, chosen, sign)
     # (1 2) fixes the arc 1-2 and its free nodes, so vec - (1 2)vec
     # cancels that block and keeps the one it moves
@@ -493,8 +533,8 @@ def test_swap_sum_matches_act_diagram(rng):
     vec = {fixed: [2, -1], moved: [1, 3]}
     got = cell.swap_sum(vec, [(0, 1)], -1)
     assert fixed not in got and moved in got
-    assert got == block_sum([(1, vec), (-1, cell.act_diagram(
-        perm_diagram(perms.transposition(4, 0, 1)), vec))])
+    assert got == block_sum([(1, vec), (-1, act_diagram(
+        cell, perm_diagram(perms.transposition(4, 0, 1)), vec))])
 
 
 def test_restriction_rule():

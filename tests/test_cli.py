@@ -225,6 +225,20 @@ def test_value_errors_exit_two(capsys):
     run_usage_error(capsys, ["render", "--format", "dot"] + STAIR)
 
 
+def test_non_weight_is_refused(capsys):
+    # the empty partition is a weight of no B_n(0), so neither verb may
+    # call it minimal; in text and in JSON both exit 2 naming it
+    for verb in ("minimal", "hom-target"):
+        for fmt in ("text", "json"):
+            code = cli.run([verb, "--delta", "0", "--format", fmt, "0"])
+            out, err = capsys.readouterr()
+            assert code == 2 and out == "", (verb, fmt, out)
+            assert err.strip() == "error: 0 is not a weight of B_0(0)", (verb, fmt)
+    # at delta = 0, (2) is the least weight of that orbit
+    assert run_ok(capsys, ["minimal", "--delta", "0", "2"]).strip() == "2 (minimal)"
+    assert run_ok(capsys, ["hom-target", "--delta", "0", "2"]).strip() == "2 (minimal)"
+
+
 def test_assertion_exits_three(capsys, monkeypatch):
     def boom(*_args, **_kw):
         raise AssertionError("forced")

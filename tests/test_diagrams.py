@@ -4,12 +4,12 @@ import pytest
 
 from brauerblocks import perms
 from brauerblocks.diagrams import (BrauerDiagram, all_diagrams, concat, flip,
-                                   format_diagram, hook_diagram)
+                                   format_diagram)
 from brauerblocks.partitions import Partition, partitions_of
 from references import (AlgebraElement, all_perms, compose, e, e_bar,
-                        from_diagram, identity_diagram, identity_element,
-                        perm_diagram, propagating, transposition_element,
-                        u_diagram, young_symmetrizer)
+                        from_diagram, hook_diagram, identity_diagram,
+                        identity_element, perm_diagram, propagating,
+                        transposition_element, u_diagram, young_symmetrizer)
 
 
 def parse_diagram(text: str) -> BrauerDiagram:

@@ -9,8 +9,7 @@ import pytest
 from brauerblocks import cli, oracle, perms
 from brauerblocks.blocks import hom_target, weights
 from brauerblocks.cells import CellModule, enumerate_v
-from brauerblocks.diagrams import (BrauerDiagram, all_diagrams, concat,
-                                   hook_diagram)
+from brauerblocks.diagrams import BrauerDiagram, all_diagrams, concat
 from brauerblocks.linalg import Echelon, SparseVec, rank_of, vec_add
 from brauerblocks.oracle import (HomQuery, _cycle_rep, _last_cell, _orbit_reps,
                                  _orbit_seeds, _perm_traces,
@@ -21,9 +20,9 @@ from brauerblocks.oracle import (HomQuery, _cycle_rep, _last_cell, _orbit_reps,
 from brauerblocks.partitions import (EMPTY, Partition, mn_character,
                                      partitions_of, removable_boxes,
                                      specht_dim, subpartitions)
-from references import (block_perms, e_bar, identity, identity_diagram,
-                        is_even, lr_coefficient, perm_diagram, remove_box,
-                        sign)
+from references import (act_diagram, block_perms, e_bar, hook_diagram,
+                        identity, identity_diagram, is_even, lr_coefficient,
+                        perm_diagram, remove_box, sign)
 
 DELTAS = (-2, -1, 0, 1, 2, 3)
 
@@ -48,7 +47,7 @@ def cycle_type(p: tuple[int, ...]) -> Partition:
 
 
 def matrix_of(cell: CellModule, d: BrauerDiagram) -> list[SparseVec]:
-    return [cell.flatten(cell.act_diagram(d, cell.to_blocks({j: 1})))
+    return [cell.flatten(act_diagram(cell, d, cell.to_blocks({j: 1})))
             for j in range(cell.dim)]
 
 
@@ -169,7 +168,7 @@ def probe_traces(cell) -> dict:
     out = {}
     for rho in partitions_of(cell.n):
         d = perm_diagram(_cycle_rep(rho))
-        out[rho] = sum(cell.flatten(cell.act_diagram(d, cell.to_blocks({j: 1}))).get(j, 0)
+        out[rho] = sum(cell.flatten(act_diagram(cell, d, cell.to_blocks({j: 1}))).get(j, 0)
                        for j in range(cell.dim))
     return out
 
@@ -325,7 +324,7 @@ def full_scan(n: int, delta: int, lam: Partition, mu: Partition,
                 acc = vec
                 for i in range(j):
                     tr = perms.transposition(k, pts[i], pts[j])
-                    moved = cell.act_diagram(pad_perm(tr), cell.to_blocks(vec))
+                    moved = act_diagram(cell, pad_perm(tr), cell.to_blocks(vec))
                     acc = vec_add(acc, cell.flatten(moved), sign)
                 vec = acc
         return vec
@@ -337,7 +336,7 @@ def full_scan(n: int, delta: int, lam: Partition, mu: Partition,
     ech = Echelon()
     w_basis = []
     for b in (v_idx * f + x for v_idx in v_seeds for x in range(f)):
-        v = cell.flatten(cell.act_diagram(ident, cell.to_blocks({b: 1})))
+        v = cell.flatten(act_diagram(cell, ident, cell.to_blocks({b: 1})))
         v = group_pass(v, perms.row_blocks(lam), 1)
         v = group_pass(v, perms.col_blocks(lam), -1)
         if v and ech.add(v):
@@ -351,7 +350,7 @@ def full_scan(n: int, delta: int, lam: Partition, mu: Partition,
         for i in range(1, k + 1):
             for j in range(i + 1, k + 1):
                 h = pad(hook_diagram(k, i, j), n)
-                for key, val in cell.flatten(cell.act_diagram(h, cell.to_blocks(w))).items():
+                for key, val in cell.flatten(act_diagram(cell, h, cell.to_blocks(w))).items():
                     image[(i, j, key)] = val
         stacked.append(image)
     return len(w_basis) - rank_of(stacked), w_basis
@@ -383,7 +382,7 @@ def check_symmetry_cuts(n, delta, lam, mu) -> bool:
             for j in col[a + 1:]:
                 h = pad(hook_diagram(lam.size, i + 1, j + 1), n)
                 for w in w_basis:
-                    assert cell.flatten(cell.act_diagram(h, cell.to_blocks(w))) == {}, \
+                    assert cell.flatten(act_diagram(cell, h, cell.to_blocks(w))) == {}, \
                         (n, delta, lam, mu, i, j)
     if lam.size != n:
         return False
@@ -411,7 +410,7 @@ def young_sum(cell, vec, blocks, signed):
     when signed = -1), applied to vec one permutation diagram at a time."""
     out = {}
     for p in block_perms(blocks, cell.n):
-        out = vec_add(out, cell.flatten(cell.act_diagram(perm_diagram(p), cell.to_blocks(vec))),
+        out = vec_add(out, cell.flatten(act_diagram(cell, perm_diagram(p), cell.to_blocks(vec))),
                       sign(p) if signed < 0 else 1)
     return out
 
@@ -656,18 +655,19 @@ def test_no_cell_module_outlives_a_run(monkeypatch):
 
 
 def test_route_walks_no_permutation_diagram(monkeypatch):
-    # the Hom route applies every transposition through swap_sum's
-    # closed-form tables: on each route query of n <= 6 the strand walk
-    # sees the hooks and never a permutation diagram; restriction reads
-    # its traces in closed form and walks nothing
-    walked = Counter()
-    decompose = CellModule.decompose
+    # the Hom route moves vectors only through the closed-form tables of
+    # transpositions and hooks: on each route query of n <= 6 the move
+    # kernel is keyed by point pairs and hook keys, never by a diagram;
+    # restriction reads its traces in closed form, through no table
+    keys = Counter()
+    add_moved = CellModule._add_moved
 
-    def recording_decompose(self, d, v_idx):
-        walked[all(min(p) < 0 < max(p) for p in d.pairs)] += 1
-        return decompose(self, d, v_idx)
+    def recording_add_moved(self, out, vec, key, fill, c):
+        keys["diagram" if isinstance(key, BrauerDiagram)
+             else "hook" if key[0] == "hook" else "swap"] += 1
+        return add_moved(self, out, vec, key, fill, c)
 
-    monkeypatch.setattr(CellModule, "decompose", recording_decompose)
+    monkeypatch.setattr(CellModule, "_add_moved", recording_add_moved)
     _last_cell.cache_clear()
     queries = 0
     try:
@@ -684,9 +684,9 @@ def test_route_walks_no_permutation_diagram(monkeypatch):
     finally:
         _last_cell.cache_clear()
     assert queries == 41
-    assert walked[False] and not walked[True], walked
+    assert set(keys) == {"hook", "swap"}, keys
 
-    walked.clear()
+    keys.clear()
     _perm_traces.cache_clear()
     queries = 0
     try:
@@ -699,4 +699,4 @@ def test_route_walks_no_permutation_diagram(monkeypatch):
         _last_cell.cache_clear()
         _perm_traces.cache_clear()
     assert queries == 345
-    assert not walked, walked
+    assert not keys, keys

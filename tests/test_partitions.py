@@ -66,6 +66,10 @@ def test_partition_validation():
         Partition((-1, 2))
     assert Partition((3, 0, 1, 0)).parts == (3, 1)
     assert Partition(iter([2, 2])).parts == (2, 2)
+    # a part that is no integer is refused, not truncated
+    for parts in [(2.7, 1), (2.0,), ["3", "1"]]:
+        with pytest.raises(TypeError):
+            Partition(parts)
 
 
 def test_size_and_conjugate_match_definitions():

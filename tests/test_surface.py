@@ -3,7 +3,8 @@ function or class of the package is exported or used by the package,
 its scripts or its benchmark.  Tests are not read, so a name only tests
 call belongs beside those tests.  No file of the package, its tests or
 its scripts imports a name it never reads, and the package does not
-import fractions or dataclasses.  Its values survive pickle and copy."""
+import fractions or dataclasses; its cell action (cells, oracle) imports
+no diagrams.  Its values survive pickle and copy."""
 
 import ast
 import copy
@@ -125,6 +126,25 @@ def test_package_imports_no_fractions():
             found += [f"{path.name}: {name}" for name in names
                       if name.partition(".")[0] == "fractions"]
     assert not found, f"fractions imported: {found}"
+
+
+def test_action_layer_imports_no_diagrams():
+    """cells and oracle move vectors in closed form; the strand walk and
+    the diagrams it walks live in the test references."""
+    found = []
+    for name in ("cells.py", "oracle.py"):
+        path = PACKAGE / name
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""  # None for "from . import"
+                names = [module] + [f"{module}.{a.name}" for a in node.names]
+            else:
+                continue
+            found += [f"{name}: {imported}" for imported in names
+                      if "diagrams" in imported.split(".")]
+    assert not found, f"diagrams imported: {found}"
 
 
 def test_package_does_without_dataclasses():
