@@ -3,15 +3,18 @@
 
     python3 scripts/hom_gate.py dump OUT.json --n 1-8 --deltas -2 -1 0 1 2 3
     python3 scripts/hom_gate.py dump OLD.json --src ../old/src --n 9-10 --deltas 0 1
+    BRAUER_MAX_DIM=10080 python3 scripts/hom_gate.py dump OUT.json --gate
     python3 scripts/hom_gate.py compare OLD.json NEW.json
 
 `dump` imports brauerblocks from --src (default: the src/ beside this
 script), so dumping from two checkouts and comparing the files checks
 that a change to the oracle left every answer as it was.  Each entry is
-keyed "n delta source target".  Large modules need BRAUER_MAX_DIM set as
-for any other query.  `compare` prints each pair whose value differs or
-that only one dump holds, and exits 1 if there is any; otherwise it
-prints the pair and nonzero counts and exits 0.
+keyed "n delta source target".  --gate dumps the standard gate set in
+one file: n = 0-8 at delta -2..3 and n = 9, 10 at delta 0, 1, which is
+37 326 pairs.  Large modules need BRAUER_MAX_DIM set as for any other
+query; the gate set needs 10080.  `compare` prints each pair whose value
+differs or that only one dump holds, and exits 1 if there is any;
+otherwise it prints the pair and nonzero counts and exits 0.
 """
 
 import argparse
@@ -21,6 +24,8 @@ import time
 from pathlib import Path
 
 SHOWN = 20  # mismatches printed by compare
+GATE = ([(n, delta) for n in range(9) for delta in range(-2, 4)]
+        + [(n, delta) for n in (9, 10) for delta in (0, 1)])
 
 
 def n_range(text: str) -> range:
@@ -33,15 +38,14 @@ def dump(args) -> int:
     from brauerblocks.blocks import weights
     from brauerblocks.oracle import HomQuery, hom_dim
 
+    cases = GATE if args.gate else [(n, delta) for n in args.n for delta in args.deltas]
     t0 = time.monotonic()
     out = {}
-    for n in args.n:
-        for delta in args.deltas:
-            ws = weights(n, delta).weights
-            for lam in ws:
-                for mu in ws:
-                    out[f"{n} {delta} {lam} {mu}"] = \
-                        hom_dim(HomQuery(n, delta, lam, mu))
+    for n, delta in cases:
+        ws = weights(n, delta).weights
+        for lam in ws:
+            for mu in ws:
+                out[f"{n} {delta} {lam} {mu}"] = hom_dim(HomQuery(n, delta, lam, mu))
     Path(args.out).write_text(json.dumps(out, indent=0, sort_keys=True) + "\n")
     nonzero = sum(1 for v in out.values() if v)
     print(f"{len(out)} pairs, {nonzero} nonzero, "
@@ -71,15 +75,19 @@ def main() -> int:
     sub = ap.add_subparsers(dest="cmd", required=True)
     d = sub.add_parser("dump", help="write hom_dim of every ordered weight pair")
     d.add_argument("out")
-    d.add_argument("--n", type=n_range, required=True,
+    d.add_argument("--n", type=n_range,
                    help="level or inclusive range, e.g. 8 or 1-8")
-    d.add_argument("--deltas", type=int, nargs="+", required=True)
+    d.add_argument("--deltas", type=int, nargs="+")
+    d.add_argument("--gate", action="store_true",
+                   help="the standard gate set instead of --n and --deltas")
     d.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
                    help="source tree to import brauerblocks from")
     c = sub.add_parser("compare", help="exit 1 unless two dumps agree")
     c.add_argument("old")
     c.add_argument("new")
     args = ap.parse_args()
+    if args.cmd == "dump" and (args.n is None, args.deltas is None) != (args.gate,) * 2:
+        ap.error("dump takes --gate, or --n with --deltas")
     return dump(args) if args.cmd == "dump" else compare(args)
 
 

@@ -195,8 +195,14 @@ def maximal_balanced_sub(lam: Partition, mu: Partition, delta: int) -> Partition
     if not lam.contains(mu) or lam == mu:
         raise ValueError(f"{mu} must be properly contained in {lam}")
     rank = lam.size + abs(delta) + 2
-    x = _shifted(lam, delta, rank)
-    low = _shifted(mu, delta, rank)
+    return _reflect_down(lam, mu, delta, _shifted(lam, delta, rank),
+                         _shifted(mu, delta, rank))
+
+
+def _reflect_down(lam: Partition, mu: Partition, delta: int, x: list[int],
+                  low: list[int]) -> Partition:
+    """maximal_balanced_sub from the shifted coordinates x of lam and low
+    of mu, both at rank |lam| + |delta| + 2."""
     images: list[list[int]] = []
     for i, a in enumerate(x):
         for b in x[i + 1:]:
@@ -307,17 +313,21 @@ def _orbit_coords(lam: Partition, delta: int) -> tuple[list[int], list[int]]:
     return x, _orbit_min_coords(x)
 
 
-def _orbit_min(lam: Partition, delta: int) -> Partition:
-    """The minimum of lam's type-D orbit: lam itself when its coordinates
-    are already the minimum's.  At delta = 0 the empty partition
-    (leading coordinate 0) is no weight; (2) is the only size-2 one in
-    its orbit."""
+def _orbit_min(lam: Partition, delta: int) -> tuple[Partition, list[int], list[int]]:
+    """The minimum of lam's type-D orbit, with _orbit_coords(lam, delta):
+    lam itself when its coordinates are already the minimum's.  At
+    delta = 0 the empty partition (leading coordinate 0) is no weight;
+    (2) is the only size-2 one in its orbit.  A minimum other than lam
+    itself is checked to lie under lam, to be balanced with it and to be
+    its own orbit minimum; for lam these hold trivially."""
     x, y = _orbit_coords(lam, delta)
     if y == x:
-        return lam
-    if delta == 0 and y[0] == 0:
-        return _TWO
-    return _unshift(y, delta)
+        return lam, x, y
+    found = _TWO if delta == 0 and y[0] == 0 else _unshift(y, delta)
+    if not (lam.contains(found) and is_balanced(lam, found, delta)
+            and is_minimal(found, delta)):
+        raise InvariantError((lam, found, delta))
+    return found, x, y
 
 
 def is_minimal(lam: Partition, delta: int) -> bool:
@@ -328,22 +338,24 @@ def is_minimal(lam: Partition, delta: int) -> bool:
 
 
 def minimal_weight(lam: Partition, delta: int) -> Partition:
-    """The unique smallest weight under lam balanced with it.  A minimum
-    other than lam itself is checked to lie under lam, to be balanced
-    with it and to be its own orbit minimum; for lam these hold
-    trivially."""
-    found = _orbit_min(lam, delta)
-    if found != lam and not (lam.contains(found) and is_balanced(lam, found, delta)
-                             and is_minimal(found, delta)):
-        raise InvariantError((lam, found, delta))
-    return found
+    """The unique smallest weight under lam balanced with it, checked as
+    _orbit_min says."""
+    return _orbit_min(lam, delta)[0]
 
 
 def hom_target(lam: Partition, delta: int) -> Partition | None:
     """The predicted receiver of a nonzero map out of the cell module
-    at lam, or None when lam is minimal in its block."""
-    low = minimal_weight(lam, delta)
-    return None if low == lam else maximal_balanced_sub(lam, low, delta)
+    at lam, or None when lam is minimal in its block: maximal_balanced_sub
+    of lam and its minimal weight, on the coordinates _orbit_min read.
+    Only the minimum (2) at delta = 0 has coordinates other than the
+    orbit minimum's, those of the empty partition, 0, -2, -4, ...; its
+    conjugate (1, 1) raises the first two by 2."""
+    low, x, y = _orbit_min(lam, delta)
+    if low == lam:
+        return None
+    if delta == 0 and y[0] == 0:
+        y = [2, 0] + y[2:]
+    return _reflect_down(lam, low, delta, x, y)
 
 
 class LatticePrediction(NamedTuple):

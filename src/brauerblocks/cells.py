@@ -3,7 +3,8 @@
 The basis pairs a partial one-row diagram (t disjoint arcs on n nodes)
 with a standard tableau of the weight mu, |mu| = n - 2t.  Every move is
 read in closed form off index tables built once per module: each one-row
-diagram's arc partner and free-node rank per node, and its free nodes.
+diagram's arc partner and free-node rank per node, its free nodes and
+its arc-set key.
 No diagram is built or walked.  Basis order is fixed (arc lists lex,
 then tableaux) so every matrix is reproducible bit for bit.
 
@@ -16,28 +17,36 @@ where the propagating number drops or delta^loops = 0, else (target
 index, Specht matrix of the leftover permutation or None for the
 identity, delta^loops).  One kernel, CellModule._add_moved, adds c times
 a table's image of a vector into an accumulator, one table lookup per
-block: act_diagram (one hook), swap_sum (a vector plus a signed sum of
+block and, through a Specht matrix, one column per nonzero coordinate:
+act_diagram (one hook), swap_sum (a vector plus a signed sum of
 transpositions, in one pass) and t_action_check all move vectors through
 it.  Lists in a block vector are never shared with another vector, so a
 caller may mutate what it is given back.
 
-A permutation relabels v's arcs, and each free node f of v goes to the
-rank of its image in w (_perm_move); transpositions and the permutation
-traces of the oracle are read that way.  A hook X_ij scales a v with
-the arc i-j by delta, kills a v with i and j both free, and otherwise
-moves v as one transposition does (_hook_move).  The Gram form pairs the arc tables of
-two one-row diagrams (gram_matrix), as sparse rows, and t_action_check
-is the one check that the central element acts by its closed-form
-scalar.
+A transposition of the nodes i and j moves v by cases (_transpose): an
+arc i-j stays, with v; two arcs at i and j swap ends, with the identity
+on the Specht factor; free i and j stay, and the Specht factor takes the
+transposition of their ranks; and if one of them is free, the arc end
+moves there and the ranks between shift by a cycle.  w is looked up by
+its arc set's integer key, one bit per arc (_arc_key), which a move
+edits by xor; there is no permutation tuple and no sort.  A general
+permutation relabels v's arcs, and each free node of v goes to the rank
+of its image in w (_perm_move); the oracle reads its permutation traces
+that way.  A hook X_ij scales a v with the arc i-j by delta, kills a v
+with i and j both free, and otherwise moves v as one transposition does
+(_hook_move).  The Gram form pairs the arc tables of two one-row
+diagrams (gram_matrix), as sparse rows, and t_action_check is the one
+check that the central element acts by its closed-form scalar.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from math import factorial
 from typing import Iterator, NamedTuple
 
-from brauerblocks import perms, specht
+from brauerblocks import specht
 from brauerblocks.blocks import check_weight
 from brauerblocks.linalg import SparseVec
 from brauerblocks.partitions import InvariantError, Partition, content_sum
@@ -101,17 +110,26 @@ class CellModule:
         self.t = (n - mu.size) // 2
         self.specht = _specht(mu)
         self.v_list = enumerate_v(n, self.t)
-        self._v_index = {v.arcs: i for i, v in enumerate(self.v_list)}
-        # per one-row diagram: its free nodes, and indexed by node 1..n the
-        # arc partner (0 if free) and the rank among the free nodes (-1 if
-        # on an arc)
+        # an arc set's key has one bit per arc, _bit[a][b] = _bit[b][a]
+        # for the arc a-b, so a move edits a key by xor
+        self._bit = [[0] * (n + 1) for _ in range(n + 1)]
+        for b in range(2, n + 1):
+            for a in range(1, b):
+                self._bit[a][b] = self._bit[b][a] = 1 << (b * (b - 1) // 2 + a - 1)
+        # per one-row diagram: its free nodes, its key, and indexed by node
+        # 1..n the arc partner (0 if free) and the rank among the free nodes
+        # (-1 if on an arc)
         self.free_nodes: list[tuple[int, ...]] = []
+        self._key: list[int] = []
         self._mate: list[list[int]] = []
         self._rank: list[list[int]] = []
         for v in self.v_list:
             mate = [0] * (n + 1)
+            key = 0
             for a, b in v.arcs:
                 mate[a], mate[b] = b, a
+                key |= self._bit[a][b]
+            self._key.append(key)
             free = tuple(x for x in range(1, n + 1) if not mate[x])
             rank = [-1] * (n + 1)
             for k, x in enumerate(free):
@@ -119,6 +137,7 @@ class CellModule:
             self.free_nodes.append(free)
             self._mate.append(mate)
             self._rank.append(rank)
+        self._v_index = {key: i for i, key in enumerate(self._key)}
         self._identity = tuple(range(mu.size))
         # move tables, keyed by the 0-based point pair of a transposition
         # or by ("hook", i, j) for the hook on that pair
@@ -127,6 +146,12 @@ class CellModule:
     @property
     def dim(self) -> int:
         return len(self.v_list) * self.specht.dim
+
+    def _arc_key(self, arcs) -> int:
+        """The integer key of a set of arcs, each a node pair in either
+        order; _v_index maps it to the one-row diagram's index."""
+        bit = self._bit
+        return sum(bit[a][b] for a, b in arcs)
 
     def _add_moved(self, out: BlockVec, vec: BlockVec, key, fill, c: int) -> None:
         """Add c * (key acting on vec) into out, through key's move table,
@@ -151,11 +176,10 @@ class CellModule:
                 continue
             if acc is None:
                 acc = out[w_idx] = [0] * f
-            for j, x in enumerate(block):
-                if x:
-                    x *= scale
-                    for i, a in cols[j].items():
-                        acc[i] += a * x
+            for j, x in compress(enumerate(block), block):
+                x *= scale
+                for i, a in cols[j].items():
+                    acc[i] += a * x
 
     def _perm_move(self, tau, v_idx: int):
         """The move-table entry at the v-th one-row diagram of the
@@ -164,9 +188,8 @@ class CellModule:
         node f of v goes to the rank of its image in w.  No loop closes and
         no strand drops, so the scale is 1.  The permutation diagram of
         sigma moves v as the relabelling by sigma inverse."""
-        arcs = sorted((tau[a], tau[b]) if tau[a] < tau[b] else (tau[b], tau[a])
-                      for a, b in self.v_list[v_idx].arcs)
-        w_idx = self._v_index[tuple(arcs)]
+        w_idx = self._v_index[self._arc_key((tau[a], tau[b])
+                                           for a, b in self.v_list[v_idx].arcs)]
         rank = self._rank[w_idx]
         pinv = tuple(rank[tau[f]] for f in self.free_nodes[v_idx])
         cols = None if pinv == self._identity else self.specht.perm_matrix(pinv)
@@ -174,9 +197,38 @@ class CellModule:
 
     def _swap_move(self, pair: tuple[int, int], v_idx: int):
         """The move-table entry of the transposition of the 0-based points
-        of pair, which is its own relabelling."""
-        i, j = pair
-        return self._perm_move(perms.transposition(self.n + 1, i + 1, j + 1), v_idx)
+        of pair."""
+        return self._transpose(v_idx, pair[0] + 1, pair[1] + 1)
+
+    def _transpose(self, v_idx: int, i: int, j: int):
+        """The move-table entry at the v-th one-row diagram of the
+        transposition of the nodes i and j, by the four cases of the
+        module docstring.  Arcs i-a and j-b become j-a and i-b; with one
+        free node, its rank r becomes the rank s of the arc end in w, and
+        the ranks between shift by one towards r."""
+        mate = self._mate[v_idx]
+        a, b = mate[i], mate[j]
+        if a == j:
+            return (v_idx, None, 1)
+        bit = self._bit
+        if a and b:
+            key = self._key[v_idx] ^ bit[i][a] ^ bit[j][b] ^ bit[j][a] ^ bit[i][b]
+            return (self._v_index[key], None, 1)
+        ident = self._identity
+        rank = self._rank[v_idx]
+        if not (a or b):
+            pinv = list(ident)
+            pinv[rank[i]], pinv[rank[j]] = rank[j], rank[i]
+            return (v_idx, self.specht.perm_matrix(tuple(pinv)), 1)
+        if a:
+            i, j, b = j, i, a  # now i is free and j has the arc j-b
+        w_idx = self._v_index[self._key[v_idx] ^ bit[j][b] ^ bit[i][b]]
+        r, s = rank[i], self._rank[w_idx][j]
+        if r == s:
+            return (w_idx, None, 1)
+        pinv = (ident[:r] + (s,) + ident[r:s] + ident[s + 1:] if r < s
+                else ident[:s] + ident[s + 1:r + 1] + (s,) + ident[r + 1:])
+        return (w_idx, self.specht.perm_matrix(pinv), 1)
 
     def _hook_move(self, key, v_idx: int):
         """The move-table entry of the hook X_ij, key = ("hook", i, j)
@@ -192,9 +244,9 @@ class CellModule:
         if mate[i] == j:
             return (v_idx, None, self.delta) if self.delta else None
         if mate[i]:
-            return self._perm_move(perms.transposition(self.n + 1, mate[i], j), v_idx)
+            return self._transpose(v_idx, mate[i], j)
         if mate[j]:
-            return self._perm_move(perms.transposition(self.n + 1, mate[j], i), v_idx)
+            return self._transpose(v_idx, mate[j], i)
         return None
 
     def act_diagram(self, pair: tuple[int, int], vec: BlockVec) -> BlockVec:

@@ -115,9 +115,9 @@ def _cmd_blocks(args) -> int:
 
 def _cmd_same_block(args) -> int:
     lam, mu = args.partitions
-    if args.n is not None:
-        for p in (lam, mu):
-            check_weight(args.n, args.delta, p)
+    for p in (lam, mu):
+        # without --n, refuse only a weight of no B_n(delta), as minimal does
+        check_weight(p.size if args.n is None else args.n, args.delta, p)
     same = is_balanced(lam, mu, args.delta)
     if args.format == "json":
         _print_json({"delta": args.delta, "first": str(lam),

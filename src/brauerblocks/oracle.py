@@ -1,29 +1,17 @@
 """Brute-force verification layer.
 
-Everything here recomputes, by exact linear algebra, quantities that the
+Everything here recomputes, by exact integer linear algebra, what the
 combinatorial layer only predicts: Hom-space dimensions between cell
 modules, central-element scalars, Gram ranks, restriction multiplicities
-to the symmetric group, and the empirical block graph.  All arithmetic
-is exact and integral: a diagram acts on a cell module by an integer
-matrix, and every rank comes from elimination over the integers.
+to the symmetric group, and the empirical block graph.
 
-A Hom space is computed at the level of its source weight, where it is
-the part of the Young symmetrizer's image killed by the two-strand
-contractions.  The column group's symmetry leaves one contraction per
-pair of columns to test.  The row group's leaves one seed one-row
-diagram per orbit, paired only with the Specht vectors its stabiliser
-fixes, so that no seed dies under the row sum; see _hom_dim_compressed.
-
-Each question reads the one cell module it is about, through the move
-tables of its action: the fixed Specht vectors come from the row sum on
-one block of the target module, the permutation traces from the
-closed-form moves (CellModule._perm_move) that send a one-row diagram
-to itself, and the Gram rank from the sparse rows of cells.gram_matrix.
-Every transposition the Hom route applies, in a row sum, a column sum
-or the fixed-vector search, goes through the module's own
-CellModule.swap_sum, one call per coset step, and every hook through
-CellModule.act_diagram; both move blocks by closed-form tables.  No
-question builds a Brauer diagram or walks a strand.
+A Hom space is computed at the level of its source weight, as the part
+of the Young symmetrizer's image killed by the two-strand contractions
+(_hom_dim_compressed).  Its transpositions go through
+CellModule.swap_sum and its hooks through CellModule.act_diagram; the
+permutation traces read CellModule._perm_move.  All of them are
+closed-form move tables: no question builds a Brauer diagram or walks a
+strand.
 
 Module dimensions are capped via the BRAUER_MAX_DIM environment variable
 (a positive integer, default 400) so that a stray query cannot wedge a
@@ -31,17 +19,17 @@ test run.  Raise it explicitly for big one-off computations.
 
 A cell module lives as long as the run of queries that shares it: the
 oracle keeps only the last module it built, and block_graph and
-verify_blocks ask their queries grouped by module and drop the last one
-before they return, so neither keeps a module alive.  What outlives a
-call holds no module: the Specht modules (cells._specht) and the
-permutation traces of the last (n, mu) asked (_perm_traces, one slot).
+verify_blocks ask their queries grouped by module and drop it before
+they return.  What outlives a call holds no module: the Specht modules
+(cells._specht) and the permutation traces of the last (n, mu) asked
+(_perm_traces, one slot).
 """
 
 from __future__ import annotations
 
 import os
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, combinations
 from math import factorial
 from typing import Iterator, NamedTuple
 
@@ -234,20 +222,19 @@ def _node_rows(lam: Partition) -> list[int]:
 
 def _orbit_reps(v_list: list[PartialOneRowDiagram], lam: Partition) -> list[int]:
     """Index of the first one-row diagram of each orbit of the row group
-    of lam (nodes 1..|lam| filled row by row), in v_list order.
+    of lam (nodes 1..|lam| filled row by row), in v_list order, but the
+    row-internal orbits, with every arc inside one row, first.
 
     Two sets of arcs lie in one orbit of a Young subgroup exactly when
     they join the same pairs of row blocks equally often, so the key is
     the sorted multiset of (row of a, row of b) over the arcs a-b."""
     row_of = _node_rows(lam)
-    seen: set[tuple[tuple[int, int], ...]] = set()
-    reps = []
+    first: dict[tuple[tuple[int, int], ...], int] = {}
     for v_idx, v in enumerate(v_list):
         key = tuple(sorted((row_of[a], row_of[b]) for a, b in v.arcs))
-        if key not in seen:
-            seen.add(key)
-            reps.append(v_idx)
-    return reps
+        first.setdefault(key, v_idx)
+    return [v_idx for key, v_idx in sorted(
+        first.items(), key=lambda item: any(r != s for r, s in item[0]))]
 
 
 def _group_sum(cell: CellModule, vec: BlockVec, blocks: list[list[int]],
@@ -260,6 +247,17 @@ def _group_sum(cell: CellModule, vec: BlockVec, blocks: list[list[int]],
     for pts in blocks:
         for j in range(1, len(pts)):
             vec = cell.swap_sum(vec, [(pts[i], pts[j]) for i in range(j)], sign)
+    return vec
+
+
+def _column_sum(cell: CellModule, vec: BlockVec,
+                cols: list[list[int]]) -> BlockVec:
+    """_group_sum(cell, vec, cols, -1), dropping first at each column
+    the blocks with an arc inside it, which its signed sum kills."""
+    for pts in cols:
+        mask = cell._arc_key(combinations([p + 1 for p in pts], 2))
+        vec = _group_sum(cell, {v_idx: block for v_idx, block in vec.items()
+                                if not cell._key[v_idx] & mask}, [pts], -1)
     return vec
 
 
@@ -309,33 +307,35 @@ def _hom_dim_compressed(delta: int, lam: Partition, mu: Partition) -> int:
 
     A map out of the cell module at lam is pinned down by the image w of
     its cyclic generator.  w must lie in the image W of the symmetrizer
-    (row sums then signed column sums) and be killed by every two-strand
-    contraction.  Two symmetries of the symmetrizer cut both searches;
-    the answer stays exact.
+    (row sums, then signed column sums) and be killed by every two-strand
+    contraction.  Symmetries of the symmetrizer cut the work; the answer
+    stays exact.
 
     Seeds: for r in the row group R, (sum of R)*r = sum of R, and r sends
-    the basis vector v (x) x to rv (x) pi*x with pi invertible on the
-    Specht factor, so one one-row diagram v per R-orbit, with every x,
-    seeds all of W.  v's free nodes in one row of lam have consecutive
-    ranks, so the stabiliser R_v of v maps onto the Young subgroup
-    Y_a, a = a(v) the free-node count per row, acting on the Specht
-    factor.  Summing R over the cosets of R_v then gives
-    (sum of R)(v (x) x) = sum over r in R/R_v of r(v (x) P x), with P a
-    positive multiple of the sum of Y_a: the projection onto the
-    Y_a-fixed vectors, up to scale.  So the seeds v (x) y, y over a basis
-    of those vectors, have the same R-image as the v (x) x, and each one
-    has a nonzero row image, whose v-component is |R_v|*y; there are
-    K_{mu,sort(a)} of them per orbit (Young's rule).  Their images span
-    W, whose dimension is that of e*M for the symmetrizer e: the
-    multiplicity of S^lam in M (Fulton and Harris, section 4.1), which
-    is even_lr_sum.  So the rank must reach that bound exactly, and the
-    bound gives every answer a second derivation.
+    v (x) x to rv (x) pi*x with pi invertible, so one one-row diagram v
+    per R-orbit, with every x, seeds all of W.  v's free nodes in one row
+    of lam have consecutive ranks, so the stabiliser R_v maps onto the
+    Young subgroup Y_a, a = a(v) the free-node count per row, and the row
+    sum of v (x) x is that of v (x) P*x, P a positive multiple of the
+    projection onto the Y_a-fixed vectors.  So the seeds v (x) y, y over
+    a basis of those vectors, span W and none dies under the row sum.
+    dim W is the multiplicity of S^lam in M (Fulton and Harris, 4.1),
+    even_lr_sum, so the rank must reach that bound exactly: a second
+    derivation of every answer.  The row-internal orbits (every arc
+    inside one row of lam) come first and the rest follow as a fallback;
+    an order that reaches the bound late costs time, not exactness.
 
-    Hooks: every w in W has c*w = sgn(c)*w for c in the column group C.
-    X_ij*s_ij = X_ij, so a hook inside one column sends w to -X_ij*w,
-    that is to 0; and X_c(i)c(j)*w = sgn(c)*c*X_ij*w, so X_c(i)c(j) and
-    X_ij have one kernel on W.  One hook per pair of distinct columns
-    (on their top entries) therefore cuts out the Hom space.
+    Columns: an arc p-q of v inside one column of lam is fixed, with the
+    Specht factor, by (p q), an odd element of the column group C; so
+    C's signed sum kills v's block, and _column_sum drops it first.  The
+    column groups commute, so such a block of a column already summed is
+    0 already.
+
+    Hooks: every w in W has c*w = sgn(c)*w for c in C.  X_ij*s_ij = X_ij,
+    so a hook inside one column sends w to -X_ij*w, that is to 0; and
+    X_c(i)c(j)*w = sgn(c)*c*X_ij*w, so X_c(i)c(j) and X_ij have one
+    kernel on W.  One hook per pair of distinct columns (on their top
+    entries) therefore cuts out the Hom space.
     """
     k = lam.size
     bound = even_lr_sum(lam, mu)
@@ -347,8 +347,7 @@ def _hom_dim_compressed(delta: int, lam: Partition, mu: Partition) -> int:
     ech = Echelon()
     w_basis: list[BlockVec] = []
     for seed in chain.from_iterable(_orbit_seeds(cell, lam)):
-        v = _group_sum(cell, seed, row_bl, 1)
-        v = _group_sum(cell, v, col_bl, -1)
+        v = _column_sum(cell, _group_sum(cell, seed, row_bl, 1), col_bl)
         if v and ech.add(cell.flatten(v)):
             w_basis.append(v)
             if ech.rank == bound:

@@ -1,7 +1,9 @@
-"""Small permutation helpers for the Specht and cell modules and the
-oracle: transpositions, words in adjacent transpositions, and the row
-and column blocks of a shape.  Nothing here enumerates a Young subgroup
-or computes a sign; specht sums each column group one column at a time.
+"""Small permutation helpers for the Specht modules and the oracle:
+words in adjacent transpositions, and the row and column blocks of a
+shape.  Nothing here builds a transposition, enumerates a Young
+subgroup or computes a sign: the cell modules move vectors by
+transpositions in closed form, and specht sums each column group one
+column at a time.
 
 Permutations on m points are tuples of images, 0-based:
 p[i] is the image of i.
@@ -10,13 +12,6 @@ p[i] is the image of i.
 from __future__ import annotations
 
 from typing import Iterable
-
-
-def transposition(m: int, i: int, j: int) -> tuple[int, ...]:
-    """The transposition swapping 0-based points i and j."""
-    out = list(range(m))
-    out[i], out[j] = out[j], out[i]
-    return tuple(out)
 
 
 def adjacent_word(p: tuple[int, ...]) -> list[int]:

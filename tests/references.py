@@ -1,11 +1,11 @@
 """Reference constructions shared by several test files: algebra
 elements with rational coefficients and the named diagrams and elements
-built on them, permutation helpers (among them the whole Young subgroup
-and the sign, which the library does without), the permutation and
-hook diagrams, the strand walk and the general diagram action on a cell
-module built on it (the library moves cell-module vectors only by
-transpositions, hooks and the Gram pairing, each in closed form), the
-sum of cell-module block vectors, addable boxes, the Partition, Box
+built on them, permutation helpers (among them the transposition, the
+whole Young subgroup and the sign, which the library does without), the
+permutation and hook diagrams, the strand walk and the general diagram
+action on a cell module built on it (the library moves cell-module
+vectors only by transpositions, hooks and the Gram pairing, each in
+closed form), the sum of cell-module block vectors, addable boxes, the Partition, Box
 and diagram helpers the library does without (box sets, adding and
 removing one box, skew-shape contents, deleting a box set, the
 propagating number, the free nodes of a one-row diagram), the
@@ -43,6 +43,15 @@ def identity(m: int) -> tuple[int, ...]:
 
 def compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(a[b[i]] for i in range(len(a)))
+
+
+def transposition(m: int, i: int, j: int) -> tuple[int, ...]:
+    """The transposition swapping 0-based points i and j; the library
+    moves cell vectors by transpositions in closed form and never builds
+    one."""
+    out = list(range(m))
+    out[i], out[j] = out[j], out[i]
+    return tuple(out)
 
 
 def all_perms(m: int) -> Iterator[tuple[int, ...]]:
@@ -312,7 +321,7 @@ def decompose(cell: CellModule, d: BrauerDiagram, v_idx: int):
             k = mate[y - n]
             seen[n + k] = True
             y = link[n + k]
-    return (cell._v_index[tuple(arcs)], tuple(pinv), loops)
+    return (cell._v_index[cell._arc_key(arcs)], tuple(pinv), loops)
 
 
 def diagram_move(cell: CellModule, d: BrauerDiagram, v_idx: int):
@@ -434,7 +443,7 @@ def identity_element(n: int, delta: int) -> AlgebraElement:
 
 def transposition_element(n: int, delta: int, i: int) -> AlgebraElement:
     """The adjacent transposition s_i = (i, i+1), 1-based."""
-    return from_diagram(perm_diagram(perms.transposition(n, i - 1, i)), delta)
+    return from_diagram(perm_diagram(transposition(n, i - 1, i)), delta)
 
 
 def e(n: int, delta: int, t: int | None = None) -> AlgebraElement:

@@ -415,6 +415,26 @@ def test_orbit_minimum_matches_reference():
     assert asked == 2719
 
 
+def test_hom_target_reuses_orbit_coordinates():
+    # hom_target reflects on the coordinates its orbit minimum was read
+    # from; it must name what maximal_balanced_sub finds from scratch,
+    # also where the minimum is (2) at delta = 0
+    moved = two = 0
+    for delta in range(-2, 4):
+        for size in range(13):
+            for lam in partitions_of(size):
+                if delta == 0 and lam == EMPTY:
+                    continue
+                low = minimal_weight(lam, delta)
+                if low == lam:
+                    continue
+                moved += 1
+                two += delta == 0 and low == P(2)
+                assert hom_target(lam, delta) == maximal_balanced_sub(lam, low, delta), \
+                    (lam, delta)
+    assert (moved, two) == (406, 12)
+
+
 @given(partitions, deltas)
 def test_hom_target_descends(lam, delta):
     out = hom_target(lam, delta)

@@ -19,7 +19,7 @@ from references import (AlgebraElement, act_diagram, add_box, addable_boxes,
                         all_perms, block_sum, decompose, diagram_move,
                         free_nodes, from_diagram, hook_diagram,
                         identity_diagram, identity_element, perm_diagram,
-                        propagating, remove_box, u_diagram)
+                        propagating, remove_box, transposition, u_diagram)
 
 
 def P(*parts):
@@ -293,7 +293,7 @@ def test_action_layer_is_integral():
             for sigma in (cycle, tuple(reversed(range(m)))):
                 assert all(all_int(col.values()) for col in md.perm_matrix(sigma))
     for n in range(1, 6):
-        gens = [perm_diagram(perms.transposition(n, i, i + 1)) for i in range(n - 1)]
+        gens = [perm_diagram(transposition(n, i, i + 1)) for i in range(n - 1)]
         gens += [hook_diagram(n, 1, 2)] if n > 1 else []
         for delta in DELTAS:
             for k in range(n % 2, n + 1, 2):
@@ -367,7 +367,7 @@ def test_block_action_matches_flat_reference():
         if n <= 4:
             gens = list(all_diagrams(n))
         else:
-            gens = [perm_diagram(perms.transposition(n, i, i + 1)) for i in range(n - 1)]
+            gens = [perm_diagram(transposition(n, i, i + 1)) for i in range(n - 1)]
             gens.append(hook_diagram(n, 1, 2))
         for delta in DELTAS:
             for cell in cell_modules(n, delta):
@@ -377,7 +377,7 @@ def test_block_action_matches_flat_reference():
     route = set()
     for lam in partitions_of(7):
         for pts in perms.row_blocks(lam) + perms.col_blocks(lam):
-            route.update(perm_diagram(perms.transposition(7, a, b))
+            route.update(perm_diagram(transposition(7, a, b))
                          for j, b in enumerate(pts) for a in pts[:j])
         tops = [col[0] + 1 for col in perms.col_blocks(lam)]
         route.update(hook_diagram(7, i, j) for a, i in enumerate(tops)
@@ -405,7 +405,7 @@ def test_action_does_not_alias():
     for pair in [(0, 1), (1, 3)]:
         scribble(cell.act_diagram(pair, vec), pair)
     # the move kernel under the reference action of general diagrams
-    for d in [identity_diagram(5)] + [perm_diagram(perms.transposition(5, i, j))
+    for d in [identity_diagram(5)] + [perm_diagram(transposition(5, i, j))
                                       for i, j in pairs]:
         scribble(act_diagram(cell, d, vec), d)
     # swap_sum adds vec and its signed transposed images in a fresh
@@ -414,7 +414,7 @@ def test_action_does_not_alias():
         for chosen in [[p] for p in pairs] + [pairs]:
             out = cell.swap_sum(vec, chosen, sign)
             assert out == block_sum([(1, vec)] + [
-                (sign, act_diagram(cell, perm_diagram(perms.transposition(5, i, j)), vec))
+                (sign, act_diagram(cell, perm_diagram(transposition(5, i, j)), vec))
                 for i, j in chosen])
             scribble(out, (chosen, sign))
     ones = {0: [1] * cell.specht.dim}
@@ -434,7 +434,7 @@ def test_swap_tables_match_decompose():
     count = 0
     for n in range(8):
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        diagrams = {p: perm_diagram(perms.transposition(n, *p)) for p in pairs}
+        diagrams = {p: perm_diagram(transposition(n, *p)) for p in pairs}
         for delta in DELTAS:
             for cell in cell_modules(n, delta):
                 f = cell.specht.dim
@@ -490,7 +490,7 @@ def test_hook_and_swap_tables_are_kept_apart():
     # whichever is filled first, each answers for itself
     pair = (0, 1)
     hook = hook_diagram(4, 1, 2)
-    swap = perm_diagram(perms.transposition(4, *pair))
+    swap = perm_diagram(transposition(4, *pair))
     for swap_first in (False, True):
         cell = CellModule(4, 2, P(1, 1))
         full = {v_idx: [1] * cell.specht.dim for v_idx in range(len(cell.v_list))}
@@ -523,7 +523,7 @@ def test_swap_sum_matches_act_diagram(rng):
                         assert type(block) is list and len(block) == f
                         assert all_int(block) and any(block)
                     assert got == block_sum([(1, vec)] + [
-                        (sign, act_diagram(cell, perm_diagram(perms.transposition(n, i, j)), vec))
+                        (sign, act_diagram(cell, perm_diagram(transposition(n, i, j)), vec))
                         for i, j in chosen]), (cell, chosen, sign)
     # (1 2) fixes the arc 1-2 and its free nodes, so vec - (1 2)vec
     # cancels that block and keeps the one it moves
@@ -534,7 +534,7 @@ def test_swap_sum_matches_act_diagram(rng):
     got = cell.swap_sum(vec, [(0, 1)], -1)
     assert fixed not in got and moved in got
     assert got == block_sum([(1, vec), (-1, act_diagram(
-        cell, perm_diagram(perms.transposition(4, 0, 1)), vec))])
+        cell, perm_diagram(transposition(4, 0, 1)), vec))])
 
 
 def test_restriction_rule():

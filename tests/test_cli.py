@@ -55,6 +55,19 @@ def test_same_block_weight_check(capsys):
     capsys.readouterr()
 
 
+def test_same_block_refuses_a_non_weight_without_n(capsys):
+    # without --n, same-block refuses what minimal refuses: the empty
+    # partition is a weight of no B_n(0), in either place
+    for argv in (["2", "0"], ["0", "2"]):
+        for fmt in ("text", "json"):
+            code = cli.run(["same-block", "--delta", "0", "--format", fmt] + argv)
+            out, err = capsys.readouterr()
+            assert code == 2 and out == "", (argv, fmt, out)
+            assert err.strip() == "error: 0 is not a weight of B_0(0)", (argv, fmt)
+    assert run_ok(capsys, ["same-block", "--delta", "0", "2", "1,1"],
+                  expect_code=1).strip() == "different"
+
+
 def test_minimal(capsys):
     out = run_ok(capsys, ["minimal", "--delta", "1", "0"])
     assert out.strip() == "0 (minimal)"

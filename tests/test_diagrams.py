@@ -2,14 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from brauerblocks import perms
 from brauerblocks.diagrams import (BrauerDiagram, all_diagrams, concat, flip,
                                    format_diagram)
 from brauerblocks.partitions import Partition, partitions_of
 from references import (AlgebraElement, all_perms, compose, e, e_bar,
                         from_diagram, hook_diagram, identity_diagram,
                         identity_element, perm_diagram, propagating,
-                        transposition_element, u_diagram, young_symmetrizer)
+                        transposition, transposition_element, u_diagram,
+                        young_symmetrizer)
 
 
 def parse_diagram(text: str) -> BrauerDiagram:
@@ -50,7 +50,7 @@ def central_element(n: int, delta: int) -> AlgebraElement:
     out = AlgebraElement(n, delta)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            out = out + from_diagram(perm_diagram(perms.transposition(n, i - 1, j - 1)), delta)
+            out = out + from_diagram(perm_diagram(transposition(n, i - 1, j - 1)), delta)
             out = out - x_hook(n, delta, i, j)
     return out
 
@@ -244,6 +244,6 @@ def test_central_element_commutes(delta):
 
 def test_central_element_coefficients():
     z = central_element(3, 2)
-    assert z.terms[perm_diagram(perms.transposition(3, 0, 1))] == Fraction(1)
+    assert z.terms[perm_diagram(transposition(3, 0, 1))] == Fraction(1)
     assert z.terms[hook_diagram(3, 1, 2)] == Fraction(-1)
     assert len(z.terms) == 6

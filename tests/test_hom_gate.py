@@ -1,4 +1,5 @@
-"""scripts/hom_gate.py compare on small hand-written dumps."""
+"""scripts/hom_gate.py: compare on small hand-written dumps, and the dump
+options and the size of its standard gate set."""
 
 import importlib.util
 import json
@@ -6,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from brauerblocks.blocks import weights
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "hom_gate.py"
 spec = importlib.util.spec_from_file_location("hom_gate", SCRIPT)
@@ -41,3 +44,23 @@ def test_compare_rejects_a_key_in_one_dump(tmp_path, monkeypatch, capsys, side):
     assert compare(tmp_path, monkeypatch, old, new) == 1
     out = capsys.readouterr().out
     assert "MISMATCH 6 0 2 2" in out and "1 of 5 pairs differ" in out
+
+
+def test_gate_preset_pair_count():
+    # the standard gate set, counted from the weights alone: every
+    # ordered pair of weights at each (n, delta) of the preset
+    assert sum(len(weights(n, delta).weights) ** 2
+               for n, delta in hom_gate.GATE) == 37326
+    assert len(hom_gate.GATE) == 58
+
+
+@pytest.mark.parametrize("extra", [[], ["--gate", "--n", "3"], ["--n", "3"],
+                                   ["--gate", "--deltas", "1"]])
+def test_dump_takes_the_gate_or_a_range(tmp_path, monkeypatch, extra):
+    # --n with --deltas, or --gate alone; anything else is a usage error
+    monkeypatch.setattr(sys, "argv", ["hom_gate.py", "dump",
+                                      str(tmp_path / "out.json")] + extra)
+    with pytest.raises(SystemExit) as exc:
+        hom_gate.main()
+    assert exc.value.code == 2
+    assert not (tmp_path / "out.json").exists()

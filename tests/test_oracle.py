@@ -11,8 +11,8 @@ from brauerblocks.blocks import hom_target, weights
 from brauerblocks.cells import CellModule, enumerate_v
 from brauerblocks.diagrams import BrauerDiagram, all_diagrams, concat
 from brauerblocks.linalg import Echelon, SparseVec, rank_of, vec_add
-from brauerblocks.oracle import (HomQuery, _cycle_rep, _last_cell, _orbit_reps,
-                                 _orbit_seeds, _perm_traces,
+from brauerblocks.oracle import (HomQuery, _column_sum, _cycle_rep, _group_sum,
+                                 _last_cell, _orbit_reps, _orbit_seeds, _perm_traces,
                                  block_graph, cell_dim, central_scalar,
                                  central_scalar_value, even_lr_sum,
                                  gram_rank, hom_dim,
@@ -22,7 +22,7 @@ from brauerblocks.partitions import (EMPTY, Partition, mn_character,
                                      specht_dim, subpartitions)
 from references import (act_diagram, block_perms, e_bar, hook_diagram,
                         identity, identity_diagram, is_even, lr_coefficient,
-                        perm_diagram, remove_box, sign)
+                        perm_diagram, remove_box, sign, transposition)
 
 DELTAS = (-2, -1, 0, 1, 2, 3)
 
@@ -205,7 +205,7 @@ def test_hom_dim_fixed_values():
 
 def generators(m: int) -> list[BrauerDiagram]:
     """s_1, ..., s_{m-1} and the hook X_{1,2}, which generate B_m."""
-    gens = [perm_diagram(perms.transposition(m, i - 1, i))
+    gens = [perm_diagram(transposition(m, i - 1, i))
             for i in range(1, m)]
     return gens + [hook_diagram(m, 1, 2)]
 
@@ -323,7 +323,7 @@ def full_scan(n: int, delta: int, lam: Partition, mu: Partition,
             for j in range(1, len(pts)):
                 acc = vec
                 for i in range(j):
-                    tr = perms.transposition(k, pts[i], pts[j])
+                    tr = transposition(k, pts[i], pts[j])
                     moved = act_diagram(cell, pad_perm(tr), cell.to_blocks(vec))
                     acc = vec_add(acc, cell.flatten(moved), sign)
                 vec = acc
@@ -467,6 +467,44 @@ def test_invariant_seeds():
         assert ech.rank == len(w_basis), (n, delta, lam, mu)
         seeded += 1
     assert (count, seeded) == (227, 163)
+
+
+def test_row_internal_seeds_and_column_drop():
+    # on every Hom-route query with a nonzero bound and |lam| <= 8: the
+    # column sum that drops in-column arcs equals the full signed sum on
+    # every seed's row image, the row-internal orbits come first, and
+    # their seeds alone reach the bound
+    queries = seeds = 0
+    for delta in DELTAS:
+        for k in range(1, 9):
+            for lam in partitions_of(k):
+                for mu in weights(k, delta).weights:
+                    if (mu.size == k or central_scalar_value(k, delta, lam)
+                            != central_scalar_value(k, delta, mu)):
+                        continue
+                    bound = even_lr_sum(lam, mu)
+                    if not bound:
+                        continue
+                    queries += 1
+                    cell = CellModule(k, delta, mu)
+                    row_of = [r for r, part in enumerate(lam.parts) for _ in range(part)]
+                    row_bl, col_bl = perms.row_blocks(lam), perms.col_blocks(lam)
+                    ech = Echelon()
+                    internal = []
+                    for v_idx, orbit in zip(_orbit_reps(cell.v_list, lam),
+                                            _orbit_seeds(cell, lam), strict=True):
+                        internal.append(all(row_of[a - 1] == row_of[b - 1]
+                                            for a, b in cell.v_list[v_idx].arcs))
+                        for seed in orbit:
+                            seeds += 1
+                            u = _group_sum(cell, seed, row_bl, 1)
+                            w = _column_sum(cell, u, col_bl)
+                            assert w == _group_sum(cell, u, col_bl, -1), (delta, lam, mu)
+                            if internal[-1] and w:
+                                ech.add(cell.flatten(w))
+                    assert internal == sorted(internal, reverse=True), (delta, lam, mu)
+                    assert ech.rank == bound, (delta, lam, mu)
+    assert (queries, seeds) == (104, 668)
 
 
 def test_cap_applies_at_source_level(capsys, monkeypatch):
