@@ -287,9 +287,6 @@ def hat(lam: Partition, delta: int) -> SkewShape:
     return hat_steps(lam, delta)[0]
 
 
-_TWO = Partition((2,))
-
-
 def _orbit_min_coords(x: list[int]) -> list[int]:
     """The minimum of the type-D orbit of the shifted coordinates x, in
     decreasing order, at a rank where any x_i can turn negative.  x
@@ -307,23 +304,28 @@ def _orbit_min_coords(x: list[int]) -> list[int]:
 
 
 def _orbit_coords(lam: Partition, delta: int) -> tuple[list[int], list[int]]:
-    """lam's shifted coordinates at rank |lam| + |delta| + 2, where any
-    x_i can turn negative, and its orbit minimum's there."""
+    """lam's shifted coordinates x at rank |lam| + |delta| + 2, where any
+    x_i can turn negative, and the least weight's y there: its orbit
+    minimum's, but (2)'s where that is the empty partition (leading
+    coordinate 0) at delta = 0 and lam is not.  The empty partition is
+    no weight there, and (2), whose conjugate (1, 1) raises the first
+    two coordinates by 2, is the only size-2 one in its orbit."""
     x = _shifted(lam, delta, lam.size + abs(delta) + 2)
-    return x, _orbit_min_coords(x)
+    y = _orbit_min_coords(x)
+    if delta == 0 and y[0] == 0 and y != x:
+        y[:2] = 2, 0
+    return x, y
 
 
 def _orbit_min(lam: Partition, delta: int) -> tuple[Partition, list[int], list[int]]:
-    """The minimum of lam's type-D orbit, with _orbit_coords(lam, delta):
-    lam itself when its coordinates are already the minimum's.  At
-    delta = 0 the empty partition (leading coordinate 0) is no weight;
-    (2) is the only size-2 one in its orbit.  A minimum other than lam
-    itself is checked to lie under lam, to be balanced with it and to be
-    its own orbit minimum; for lam these hold trivially."""
+    """The least weight in lam's block, with _orbit_coords(lam, delta):
+    lam itself when its coordinates are already the least weight's.  A
+    minimum other than lam itself is checked to lie under lam, to be
+    balanced with it and to be minimal; for lam these hold trivially."""
     x, y = _orbit_coords(lam, delta)
     if y == x:
         return lam, x, y
-    found = _TWO if delta == 0 and y[0] == 0 else _unshift(y, delta)
+    found = _unshift(y, delta)
     if not (lam.contains(found) and is_balanced(lam, found, delta)
             and is_minimal(found, delta)):
         raise InvariantError((lam, found, delta))
@@ -331,10 +333,10 @@ def _orbit_min(lam: Partition, delta: int) -> tuple[Partition, list[int], list[i
 
 
 def is_minimal(lam: Partition, delta: int) -> bool:
-    """Whether lam is the smallest weight in its block: the minimum of
-    its type-D orbit, read on coordinates."""
+    """Whether lam is the smallest weight in its block: whether its
+    coordinates are the least weight's of _orbit_coords."""
     x, y = _orbit_coords(lam, delta)
-    return y == x or (delta == 0 and y[0] == 0 and lam == _TWO)
+    return y == x
 
 
 def minimal_weight(lam: Partition, delta: int) -> Partition:
@@ -346,15 +348,10 @@ def minimal_weight(lam: Partition, delta: int) -> Partition:
 def hom_target(lam: Partition, delta: int) -> Partition | None:
     """The predicted receiver of a nonzero map out of the cell module
     at lam, or None when lam is minimal in its block: maximal_balanced_sub
-    of lam and its minimal weight, on the coordinates _orbit_min read.
-    Only the minimum (2) at delta = 0 has coordinates other than the
-    orbit minimum's, those of the empty partition, 0, -2, -4, ...; its
-    conjugate (1, 1) raises the first two by 2."""
+    of lam and its minimal weight, on the coordinates _orbit_min read."""
     low, x, y = _orbit_min(lam, delta)
     if low == lam:
         return None
-    if delta == 0 and y[0] == 0:
-        y = [2, 0] + y[2:]
     return _reflect_down(lam, low, delta, x, y)
 
 

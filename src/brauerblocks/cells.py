@@ -11,7 +11,9 @@ then tableaux) so every matrix is reproducible bit for bit.
 The action works on block vectors: {one-row index: list of the f = dim
 S^mu Specht coordinates}, dense and int, with no all-zero block.  Flat
 index v*f + x is coordinate x of block v; flatten and to_blocks convert.
-Each transposition of two points, and each hook X_ij, gets a move table
+Callers address the action by the nodes 1..n that the one-row diagrams
+use; only the Specht factor counts from 0, by rank among the free nodes.
+Each transposition of two nodes, and each hook X_ij, gets a move table
 on the module, a list over one-row indices filled on first use: None
 where the propagating number drops or delta^loops = 0, else (target
 index, Specht matrix of the leftover permutation or None for the
@@ -71,7 +73,7 @@ class PartialOneRowDiagram(NamedTuple):
 
 def enumerate_v(n: int, t: int) -> list[PartialOneRowDiagram]:
     """All partial one-row diagrams with t arcs on n nodes, sorted
-    lexicographically by arc list; n!/(2^t t! (n-2t)!) of them.
+    lexicographically by arc list; one_row_count(n, t) of them.
 
     The recursion puts the first available node on an arc, partners
     ascending, before leaving it free, and each arc list comes out sorted
@@ -93,10 +95,15 @@ def enumerate_v(n: int, t: int) -> list[PartialOneRowDiagram]:
         yield from rec(avail[1:], k)  # first node left free
 
     out = [PartialOneRowDiagram(n, arcs) for arcs in rec(tuple(range(1, n + 1)), t)]
-    expected = factorial(n) // (2 ** t * factorial(t) * factorial(n - 2 * t))
-    if len(out) != expected:
-        raise InvariantError((n, t, len(out), expected))
+    if len(out) != one_row_count(n, t):
+        raise InvariantError((n, t, len(out)))
     return out
+
+
+def one_row_count(n: int, t: int) -> int:
+    """The number of partial one-row diagrams with t arcs on n nodes,
+    n!/(2^t t! (n-2t)!)."""
+    return factorial(n) // (2 ** t * factorial(t) * factorial(n - 2 * t))
 
 
 class CellModule:
@@ -139,8 +146,8 @@ class CellModule:
             self._rank.append(rank)
         self._v_index = {key: i for i, key in enumerate(self._key)}
         self._identity = tuple(range(mu.size))
-        # move tables, keyed by the 0-based point pair of a transposition
-        # or by ("hook", i, j) for the hook on that pair
+        # move tables, keyed by the node pair of a transposition or by
+        # ("hook", i, j) for the hook on the nodes i and j
         self._moves: dict = {}
 
     @property
@@ -195,17 +202,13 @@ class CellModule:
         cols = None if pinv == self._identity else self.specht.perm_matrix(pinv)
         return (w_idx, cols, 1)
 
-    def _swap_move(self, pair: tuple[int, int], v_idx: int):
-        """The move-table entry of the transposition of the 0-based points
-        of pair."""
-        return self._transpose(v_idx, pair[0] + 1, pair[1] + 1)
-
-    def _transpose(self, v_idx: int, i: int, j: int):
+    def _transpose(self, pair: tuple[int, int], v_idx: int):
         """The move-table entry at the v-th one-row diagram of the
-        transposition of the nodes i and j, by the four cases of the
+        transposition of the nodes pair = (i, j), by the four cases of the
         module docstring.  Arcs i-a and j-b become j-a and i-b; with one
         free node, its rank r becomes the rank s of the arc end in w, and
         the ranks between shift by one towards r."""
+        i, j = pair
         mate = self._mate[v_idx]
         a, b = mate[i], mate[j]
         if a == j:
@@ -232,38 +235,37 @@ class CellModule:
 
     def _hook_move(self, key, v_idx: int):
         """The move-table entry of the hook X_ij, key = ("hook", i, j)
-        with 0-based points, at the v-th one-row diagram.  If v joins i
+        with nodes i and j, at the v-th one-row diagram.  If v joins i
         and j, the hook's southern arc closes a loop on that arc and v
         stays, scaled by delta; if both are free, it joins two through
         strands and the entry is None.  Otherwise the arc reaching i or j
         runs on to the other one, which is the move of the transposition
-        of that arc's far end and the other point."""
+        of that arc's far end and the other node."""
         _, i, j = key
         mate = self._mate[v_idx]
-        i, j = i + 1, j + 1
         if mate[i] == j:
             return (v_idx, None, self.delta) if self.delta else None
         if mate[i]:
-            return self._transpose(v_idx, mate[i], j)
+            return self._transpose((mate[i], j), v_idx)
         if mate[j]:
-            return self._transpose(v_idx, mate[j], i)
+            return self._transpose((mate[j], i), v_idx)
         return None
 
     def act_diagram(self, pair: tuple[int, int], vec: BlockVec) -> BlockVec:
-        """The hook X_ij of the 0-based point pair (i, j), with its delta
-        factor, acting on a block vector.  The result shares no list with
-        vec and has no zero block."""
+        """The hook X_ij of the node pair (i, j), with its delta factor,
+        acting on a block vector.  The result shares no list with vec and
+        has no zero block."""
         out: BlockVec = {}
         self._add_moved(out, vec, ("hook", *pair), self._hook_move, 1)
         return {w_idx: acc for w_idx, acc in out.items() if any(acc)}
 
     def swap_sum(self, vec: BlockVec, pairs, sign: int) -> BlockVec:
-        """vec + sign * the sum of the transpositions of the 0-based point
-        pairs applied to vec, built in one fresh accumulator: the result
-        shares no list with vec and has no zero block."""
+        """vec + sign * the sum of the transpositions of the node pairs
+        applied to vec, built in one fresh accumulator: the result shares
+        no list with vec and has no zero block."""
         out: BlockVec = {v_idx: list(block) for v_idx, block in vec.items()}
         for pair in pairs:
-            self._add_moved(out, vec, pair, self._swap_move, sign)
+            self._add_moved(out, vec, pair, self._transpose, sign)
         return {w_idx: acc for w_idx, acc in out.items() if any(acc)}
 
     def flatten(self, vec: BlockVec) -> SparseVec:
@@ -360,13 +362,13 @@ def t_action_check(cell: CellModule) -> bool:
     the hooks, must vanish."""
     n = cell.n
     scalar = cell.t * (cell.delta - 1) - content_sum(cell.mu)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     hooks = [("hook", i, j) for i, j in pairs]
     for b in range(cell.dim):
         unit = cell.to_blocks({b: 1})
         out = {v_idx: [-scalar * c for c in block] for v_idx, block in unit.items()}
         for pair in pairs:
-            cell._add_moved(out, unit, pair, cell._swap_move, -1)
+            cell._add_moved(out, unit, pair, cell._transpose, -1)
         for h in hooks:
             cell._add_moved(out, unit, h, cell._hook_move, 1)
         if any(map(any, out.values())):

@@ -1,19 +1,18 @@
-"""Sparse exact linear algebra.
+"""Sparse exact linear algebra over the integers.
 
 Vectors are dicts {column index: nonzero int}; the package makes no
-Fraction.  Matrices are lists of sparse columns; the Specht generator
-and permutation matrices are built here.  The cell action does not go
-through mat_vec: it keeps its own block vectors (see cells) and
-flattens them into this form for elimination.  Matrices and vectors
-from the action layer are integral, and so is the one workhorse, an
-incremental row echelon for ranks: it clears the denominators of what
-it is given and eliminates over the integers.  Exactness is
-non-negotiable here: every rank decision feeds a theorem check.
+Fraction, and nothing here takes one.  Matrices are lists of sparse
+columns; the Specht generator and permutation matrices are built here.
+The cell action does not go through mat_vec: it keeps its own block
+vectors (see cells) and flattens them into this form for elimination.
+The one workhorse is an incremental row echelon for ranks, which
+eliminates over the integers.  Exactness is non-negotiable here: every
+rank decision feeds a theorem check.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 from typing import Hashable, Iterable
 
 SparseVec = dict
@@ -31,20 +30,14 @@ def vec_add(a: SparseVec, b: SparseVec, scale=1) -> SparseVec:
     return out
 
 
-def vec_scale(a: SparseVec, scale) -> SparseVec:
-    if not scale:
-        return {}
-    return {k: scale * v for k, v in a.items()}
-
-
 class Echelon:
     """Incremental sparse row echelon over the integers.
 
-    add() scales a vector to integers, reduces it against the current
-    rows and installs the remainder, divided by the gcd of its entries
-    and with a positive pivot, if nonzero.  A reduction step cross-
-    multiplies by the two pivots over their gcd, so no row leaves the
-    integers and the span is that over the rationals.
+    add() reduces an integer vector against the current rows and
+    installs the remainder, divided by the gcd of its entries and with a
+    positive pivot, if nonzero.  A reduction step cross-multiplies by the
+    two pivots over their gcd, so no row leaves the integers and the span
+    is that over the rationals.
     """
 
     def __init__(self):
@@ -55,11 +48,11 @@ class Echelon:
         return len(self.rows)
 
     def add(self, vec: SparseVec) -> bool:
-        """Insert a vector; returns True if it enlarged the span.  Zero
-        entries are dropped, so the pivot is the least key of a nonzero."""
-        den = lcm(*(v.denominator for v in vec.values()))
-        vec = {k: v.numerator * (den // v.denominator)
-               for k, v in vec.items() if v}
+        """Insert an integer vector; returns True if it enlarged the span.
+        Zero entries are dropped, so the pivot is the least key of a
+        nonzero.  A non-integer entry raises TypeError (from gcd) once it
+        is a pivot or in the installed row."""
+        vec = {k: v for k, v in vec.items() if v}
         while vec:
             pivot = min(vec)
             row = self.rows.get(pivot)
@@ -70,7 +63,9 @@ class Echelon:
                 return True
             g = gcd(c, row[pivot])
             a, b = row[pivot] // g, c // g
-            vec = vec_add(vec_scale(vec, a) if a != 1 else vec, row, -b)
+            if a != 1:
+                vec = {k: a * v for k, v in vec.items()}
+            vec = vec_add(vec, row, -b)
         return False
 
 

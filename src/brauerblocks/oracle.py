@@ -7,11 +7,11 @@ to the symmetric group, and the empirical block graph.
 
 A Hom space is computed at the level of its source weight, as the part
 of the Young symmetrizer's image killed by the two-strand contractions
-(_hom_dim_compressed).  Its transpositions go through
-CellModule.swap_sum and its hooks through CellModule.act_diagram; the
-permutation traces read CellModule._perm_move.  All of them are
-closed-form move tables: no question builds a Brauer diagram or walks a
-strand.
+(_hom_dim_compressed), with lam filled by the nodes 1..|lam| row by row
+(_filling).  Its transpositions (CellModule.swap_sum) and hooks
+(CellModule.act_diagram) name those nodes, as the relabellings of the
+permutation traces (CellModule._perm_move) do.  All are closed-form move
+tables: nothing builds a Brauer diagram or walks a strand.
 
 Module dimensions are capped via the BRAUER_MAX_DIM environment variable
 (a positive integer, default 400) so that a stray query cannot wedge a
@@ -33,11 +33,10 @@ from itertools import chain, combinations
 from math import factorial
 from typing import Iterator, NamedTuple
 
-from . import perms
 from .blocks import (WeightSet, block_partition, check_weight, hom_target,
                      is_balanced, is_minimal, weights)
 from .cells import (BlockVec, CellModule, PartialOneRowDiagram, gram_matrix,
-                    t_action_check)
+                    one_row_count, t_action_check)
 from .linalg import Echelon, SparseVec, rank_of
 from .partitions import (InvariantError, Partition, conjugacy_class_size,
                          content_sum, even_lr_sum, mn_character,
@@ -62,9 +61,7 @@ def _max_dim() -> int:
 
 def cell_dim(n: int, mu: Partition) -> int:
     """Dimension of the cell module at weight mu, without building it."""
-    t = (n - mu.size) // 2
-    v_count = factorial(n) // (2 ** t * factorial(t) * factorial(n - 2 * t))
-    return v_count * specht_dim(mu)
+    return one_row_count(n, (n - mu.size) // 2) * specht_dim(mu)
 
 
 @lru_cache(maxsize=1)
@@ -151,9 +148,10 @@ def gram_rank(n: int, delta: int, mu: Partition) -> int:
 
 
 def _cycle_rep(rho: Partition) -> tuple[int, ...]:
-    """A permutation (0-based image tuple) with cycle type rho."""
-    image: list[int] = []
-    start = 0
+    """A relabelling of the nodes with cycle type rho: node x goes to
+    image[x] (slot 0 unused), as _perm_move reads it."""
+    image = [0]
+    start = 1
     for part in rho.parts:
         image.extend(start + (i + 1) % part for i in range(part))
         start += part
@@ -179,7 +177,7 @@ def _perm_traces(n: int, mu: Partition) -> dict[Partition, int]:
     f = cell.specht.dim
     out = {}
     for rho in partitions_of(n):
-        tau = (0,) + tuple(x + 1 for x in _cycle_rep(rho))
+        tau = _cycle_rep(rho)
         tr = 0
         for v_idx in range(len(cell.v_list)):
             w_idx, cols, _ = cell._perm_move(tau, v_idx)
@@ -214,10 +212,16 @@ def restriction_multiplicity(n: int, delta: int, mu: Partition,
     return route_a
 
 
-def _node_rows(lam: Partition) -> list[int]:
-    """Row of lam holding each node 1..|lam| (filled row by row); entry 0
-    is unused."""
-    return [0] + [r for r, part in enumerate(lam.parts) for _ in range(part)]
+def _filling(lam: Partition) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """lam filled with the nodes 1..|lam| row by row: each node's row
+    (slot 0 unused), the nodes of each row and those of each column."""
+    rows, start = [], 1
+    for part in lam.parts:
+        rows.append(list(range(start, start + part)))
+        start += part
+    row_of = [0] + [r for r, row in enumerate(rows) for _ in row]
+    return row_of, rows, [[row[c] for row in rows if len(row) > c]
+                          for c in range(lam.row(0))]
 
 
 def _orbit_reps(v_list: list[PartialOneRowDiagram], lam: Partition) -> list[int]:
@@ -228,7 +232,7 @@ def _orbit_reps(v_list: list[PartialOneRowDiagram], lam: Partition) -> list[int]
     Two sets of arcs lie in one orbit of a Young subgroup exactly when
     they join the same pairs of row blocks equally often, so the key is
     the sorted multiset of (row of a, row of b) over the arcs a-b."""
-    row_of = _node_rows(lam)
+    row_of = _filling(lam)[0]
     first: dict[tuple[tuple[int, int], ...], int] = {}
     for v_idx, v in enumerate(v_list):
         key = tuple(sorted((row_of[a], row_of[b]) for a, b in v.arcs))
@@ -240,24 +244,19 @@ def _orbit_reps(v_list: list[PartialOneRowDiagram], lam: Partition) -> list[int]
 def _group_sum(cell: CellModule, vec: BlockVec, blocks: list[list[int]],
                sign: int) -> BlockVec:
     """The sum (sign 1) or signed sum (sign -1) of the Young subgroup on
-    blocks, applied to vec in the cell module.  Coset transversals keep
-    the term count at block_len^2 instead of block_len!; the identity
-    coset acts trivially.  Each coset step is one swap_sum of vec and
-    its j transposed images."""
+    blocks of nodes, applied to vec in the cell module.  Coset
+    transversals keep the term count at block_len^2 instead of
+    block_len!; the identity coset acts trivially.  Each coset step is
+    one swap_sum of vec and its j transposed images.  A signed sum first
+    drops the blocks of vec with an arc p-q inside the block of nodes:
+    the odd (p q) fixes them, so the sum kills them."""
     for pts in blocks:
+        if sign < 0:
+            mask = cell._arc_key(combinations(pts, 2))
+            vec = {v_idx: block for v_idx, block in vec.items()
+                   if not cell._key[v_idx] & mask}
         for j in range(1, len(pts)):
             vec = cell.swap_sum(vec, [(pts[i], pts[j]) for i in range(j)], sign)
-    return vec
-
-
-def _column_sum(cell: CellModule, vec: BlockVec,
-                cols: list[list[int]]) -> BlockVec:
-    """_group_sum(cell, vec, cols, -1), dropping first at each column
-    the blocks with an arc inside it, which its signed sum kills."""
-    for pts in cols:
-        mask = cell._arc_key(combinations([p + 1 for p in pts], 2))
-        vec = _group_sum(cell, {v_idx: block for v_idx, block in vec.items()
-                                if not cell._key[v_idx] & mask}, [pts], -1)
     return vec
 
 
@@ -266,10 +265,10 @@ def _young_invariants(cell: CellModule, v_idx: int,
     """An integer basis of the Specht vectors fixed by the Young subgroup
     Y_a, a the sizes of rows, as dense lists.
 
-    rows lists the free nodes of the v_idx-th one-row diagram v (0-based),
-    grouped by row of lam.  A transposition of two of them in one row
-    fixes v and acts on the Specht factor by the transposition of their
-    ranks, which are consecutive within a row; so the row sum over rows
+    rows lists the free nodes of the v_idx-th one-row diagram v, grouped
+    by row of lam.  A transposition of two of them in one row fixes v
+    and acts on the Specht factor by the transposition of their ranks,
+    which are consecutive within a row; so the row sum over rows
     acts on v's block as the sum of Y_a on consecutive blocks of sizes a.
     That sum is a positive multiple of the projection onto the fixed
     vectors, so its images of the unit vectors span them; there are
@@ -289,12 +288,12 @@ def _orbit_seeds(cell: CellModule, lam: Partition) -> Iterator[list[BlockVec]]:
     _young_invariants of v's free nodes grouped by row of lam.  The
     invariant bases are memoised per composition a, the free-node count
     per row."""
-    row_of = _node_rows(lam)
+    row_of = _filling(lam)[0]
     invariants: dict[tuple[int, ...], list[list[int]]] = {}
     for v_idx in _orbit_reps(cell.v_list, lam):
         rows: list[list[int]] = [[] for _ in range(lam.rows)]
         for node in cell.free_nodes[v_idx]:
-            rows[row_of[node]].append(node - 1)
+            rows[row_of[node]].append(node)
         a = tuple(map(len, rows))
         if a not in invariants:
             invariants[a] = _young_invariants(cell, v_idx, rows)
@@ -308,8 +307,7 @@ def _hom_dim_compressed(delta: int, lam: Partition, mu: Partition) -> int:
     A map out of the cell module at lam is pinned down by the image w of
     its cyclic generator.  w must lie in the image W of the symmetrizer
     (row sums, then signed column sums) and be killed by every two-strand
-    contraction.  Symmetries of the symmetrizer cut the work; the answer
-    stays exact.
+    contraction.
 
     Seeds: for r in the row group R, (sum of R)*r = sum of R, and r sends
     v (x) x to rv (x) pi*x with pi invertible, so one one-row diagram v
@@ -325,11 +323,9 @@ def _hom_dim_compressed(delta: int, lam: Partition, mu: Partition) -> int:
     inside one row of lam) come first and the rest follow as a fallback;
     an order that reaches the bound late costs time, not exactness.
 
-    Columns: an arc p-q of v inside one column of lam is fixed, with the
-    Specht factor, by (p q), an odd element of the column group C; so
-    C's signed sum kills v's block, and _column_sum drops it first.  The
-    column groups commute, so such a block of a column already summed is
-    0 already.
+    Columns: _group_sum drops the blocks a column's signed sum kills, those
+    with an arc inside the column.  The column groups commute, so such a
+    block of a column already summed is 0 already.
 
     Hooks: every w in W has c*w = sgn(c)*w for c in C.  X_ij*s_ij = X_ij,
     so a hook inside one column sends w to -X_ij*w, that is to 0; and
@@ -342,12 +338,11 @@ def _hom_dim_compressed(delta: int, lam: Partition, mu: Partition) -> int:
     if bound == 0:
         return 0
     cell = _capped_cell(k, delta, mu)
-    row_bl = perms.row_blocks(lam)
-    col_bl = perms.col_blocks(lam)
+    _, row_bl, col_bl = _filling(lam)
     ech = Echelon()
     w_basis: list[BlockVec] = []
     for seed in chain.from_iterable(_orbit_seeds(cell, lam)):
-        v = _column_sum(cell, _group_sum(cell, seed, row_bl, 1), col_bl)
+        v = _group_sum(cell, _group_sum(cell, seed, row_bl, 1), col_bl, -1)
         if v and ech.add(cell.flatten(v)):
             w_basis.append(v)
             if ech.rank == bound:

@@ -13,6 +13,10 @@ its columns, so e_t is summed column by column from one table of signed
 permutations per column length.  The tables are built from the shape
 for one build_specht (or one form) and dropped with it: the table for
 column length L holds L! permutations, never more than the terms of e_t.
+
+Permutations of the m = |mu| tableau values are 0-based image tuples,
+p[i] the image of i.  perm_matrix multiplies generator matrices along
+the word in adjacent transpositions that adjacent_word reads off p.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain
 
-from brauerblocks import linalg, perms
+from brauerblocks import linalg
 from brauerblocks.linalg import SparseVec
 from brauerblocks.partitions import (InvariantError, Partition, specht_dim,
                                      standard_tableaux)
@@ -119,13 +123,32 @@ class SpechtModule:
         if cached is not None:
             return cached
         cols = linalg.identity_cols(self.dim)
-        for i in reversed(perms.adjacent_word(sigma)):
+        for i in reversed(adjacent_word(sigma)):
             cols = linalg.mat_mul(self.gen_matrices[i], cols)
         self._perm_cache[sigma] = cols
         return cols
 
     def __repr__(self) -> str:
         return f"SpechtModule({self.mu}, dim={self.dim})"
+
+
+def adjacent_word(p: tuple[int, ...]) -> list[int]:
+    """A word in adjacent transpositions s_i = (i, i+1), 0-based i, with
+    p = product of the s_i applied left to right as composed maps; bubble
+    sort of the one-line form."""
+    arr = list(p)
+    word = []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(arr) - 1):
+            if arr[i] > arr[i + 1]:
+                arr[i], arr[i + 1] = arr[i + 1], arr[i]
+                word.append(i)
+                changed = True
+    # word applied to identity right-to-left rebuilds p
+    word.reverse()
+    return word
 
 
 def build_specht(mu: Partition) -> SpechtModule:

@@ -1,7 +1,9 @@
 """Reference constructions shared by several test files: algebra
-elements with rational coefficients and the named diagrams and elements
-built on them, permutation helpers (among them the transposition, the
-whole Young subgroup and the sign, which the library does without), the
+elements with rational coefficients (integral_terms clears their
+denominators for the integer-only Echelon) and the named diagrams and
+elements built on them, permutation helpers on 0-based points (among
+them the transposition, the row and column blocks of a shape, the whole
+Young subgroup and the sign, which the library does without), the
 permutation and hook diagrams, the strand walk and the general diagram
 action on a cell module built on it (the library moves cell-module
 vectors only by transpositions, hooks and the Gram pairing, each in
@@ -24,10 +26,9 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import permutations
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Iterator
 
-from brauerblocks import perms
 from brauerblocks.blocks import _shifted, _unshift
 from brauerblocks.cells import CellModule, PartialOneRowDiagram
 from brauerblocks.diagrams import BrauerDiagram, concat, flip
@@ -88,6 +89,18 @@ def block_perms(blocks: list[list[int]], m: int) -> Iterator[tuple[int, ...]]:
             yield from rec(i + 1, current)
 
     yield from rec(0, list(range(m)))
+
+
+def shape_blocks(lam: Partition) -> tuple[list[list[int]], list[list[int]]]:
+    """The row and column blocks of lam filled with 0..|lam|-1 row by row,
+    the 0-based points the permutation tuples here act on; the library
+    fills lam with the nodes 1..|lam|."""
+    rows, start = [], 0
+    for part in lam.parts:
+        rows.append(list(range(start, start + part)))
+        start += part
+    return rows, [[row[c] for row in rows if len(row) > c]
+                  for c in range(lam.row(0))]
 
 
 def addable_boxes(lam: Partition) -> list[Box]:
@@ -433,6 +446,14 @@ class AlgebraElement:
                               {flip(d): c for d, c in self.terms.items()})
 
 
+def integral_terms(elem: AlgebraElement, index: dict) -> dict:
+    """elem's coefficients as a sparse integer vector {index[d]: value},
+    its denominators cleared by their lcm, for Echelon, which takes
+    integers only."""
+    den = lcm(*(c.denominator for c in elem.terms.values()))
+    return {index[d]: int(c * den) for d, c in elem.terms.items()}
+
+
 def from_diagram(d: BrauerDiagram, delta: int, coeff=1) -> AlgebraElement:
     return AlgebraElement(d.n, delta, {d: coeff})
 
@@ -488,8 +509,7 @@ def young_symmetrizer(lam: Partition, n: int, delta: int) -> AlgebraElement:
         raise ValueError(f"size mismatch: |{lam}| != {n}")
     scale = Fraction(specht_dim(lam), factorial(n))
     terms: dict = {}
-    rows = perms.row_blocks(lam)
-    cols = perms.col_blocks(lam)
+    rows, cols = shape_blocks(lam)
     for c in block_perms(cols, n):
         sgn = sign(c)
         for r in block_perms(rows, n):

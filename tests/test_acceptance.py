@@ -20,7 +20,8 @@ from brauerblocks.oracle import HomQuery, hom_dim, restriction_multiplicity, \
 from brauerblocks.partitions import (EMPTY, Box, Partition, partitions_of,
                                      subpartitions)
 from references import (box_set, e, e_bar, from_diagram, identity_element,
-                        transposition_element, u_diagram, young_symmetrizer)
+                        integral_terms, transposition_element, u_diagram,
+                        young_symmetrizer)
 
 DELTAS = (-2, -1, 0, 1, 2, 3)
 
@@ -259,8 +260,8 @@ def test_criterion_10_structural_suites():
             corner, column = Echelon(), Echelon()
             for d in pool:
                 el = from_diagram(d, delta)
-                corner.add({idx[t]: v for t, v in (eb * el * eb).terms.items()})
-                column.add({idx[t]: v for t, v in (el * eb).terms.items()})
+                corner.add(integral_terms(eb * el * eb, idx))
+                column.add(integral_terms(el * eb, idx))
             assert corner.rank == double_factorial(2 * (n - 2) - 1)
             assert column.rank == double_factorial(2 * (n - 1) - 1)
 

@@ -4,12 +4,12 @@ from math import factorial
 
 import pytest
 
-from brauerblocks import cells, perms
+from brauerblocks import cells
 from brauerblocks.cells import (CellModule, enumerate_v, gram_matrix,
                                 t_action_check)
 from brauerblocks.diagrams import BrauerDiagram, all_diagrams, concat, flip
 from brauerblocks.linalg import SparseVec, mat_vec
-from brauerblocks.oracle import central_scalar
+from brauerblocks.oracle import _filling, central_scalar
 from brauerblocks.partitions import (EMPTY, InvariantError, Partition,
                                      content_sum, partitions_of,
                                      removable_boxes, specht_dim)
@@ -71,6 +71,7 @@ def test_enumerate_v_matches_reference():
         for t in range(n // 2 + 1):
             got = enumerate_v(n, t)
             assert got == references.enumerate_v(n, t), (n, t)
+            assert len(got) == cells.one_row_count(n, t), (n, t)
             cases += 1
             diagrams += len(got)
     assert (cases, diagrams) == (36, 13232)
@@ -376,10 +377,11 @@ def test_block_action_matches_flat_reference():
     # a column of some lam, and the hooks on the tops of two columns
     route = set()
     for lam in partitions_of(7):
-        for pts in perms.row_blocks(lam) + perms.col_blocks(lam):
-            route.update(perm_diagram(transposition(7, a, b))
+        _, rows, cols = _filling(lam)
+        for pts in rows + cols:
+            route.update(perm_diagram(transposition(7, a - 1, b - 1))
                          for j, b in enumerate(pts) for a in pts[:j])
-        tops = [col[0] + 1 for col in perms.col_blocks(lam)]
+        tops = [col[0] for col in cols]
         route.update(hook_diagram(7, i, j) for a, i in enumerate(tops)
                      for j in tops[a + 1:])
     assert len(route) == 42
@@ -401,11 +403,11 @@ def test_action_does_not_alias():
             block[:] = [c + 7 for c in block]
         assert vec == before, label
 
-    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-    for pair in [(0, 1), (1, 3)]:
+    pairs = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
+    for pair in [(1, 2), (2, 4)]:
         scribble(cell.act_diagram(pair, vec), pair)
     # the move kernel under the reference action of general diagrams
-    for d in [identity_diagram(5)] + [perm_diagram(transposition(5, i, j))
+    for d in [identity_diagram(5)] + [perm_diagram(transposition(5, i - 1, j - 1))
                                       for i, j in pairs]:
         scribble(act_diagram(cell, d, vec), d)
     # swap_sum adds vec and its signed transposed images in a fresh
@@ -414,7 +416,7 @@ def test_action_does_not_alias():
         for chosen in [[p] for p in pairs] + [pairs]:
             out = cell.swap_sum(vec, chosen, sign)
             assert out == block_sum([(1, vec)] + [
-                (sign, act_diagram(cell, perm_diagram(transposition(5, i, j)), vec))
+                (sign, act_diagram(cell, perm_diagram(transposition(5, i - 1, j - 1)), vec))
                 for i, j in chosen])
             scribble(out, (chosen, sign))
     ones = {0: [1] * cell.specht.dim}
@@ -428,13 +430,15 @@ def test_action_does_not_alias():
 
 
 def test_swap_tables_match_decompose():
-    # the closed-form move of each transposition equals the strand walk
-    # of its permutation diagram, entry by entry, on every module of
-    # n <= 7; a vector with every block nonzero fills the whole table
+    # the closed-form move of each transposition of two nodes equals the
+    # strand walk of its permutation diagram, entry by entry, on every
+    # module of n <= 7; a vector with every block nonzero fills the
+    # whole table
     count = 0
     for n in range(8):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        diagrams = {p: perm_diagram(transposition(n, *p)) for p in pairs}
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        diagrams = {(i, j): perm_diagram(transposition(n, i - 1, j - 1))
+                    for i, j in pairs}
         for delta in DELTAS:
             for cell in cell_modules(n, delta):
                 f = cell.specht.dim
@@ -469,8 +473,8 @@ def test_hook_tables_match_decompose():
     # a vector with every block nonzero fills the whole table
     count = modules = 0
     for n in range(8):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        diagrams = {p: hook_diagram(n, p[0] + 1, p[1] + 1) for p in pairs}
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        diagrams = {p: hook_diagram(n, *p) for p in pairs}
         for delta in DELTAS:
             for cell in cell_modules(n, delta):
                 modules += 1
@@ -486,11 +490,11 @@ def test_hook_tables_match_decompose():
 
 
 def test_hook_and_swap_tables_are_kept_apart():
-    # one point pair keys both a transposition table and a hook table;
+    # one node pair keys both a transposition table and a hook table;
     # whichever is filled first, each answers for itself
-    pair = (0, 1)
+    pair = (1, 2)
     hook = hook_diagram(4, 1, 2)
-    swap = perm_diagram(transposition(4, *pair))
+    swap = perm_diagram(transposition(4, 0, 1))
     for swap_first in (False, True):
         cell = CellModule(4, 2, P(1, 1))
         full = {v_idx: [1] * cell.specht.dim for v_idx in range(len(cell.v_list))}
@@ -507,7 +511,7 @@ def test_swap_sum_matches_act_diagram(rng):
     # random integer vectors, random pairs and both signs: swap_sum is the
     # block_sum of vec and the signed actions of the permutation diagrams
     for n in range(2, 7):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         for delta in (0, 1, 3):
             for cell in cell_modules(n, delta):
                 f = cell.specht.dim
@@ -523,7 +527,7 @@ def test_swap_sum_matches_act_diagram(rng):
                         assert type(block) is list and len(block) == f
                         assert all_int(block) and any(block)
                     assert got == block_sum([(1, vec)] + [
-                        (sign, act_diagram(cell, perm_diagram(transposition(n, i, j)), vec))
+                        (sign, act_diagram(cell, perm_diagram(transposition(n, i - 1, j - 1)), vec))
                         for i, j in chosen]), (cell, chosen, sign)
     # (1 2) fixes the arc 1-2 and its free nodes, so vec - (1 2)vec
     # cancels that block and keeps the one it moves
@@ -531,7 +535,7 @@ def test_swap_sum_matches_act_diagram(rng):
     arcs = [v.arcs for v in cell.v_list]
     fixed, moved = arcs.index(((1, 2),)), arcs.index(((1, 3),))
     vec = {fixed: [2, -1], moved: [1, 3]}
-    got = cell.swap_sum(vec, [(0, 1)], -1)
+    got = cell.swap_sum(vec, [(1, 2)], -1)
     assert fixed not in got and moved in got
     assert got == block_sum([(1, vec), (-1, act_diagram(
         cell, perm_diagram(transposition(4, 0, 1)), vec))])

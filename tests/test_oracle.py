@@ -6,12 +6,12 @@ from unittest import mock
 
 import pytest
 
-from brauerblocks import cli, oracle, perms
+from brauerblocks import cli, oracle
 from brauerblocks.blocks import hom_target, weights
 from brauerblocks.cells import CellModule, enumerate_v
 from brauerblocks.diagrams import BrauerDiagram, all_diagrams, concat
 from brauerblocks.linalg import Echelon, SparseVec, rank_of, vec_add
-from brauerblocks.oracle import (HomQuery, _column_sum, _cycle_rep, _group_sum,
+from brauerblocks.oracle import (HomQuery, _cycle_rep, _filling, _group_sum,
                                  _last_cell, _orbit_reps, _orbit_seeds, _perm_traces,
                                  block_graph, cell_dim, central_scalar,
                                  central_scalar_value, even_lr_sum,
@@ -22,7 +22,8 @@ from brauerblocks.partitions import (EMPTY, Partition, mn_character,
                                      specht_dim, subpartitions)
 from references import (act_diagram, block_perms, e_bar, hook_diagram,
                         identity, identity_diagram, is_even, lr_coefficient,
-                        perm_diagram, remove_box, sign, transposition)
+                        perm_diagram, remove_box, shape_blocks, sign,
+                        transposition)
 
 DELTAS = (-2, -1, 0, 1, 2, 3)
 
@@ -167,7 +168,7 @@ def probe_traces(cell) -> dict:
     _perm_traces replaced."""
     out = {}
     for rho in partitions_of(cell.n):
-        d = perm_diagram(_cycle_rep(rho))
+        d = perm_diagram(tuple(x - 1 for x in _cycle_rep(rho)[1:]))
         out[rho] = sum(cell.flatten(act_diagram(cell, d, cell.to_blocks({j: 1}))).get(j, 0)
                        for j in range(cell.dim))
     return out
@@ -333,12 +334,13 @@ def full_scan(n: int, delta: int, lam: Partition, mu: Partition,
     if v_seeds is None:
         v_seeds = range(len(cell.v_list))
     ident = pad_perm(identity(k))
+    rows, cols = shape_blocks(lam)
     ech = Echelon()
     w_basis = []
     for b in (v_idx * f + x for v_idx in v_seeds for x in range(f)):
         v = cell.flatten(act_diagram(cell, ident, cell.to_blocks({b: 1})))
-        v = group_pass(v, perms.row_blocks(lam), 1)
-        v = group_pass(v, perms.col_blocks(lam), -1)
+        v = group_pass(v, rows, 1)
+        v = group_pass(v, cols, -1)
         if v and ech.add(v):
             w_basis.append(v)
             if ech.rank == bound:
@@ -377,10 +379,10 @@ def check_symmetry_cuts(n, delta, lam, mu) -> bool:
     want, w_basis = full_scan(n, delta, lam, mu)
     assert hom_dim(HomQuery(n, delta, lam, mu)) == want, (n, delta, lam, mu)
     cell = CellModule(n, delta, mu)
-    for col in perms.col_blocks(lam):
+    for col in _filling(lam)[2]:
         for a, i in enumerate(col):
             for j in col[a + 1:]:
-                h = pad(hook_diagram(lam.size, i + 1, j + 1), n)
+                h = pad(hook_diagram(lam.size, i, j), n)
                 for w in w_basis:
                     assert cell.flatten(act_diagram(cell, h, cell.to_blocks(w))) == {}, \
                         (n, delta, lam, mu, i, j)
@@ -448,14 +450,14 @@ def test_invariant_seeds():
             assert w_basis == []
             continue
         cell = CellModule(k, delta, mu)
-        row_of = [r for r, part in enumerate(lam.parts) for _ in range(part)]
-        row_bl, col_bl = perms.row_blocks(lam), perms.col_blocks(lam)
+        row_of = _filling(lam)[0]
+        row_bl, col_bl = shape_blocks(lam)
         ech = Echelon()
         for v_idx, seeds in zip(_orbit_reps(cell.v_list, lam),
                                 _orbit_seeds(cell, lam), strict=True):
             a = [0] * lam.rows
             for node in cell.free_nodes[v_idx]:
-                a[row_of[node - 1]] += 1
+                a[row_of[node]] += 1
             a = tuple(a)
             assert len(seeds) == invariant_dim(mu, a), (n, delta, lam, mu, a)
             if not dominates(mu, Partition(sorted(a, reverse=True))):
@@ -469,10 +471,19 @@ def test_invariant_seeds():
     assert (count, seeded) == (227, 163)
 
 
+def unpruned_signed_sum(cell, vec, blocks):
+    """The signed Young-subgroup sum on blocks of nodes by swap_sum coset
+    steps alone, dropping no block first."""
+    for pts in blocks:
+        for j in range(1, len(pts)):
+            vec = cell.swap_sum(vec, [(pts[i], pts[j]) for i in range(j)], -1)
+    return vec
+
+
 def test_row_internal_seeds_and_column_drop():
     # on every Hom-route query with a nonzero bound and |lam| <= 8: the
-    # column sum that drops in-column arcs equals the full signed sum on
-    # every seed's row image, the row-internal orbits come first, and
+    # signed column sum that drops in-column arcs equals the unpruned one
+    # on every seed's row image, the row-internal orbits come first, and
     # their seeds alone reach the bound
     queries = seeds = 0
     for delta in DELTAS:
@@ -487,19 +498,18 @@ def test_row_internal_seeds_and_column_drop():
                         continue
                     queries += 1
                     cell = CellModule(k, delta, mu)
-                    row_of = [r for r, part in enumerate(lam.parts) for _ in range(part)]
-                    row_bl, col_bl = perms.row_blocks(lam), perms.col_blocks(lam)
+                    row_of, row_bl, col_bl = _filling(lam)
                     ech = Echelon()
                     internal = []
                     for v_idx, orbit in zip(_orbit_reps(cell.v_list, lam),
                                             _orbit_seeds(cell, lam), strict=True):
-                        internal.append(all(row_of[a - 1] == row_of[b - 1]
+                        internal.append(all(row_of[a] == row_of[b]
                                             for a, b in cell.v_list[v_idx].arcs))
                         for seed in orbit:
                             seeds += 1
                             u = _group_sum(cell, seed, row_bl, 1)
-                            w = _column_sum(cell, u, col_bl)
-                            assert w == _group_sum(cell, u, col_bl, -1), (delta, lam, mu)
+                            w = _group_sum(cell, u, col_bl, -1)
+                            assert w == unpruned_signed_sum(cell, u, col_bl), (delta, lam, mu)
                             if internal[-1] and w:
                                 ech.add(cell.flatten(w))
                     assert internal == sorted(internal, reverse=True), (delta, lam, mu)
@@ -695,14 +705,21 @@ def test_no_cell_module_outlives_a_run(monkeypatch):
 def test_route_walks_no_permutation_diagram(monkeypatch):
     # the Hom route moves vectors only through the closed-form tables of
     # transpositions and hooks: on each route query of n <= 6 the move
-    # kernel is keyed by point pairs and hook keys, never by a diagram;
-    # restriction reads its traces in closed form, through no table
+    # kernel is keyed by pairs of nodes 1..k and hook keys on them, never
+    # by a diagram; restriction reads its traces in closed form, through
+    # no table
     keys = Counter()
+    off_nodes = []
     add_moved = CellModule._add_moved
 
     def recording_add_moved(self, out, vec, key, fill, c):
-        keys["diagram" if isinstance(key, BrauerDiagram)
-             else "hook" if key[0] == "hook" else "swap"] += 1
+        if isinstance(key, BrauerDiagram):
+            keys["diagram"] += 1
+        else:
+            keys["hook" if key[0] == "hook" else "swap"] += 1
+            i, j = key[-2:]
+            if not 1 <= i < j <= self.n:
+                off_nodes.append((self.n, key))
         return add_moved(self, out, vec, key, fill, c)
 
     monkeypatch.setattr(CellModule, "_add_moved", recording_add_moved)
@@ -723,6 +740,7 @@ def test_route_walks_no_permutation_diagram(monkeypatch):
         _last_cell.cache_clear()
     assert queries == 41
     assert set(keys) == {"hook", "swap"}, keys
+    assert not off_nodes, off_nodes
 
     keys.clear()
     _perm_traces.cache_clear()
