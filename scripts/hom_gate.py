@@ -8,13 +8,17 @@
 
 `dump` imports brauerblocks from --src (default: the src/ beside this
 script), so dumping from two checkouts and comparing the files checks
-that a change to the oracle left every answer as it was.  Each entry is
+that a change to the oracle left every answer as it was.  A Hom entry is
 keyed "n delta source target".  --gate dumps the standard gate set in
-one file: n = 0-8 at delta -2..3 and n = 9, 10 at delta 0, 1, which is
-37 326 pairs.  Large modules need BRAUER_MAX_DIM set as for any other
-query; the gate set needs 10080.  `compare` prints each pair whose value
-differs or that only one dump holds, and exits 1 if there is any;
-otherwise it prints the pair and nonzero counts and exits 0.
+one file: the Hom pairs at n = 0-8 at delta -2..3 and n = 9, 10 at
+delta 0, 1, which is 37 326 pairs, and at n = 0-7, delta -2..3 every
+weight's gram_rank, keyed "gram n delta mu", and every
+restriction_multiplicity, keyed "restriction n delta mu lam": 4831
+values more, 42 157 entries in all.  Large modules need BRAUER_MAX_DIM
+set as for any other query; the gate set needs 10080.  `compare` prints
+each entry whose value differs or that only one dump holds, and exits 1
+if there is any; otherwise it prints the entry and nonzero counts and
+exits 0.
 """
 
 import argparse
@@ -26,6 +30,7 @@ from pathlib import Path
 SHOWN = 20  # mismatches printed by compare
 GATE = ([(n, delta) for n in range(9) for delta in range(-2, 4)]
         + [(n, delta) for n in (9, 10) for delta in (0, 1)])
+RANKS = [(n, delta) for n in range(8) for delta in range(-2, 4)]  # in --gate
 
 
 def n_range(text: str) -> range:
@@ -36,7 +41,9 @@ def n_range(text: str) -> range:
 def dump(args) -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))
     from brauerblocks.blocks import weights
-    from brauerblocks.oracle import HomQuery, hom_dim
+    from brauerblocks.oracle import (HomQuery, gram_rank, hom_dim,
+                                     restriction_multiplicity)
+    from brauerblocks.partitions import partitions_of
 
     cases = GATE if args.gate else [(n, delta) for n in args.n for delta in args.deltas]
     t0 = time.monotonic()
@@ -46,9 +53,15 @@ def dump(args) -> int:
         for lam in ws:
             for mu in ws:
                 out[f"{n} {delta} {lam} {mu}"] = hom_dim(HomQuery(n, delta, lam, mu))
+    for n, delta in RANKS if args.gate else []:
+        for mu in weights(n, delta).weights:
+            out[f"gram {n} {delta} {mu}"] = gram_rank(n, delta, mu)
+            for lam in partitions_of(n):
+                out[f"restriction {n} {delta} {mu} {lam}"] = \
+                    restriction_multiplicity(n, delta, mu, lam)
     Path(args.out).write_text(json.dumps(out, indent=0, sort_keys=True) + "\n")
     nonzero = sum(1 for v in out.values() if v)
-    print(f"{len(out)} pairs, {nonzero} nonzero, "
+    print(f"{len(out)} entries, {nonzero} nonzero, "
           f"{time.monotonic() - t0:.1f}s -> {args.out}")
     return 0
 
@@ -62,10 +75,10 @@ def compare(args) -> int:
     for key, a, b in bad[:SHOWN]:
         print(f"MISMATCH {key}: {a} -> {b}")
     if bad:
-        print(f"{len(bad)} of {len(old.keys() | new.keys())} pairs differ")
+        print(f"{len(bad)} of {len(old.keys() | new.keys())} entries differ")
         return 1
     nonzero = sum(1 for v in new.values() if v)
-    print(f"{len(new)} pairs agree, {nonzero} nonzero")
+    print(f"{len(new)} entries agree, {nonzero} nonzero")
     return 0
 
 
@@ -79,7 +92,8 @@ def main() -> int:
                    help="level or inclusive range, e.g. 8 or 1-8")
     d.add_argument("--deltas", type=int, nargs="+")
     d.add_argument("--gate", action="store_true",
-                   help="the standard gate set instead of --n and --deltas")
+                   help="the standard gate set, with its Gram ranks and "
+                   "restrictions, instead of --n and --deltas")
     d.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
                    help="source tree to import brauerblocks from")
     c = sub.add_parser("compare", help="exit 1 unless two dumps agree")

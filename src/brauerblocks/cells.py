@@ -13,7 +13,8 @@ S^mu Specht coordinates}, dense and int, with no all-zero block.  Flat
 index v*f + x is coordinate x of block v; flatten and to_blocks convert.
 Callers address the action by the nodes 1..n that the one-row diagrams
 use; only the Specht factor counts from 0, by rank among the free nodes.
-Each transposition of two nodes, and each hook X_ij, gets a move table
+Each transposition of two nodes, each hook X_ij, and each cap v* (the
+Gram form's row of blocks at v, less the Specht form) gets a move table
 on the module, a list over one-row indices filled on first use: None
 where the propagating number drops or delta^loops = 0, else (target
 index, Specht matrix of the leftover permutation or None for the
@@ -21,9 +22,10 @@ identity, delta^loops).  One kernel, CellModule._add_moved, adds c times
 a table's image of a vector into an accumulator, one table lookup per
 block and, through a Specht matrix, one column per nonzero coordinate:
 act_diagram (one hook), swap_sum (a vector plus a signed sum of
-transpositions, in one pass) and t_action_check all move vectors through
-it.  Lists in a block vector are never shared with another vector, so a
-caller may mutate what it is given back.
+transpositions, in one pass), t_action_check and the oracle's Gram rank
+(caps) all move vectors through it.  Lists in a block vector are never
+shared with another vector, so a caller may mutate what it is given
+back.
 
 A transposition of the nodes i and j moves v by cases (_transpose): an
 arc i-j stays, with v; two arcs at i and j swap ends, with the identity
@@ -36,9 +38,11 @@ permutation relabels v's arcs, and each free node of v goes to the rank
 of its image in w (_perm_move); the oracle reads its permutation traces
 that way.  A hook X_ij scales a v with the arc i-j by delta, kills a v
 with i and j both free, and otherwise moves v as one transposition does
-(_hook_move).  The Gram form pairs the arc tables of two one-row
-diagrams (gram_matrix), as sparse rows, and t_action_check is the one
-check that the central element acts by its closed-form scalar.
+(_hook_move).  A cap v* pairs the arc tables of v and each w
+(_cap_move): the Gram form's (v, w) block is the Specht form times that
+entry, so the form's rank needs no Specht form and no Gram matrix.
+t_action_check is the one check that the central element acts by its
+closed-form scalar.
 """
 
 from __future__ import annotations
@@ -146,8 +150,9 @@ class CellModule:
             self._rank.append(rank)
         self._v_index = {key: i for i, key in enumerate(self._key)}
         self._identity = tuple(range(mu.size))
-        # move tables, keyed by the node pair of a transposition or by
-        # ("hook", i, j) for the hook on the nodes i and j
+        # move tables, keyed by the node pair of a transposition, by
+        # ("hook", i, j) for the hook on the nodes i and j, or by
+        # ("cap", v_idx) for the cap of the v-th one-row diagram
         self._moves: dict = {}
 
     @property
@@ -251,6 +256,42 @@ class CellModule:
             return self._transpose((mate[j], i), v_idx)
         return None
 
+    def _cap_move(self, key, w_idx: int):
+        """The move-table entry of the cap v*, key = ("cap", v_idx), at
+        the w-th one-row diagram: the (v, w) block of the Gram form
+        without its Specht form, landing on block v.  v and w are laid
+        together node by node; each run from a free node of v alternates
+        w's arcs and v's arcs.  The entry is None if a run ends on another
+        free node of v (the propagating number drops) or delta^loops = 0;
+        else a run from v's free node of rank r ends on w's free node of
+        rank s, pinv[s] = r, and the cycles no run touches are the loops."""
+        v_idx = key[1]
+        v_mate, w_mate = self._mate[v_idx], self._mate[w_idx]
+        seen = [False] * (self.n + 1)
+        pinv = [0] * self.mu.size
+        for r, x in enumerate(self.free_nodes[v_idx]):
+            seen[x] = True
+            while w_mate[x]:
+                y = w_mate[x]
+                x = v_mate[y]
+                if not x:
+                    return None
+                seen[y] = seen[x] = True
+            pinv[self._rank[w_idx][x]] = r
+        scale = 1
+        for x in range(1, self.n + 1):
+            if not seen[x]:
+                scale *= self.delta
+                while not seen[x]:
+                    y = w_mate[x]
+                    seen[x] = seen[y] = True
+                    x = v_mate[y]
+        if not scale:
+            return None
+        pinv = tuple(pinv)
+        return (v_idx, None if pinv == self._identity
+                else self.specht.perm_matrix(pinv), scale)
+
     def act_diagram(self, pair: tuple[int, int], vec: BlockVec) -> BlockVec:
         """The hook X_ij of the node pair (i, j), with its delta factor,
         acting on a block vector.  The result shares no list with vec and
@@ -294,65 +335,6 @@ class CellModule:
 @lru_cache(maxsize=None)
 def _specht(mu: Partition) -> SpechtModule:
     return specht.build_specht(mu)
-
-
-def _pairing(cell: CellModule, vi: int, wi: int):
-    """The one-row diagrams v and w laid together, node by node: None if
-    the run from a free node of v meets another free node of v, else
-    (pinv, loops).  Each run alternates w's arcs and v's arcs; the run
-    from v's free node of rank r ends on w's free node of rank s, and
-    then pinv[s] = r.  The cycles no run touches are the loops."""
-    v_mate, w_mate = cell._mate[vi], cell._mate[wi]
-    seen = [False] * (cell.n + 1)
-    pinv = [0] * cell.mu.size
-    for r, x in enumerate(cell.free_nodes[vi]):
-        seen[x] = True
-        while w_mate[x]:
-            y = w_mate[x]
-            x = v_mate[y]
-            if not x:
-                return None
-            seen[y] = seen[x] = True
-        pinv[cell._rank[wi][x]] = r
-    loops = 0
-    for x in range(1, cell.n + 1):
-        if not seen[x]:
-            loops += 1
-            while not seen[x]:
-                y = w_mate[x]
-                seen[x] = seen[y] = True
-                x = v_mate[y]
-    return tuple(pinv), loops
-
-
-def gram_matrix(cell: CellModule) -> list[SparseVec]:
-    """Invariant bilinear form on the cell basis, as sparse rows
-    {column: nonzero value}, one per basis vector.
-
-    The (v, w) block is zero where the pairing of the one-row diagrams v
-    and w (_pairing) drops the propagating number or delta^loops is 0;
-    otherwise it is delta^loops times the Specht form times the matrix
-    of the leftover permutation."""
-    f = cell.specht.dim
-    form = cell.specht.form
-    gram: list[SparseVec] = [{} for _ in range(cell.dim)]
-    for vi in range(len(cell.v_list)):
-        for wi in range(len(cell.v_list)):
-            paired = _pairing(cell, vi, wi)
-            if paired is None:
-                continue
-            pinv, loops = paired
-            scale = cell.delta ** loops
-            if not scale:
-                continue
-            cols = None if pinv == cell._identity else cell.specht.perm_matrix(pinv)
-            for k in range(f):
-                col = {k: 1} if cols is None else cols[k]
-                for j in range(f):
-                    val = scale * sum(form[j][i] * a for i, a in col.items())
-                    if val:
-                        gram[vi * f + j][wi * f + k] = val
-    return gram
 
 
 def t_action_check(cell: CellModule) -> bool:

@@ -42,10 +42,10 @@ def _print_json(payload) -> None:
 def render_skew(lam: Partition, mu: Partition) -> str:
     """Grid of lam with mu's boxes dotted out and the rest labelled by
     content."""
-    if lam.size == 0:
-        return "(empty)"
     if not lam.contains(mu):
         raise ValueError(f"{mu} is not contained in {lam}")
+    if lam.size == 0:
+        return "(empty)"
     labels = {}
     for b in lam.boxes():
         inside = b.col <= mu.row(b.row - 1)

@@ -10,8 +10,11 @@ of the Young symmetrizer's image killed by the two-strand contractions
 (_hom_dim_compressed), with lam filled by the nodes 1..|lam| row by row
 (_filling).  Its transpositions (CellModule.swap_sum) and hooks
 (CellModule.act_diagram) name those nodes, as the relabellings of the
-permutation traces (CellModule._perm_move) do.  All are closed-form move
-tables: nothing builds a Brauer diagram or walks a strand.
+permutation traces (CellModule._perm_move) do.  A Gram rank is read off
+the same symmetrizer images (_image), one per partition nu of n, through
+the caps of the cell form (CellModule._cap_move), with no Specht form and
+no Gram matrix (gram_rank).  All are closed-form move tables: nothing
+builds a Brauer diagram or walks a strand.
 
 Module dimensions are capped via the BRAUER_MAX_DIM environment variable
 (a positive integer, default 400) so that a stray query cannot wedge a
@@ -35,8 +38,8 @@ from typing import Iterator, NamedTuple
 
 from .blocks import (WeightSet, block_partition, check_weight, hom_target,
                      is_balanced, is_minimal, weights)
-from .cells import (BlockVec, CellModule, PartialOneRowDiagram, gram_matrix,
-                    one_row_count, t_action_check)
+from .cells import (BlockVec, CellModule, PartialOneRowDiagram, one_row_count,
+                    t_action_check)
 from .linalg import Echelon, SparseVec, rank_of
 from .partitions import (InvariantError, Partition, conjugacy_class_size,
                          content_sum, even_lr_sum, mn_character,
@@ -139,12 +142,6 @@ def central_scalar(n: int, delta: int, mu: Partition) -> int:
             f"central element is not scalar on the cell module at {mu}, "
             f"n={n}, delta={delta}")
     return central_scalar_value(n, delta, mu)
-
-
-def gram_rank(n: int, delta: int, mu: Partition) -> int:
-    """Exact rank of the cellular form on the cell module at mu."""
-    check_weight(n, delta, mu)
-    return rank_of(gram_matrix(_capped_cell(n, delta, mu)))
 
 
 def _cycle_rep(rho: Partition) -> tuple[int, ...]:
@@ -300,14 +297,10 @@ def _orbit_seeds(cell: CellModule, lam: Partition) -> Iterator[list[BlockVec]]:
         yield [{v_idx: list(y)} for y in invariants[a]]
 
 
-def _hom_dim_compressed(delta: int, lam: Partition, mu: Partition) -> int:
-    """Hom dimension over B_k, k = |lam|, via the image of the Young
-    symmetrizer.
-
-    A map out of the cell module at lam is pinned down by the image w of
-    its cyclic generator.  w must lie in the image W of the symmetrizer
-    (row sums, then signed column sums) and be killed by every two-strand
-    contraction.
+def _image(cell: CellModule, lam: Partition, bound: int) -> list[BlockVec]:
+    """A basis of the image W of lam's Young symmetrizer (row sums, then
+    signed column sums) on the cell module, with lam filled by the nodes
+    1..|lam| (|lam| = cell.n).
 
     Seeds: for r in the row group R, (sum of R)*r = sum of R, and r sends
     v (x) x to rv (x) pi*x with pi invertible, so one one-row diagram v
@@ -317,27 +310,17 @@ def _hom_dim_compressed(delta: int, lam: Partition, mu: Partition) -> int:
     sum of v (x) x is that of v (x) P*x, P a positive multiple of the
     projection onto the Y_a-fixed vectors.  So the seeds v (x) y, y over
     a basis of those vectors, span W and none dies under the row sum.
-    dim W is the multiplicity of S^lam in M (Fulton and Harris, 4.1),
-    even_lr_sum, so the rank must reach that bound exactly: a second
-    derivation of every answer.  The row-internal orbits (every arc
-    inside one row of lam) come first and the rest follow as a fallback;
-    an order that reaches the bound late costs time, not exactness.
+    dim W is the multiplicity of S^lam in the module (Fulton and Harris,
+    4.1), even_lr_sum, which the caller passes as bound, so the rank must
+    reach it exactly: a second derivation of every answer.  The
+    row-internal orbits (every arc inside one row of lam) come first and
+    the rest follow as a fallback; an order that reaches the bound late
+    costs time, not exactness.
 
     Columns: _group_sum drops the blocks a column's signed sum kills, those
     with an arc inside the column.  The column groups commute, so such a
     block of a column already summed is 0 already.
-
-    Hooks: every w in W has c*w = sgn(c)*w for c in C.  X_ij*s_ij = X_ij,
-    so a hook inside one column sends w to -X_ij*w, that is to 0; and
-    X_c(i)c(j)*w = sgn(c)*c*X_ij*w, so X_c(i)c(j) and X_ij have one
-    kernel on W.  One hook per pair of distinct columns (on their top
-    entries) therefore cuts out the Hom space.
     """
-    k = lam.size
-    bound = even_lr_sum(lam, mu)
-    if bound == 0:
-        return 0
-    cell = _capped_cell(k, delta, mu)
     _, row_bl, col_bl = _filling(lam)
     ech = Echelon()
     w_basis: list[BlockVec] = []
@@ -346,13 +329,32 @@ def _hom_dim_compressed(delta: int, lam: Partition, mu: Partition) -> int:
         if v and ech.add(cell.flatten(v)):
             w_basis.append(v)
             if ech.rank == bound:
-                break
-    if ech.rank != bound:
-        raise InvariantError(
-            f"symmetrizer image rank {ech.rank} differs from its "
-            f"multiplicity bound {bound} at lam={lam}, mu={mu}, delta={delta}")
+                return w_basis
+    raise InvariantError(
+        f"symmetrizer image rank {ech.rank} differs from its multiplicity "
+        f"bound {bound} at lam={lam}, mu={cell.mu}, delta={cell.delta}")
 
-    tops = [col[0] for col in col_bl]
+
+def _hom_dim_compressed(delta: int, lam: Partition, mu: Partition) -> int:
+    """Hom dimension over B_k, k = |lam|, via the image of the Young
+    symmetrizer.
+
+    A map out of the cell module at lam is pinned down by the image w of
+    its cyclic generator.  w must lie in the image W of the symmetrizer
+    (_image) and be killed by every two-strand contraction.
+
+    Hooks: every w in W has c*w = sgn(c)*w for c in C.  X_ij*s_ij = X_ij,
+    so a hook inside one column sends w to -X_ij*w, that is to 0; and
+    X_c(i)c(j)*w = sgn(c)*c*X_ij*w, so X_c(i)c(j) and X_ij have one
+    kernel on W.  One hook per pair of distinct columns (on their top
+    entries) therefore cuts out the Hom space.
+    """
+    bound = even_lr_sum(lam, mu)
+    if bound == 0:
+        return 0
+    cell = _capped_cell(lam.size, delta, mu)
+    w_basis = _image(cell, lam, bound)
+    tops = [col[0] for col in _filling(lam)[2]]
     hooks = [(i, j) for a, i in enumerate(tops) for j in tops[a + 1:]]
     stacked = []
     for w in w_basis:
@@ -362,6 +364,52 @@ def _hom_dim_compressed(delta: int, lam: Partition, mu: Partition) -> int:
                 image[(h_idx, key)] = val
         stacked.append(image)
     return len(w_basis) - rank_of(stacked)
+
+
+def gram_rank(n: int, delta: int, mu: Partition) -> int:
+    """Exact rank of the cellular form G on the cell module M at mu, the
+    dimension of its simple head (Graham and Lehrer, 1996), with no
+    Specht form and no dim x dim matrix.
+
+    1. The (v, w) block of G is F*Z_vw: F the Specht form, which is
+       nondegenerate, and Z_vw the cap of v applied to w
+       (CellModule._cap_move), delta^loops times the matrix of the
+       leftover permutation.  So rank G = rank Z.
+    2. G is S_n-invariant, so distinct isotypic parts are orthogonal, and
+       on the nu-part S^nu (x) U, Schur's lemma makes G the Specht form
+       times a form on U of some rank r_nu: rank G = sum f^nu * r_nu.
+    3. With R the row sum and C the signed column sum of nu, the image
+       W_nu = C*R*M (_image, nu for lam) is e (x) U for one vector e of
+       S^nu, whose form is positive, so G has rank r_nu on W_nu.  R and C
+       are self-adjoint and C*w = |C|*w on W_nu, so <w, C*R*m> =
+       |C|*<R*w, m>, and r_nu is the rank of w -> <R*w, .> over a basis
+       of W_nu; by 1, that of w -> (v* R*w)_v.  <R*w, r*m> = <R*w, m>
+       for r in R, so one v per row-group orbit (_orbit_reps) suffices.
+    """
+    check_weight(n, delta, mu)
+    cell = _capped_cell(n, delta, mu)
+    rank = 0
+    for nu in partitions_of(n):
+        bound = even_lr_sum(nu, mu)
+        if bound == 0:
+            continue
+        row_bl = _filling(nu)[1]
+        rws = [_group_sum(cell, w, row_bl, 1) for w in _image(cell, nu, bound)]
+        # the map's rank is that of its columns, one per (v, Specht
+        # coordinate), so the reps stop once it reaches bound
+        ech = Echelon()
+        for v_idx in _orbit_reps(cell.v_list, nu):
+            caps = []
+            for rw in rws:
+                out: BlockVec = {}
+                cell._add_moved(out, rw, ("cap", v_idx), cell._cap_move, 1)
+                caps.append(out.get(v_idx, ()))
+            for x in range(cell.specht.dim):
+                ech.add({j: cap[x] for j, cap in enumerate(caps) if cap})
+            if ech.rank == bound:
+                break
+        rank += specht_dim(nu) * ech.rank
+    return rank
 
 
 def hom_dim(q: HomQuery) -> int:

@@ -113,12 +113,14 @@ EMPTY = Partition()
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse "6,4,4,2,1"; the literal "0" denotes the empty partition."""
+    """Parse "6,4,4,2,1"; the literal "0" denotes the empty partition.
+    Every comma-separated token must be a positive integer, so "", ","
+    and "3,,1" are refused."""
     text = text.strip()
     if text == "0":
         return EMPTY
     try:
-        parts = [int(tok) for tok in text.split(",") if tok.strip()]
+        parts = [int(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"bad partition literal {text!r}") from exc
     if any(p <= 0 for p in parts):

@@ -2,17 +2,18 @@
 
 S^mu is realized inside the permutation module on tabloids: the basis is
 the standard polytabloids (tableaux ordered lexicographically by
-row-reading word), and the invariant bilinear form is the restriction of
-the tabloid-orthonormal form.  Each standard polytabloid e_t has {t} as
-its lex-least tabloid, with coefficient 1, so the basis is unitriangular
-and the generator matrices come from peeling leading tabloids off s_i*e_t:
-integer subtraction only, no solve and no straightening.
+row-reading word).  Each standard polytabloid e_t has {t} as its
+lex-least tabloid, with coefficient 1, so the basis is unitriangular and
+the generator matrices come from peeling leading tabloids off s_i*e_t:
+integer subtraction only, no solve and no straightening.  The module
+carries no bilinear form: the oracle's Gram rank reads the cell form off
+the symmetrizer images, where the Specht form, nondegenerate, drops out.
 
 The column group of a tableau is the product of the symmetric groups of
 its columns, so e_t is summed column by column from one table of signed
 permutations per column length.  The tables are built from the shape
-for one build_specht (or one form) and dropped with it: the table for
-column length L holds L! permutations, never more than the terms of e_t.
+for one build_specht and dropped with it: the table for column length L
+holds L! permutations, never more than the terms of e_t.
 
 Permutations of the m = |mu| tableau values are 0-based image tuples,
 p[i] the image of i.  perm_matrix multiplies generator matrices along
@@ -21,7 +22,6 @@ the word in adjacent transpositions that adjacent_word reads off p.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import chain
 
 from brauerblocks import linalg
@@ -100,20 +100,6 @@ class SpechtModule:
     def dim(self) -> int:
         return len(self.basis)
 
-    @cached_property
-    def form(self) -> list[list[int]]:
-        """Gram matrix of the invariant form on the polytabloid basis,
-        built on first use: only Gram matrices read it.  The form is
-        symmetric, so each pair is computed once and mirrored."""
-        tables = _signed_perms(self.mu)
-        polys = [_polytabloid(tab, self._m, tables) for tab in self.basis]
-        form = [[0] * len(polys) for _ in polys]
-        for i, a in enumerate(polys):
-            row = form[i]
-            for j in range(i, len(polys)):
-                row[j] = form[j][i] = _dot(a, polys[j])
-        return form
-
     def perm_matrix(self, sigma: tuple[int, ...]) -> list[SparseVec]:
         """Sparse-column matrix of a permutation of 1..m (0-based tuple),
         assembled from the generator matrices along a reduced word."""
@@ -180,8 +166,3 @@ def build_specht(mu: Partition) -> SpechtModule:
         gen_matrices.append(cols)
     return SpechtModule(mu, basis, gen_matrices)
 
-
-def _dot(a: SparseVec, b: SparseVec) -> int:
-    if len(b) < len(a):
-        a, b = b, a
-    return sum(v * b[k] for k, v in a.items() if k in b)

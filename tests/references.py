@@ -16,15 +16,17 @@ over even contents in one tableau count, the
 balanced test and bias on Box sets, which the library computes from row
 lengths, and the Box-set skew growth of maximal_balanced_sub, which the
 library reads off one type-D reflection, the Counter-based orbit
-minimum, which the library reads off coordinates, and the sort-based
-one-row diagram enumeration, which the library yields in order.  The
+minimum, which the library reads off coordinates, the sort-based
+one-row diagram enumeration, which the library yields in order, and the
+polytabloid Specht form and the whole Gram matrix, which the library's
+Gram rank does without.  The
 library runs none of them; the tests compare it against them."""
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import permutations
 from math import factorial, lcm
 from typing import Iterable, Iterator
@@ -34,6 +36,7 @@ from brauerblocks.cells import CellModule, PartialOneRowDiagram
 from brauerblocks.diagrams import BrauerDiagram, concat, flip
 from brauerblocks.partitions import (EMPTY, Box, InvariantError, Partition,
                                      SkewShape, removable_boxes, specht_dim)
+from brauerblocks.specht import SpechtModule, _polytabloid, _signed_perms
 
 
 # Permutations on m points are tuples of images, 0-based: p[i] is the
@@ -793,3 +796,53 @@ def enumerate_v(n: int, t: int) -> list[PartialOneRowDiagram]:
            for arcs in rec(tuple(range(1, n + 1)), t)]
     out.sort(key=lambda v: v.arcs)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The invariant form of a Specht module and the Gram matrix of a cell module.
+# The library reads Gram ranks off the symmetrizer images through the caps
+# (CellModule._cap_move), where the Specht form drops out.
+
+
+def dot(a: dict, b: dict) -> int:
+    if len(b) < len(a):
+        a, b = b, a
+    return sum(v * b[k] for k, v in a.items() if k in b)
+
+
+@lru_cache(maxsize=None)
+def specht_form(md: SpechtModule) -> list[list[int]]:
+    """Gram matrix of the invariant form on the polytabloid basis, the
+    restriction of the tabloid-orthonormal form.  It is symmetric, so
+    each pair is computed once and mirrored."""
+    tables = _signed_perms(md.mu)
+    polys = [_polytabloid(tab, md.mu.size, tables) for tab in md.basis]
+    form = [[0] * len(polys) for _ in polys]
+    for i, a in enumerate(polys):
+        row = form[i]
+        for j in range(i, len(polys)):
+            row[j] = form[j][i] = dot(a, polys[j])
+    return form
+
+
+def gram_matrix(cell: CellModule) -> list[dict]:
+    """Invariant bilinear form on the cell basis, as sparse rows
+    {column: nonzero value}, one per basis vector: the (v, w) block is
+    the Specht form times the cap entry of v at w (scale times the matrix
+    of the leftover permutation), zero where there is none."""
+    f = cell.specht.dim
+    form = specht_form(cell.specht)
+    gram: list[dict] = [{} for _ in range(cell.dim)]
+    for vi in range(len(cell.v_list)):
+        for wi in range(len(cell.v_list)):
+            move = cell._cap_move(("cap", vi), wi)
+            if move is None:
+                continue
+            _, cols, scale = move
+            for k in range(f):
+                col = {k: 1} if cols is None else cols[k]
+                for j in range(f):
+                    val = scale * sum(form[j][i] * a for i, a in col.items())
+                    if val:
+                        gram[vi * f + j][wi * f + k] = val
+    return gram

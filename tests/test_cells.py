@@ -5,8 +5,7 @@ from math import factorial
 import pytest
 
 from brauerblocks import cells
-from brauerblocks.cells import (CellModule, enumerate_v, gram_matrix,
-                                t_action_check)
+from brauerblocks.cells import CellModule, enumerate_v, t_action_check
 from brauerblocks.diagrams import BrauerDiagram, all_diagrams, concat, flip
 from brauerblocks.linalg import SparseVec, mat_vec
 from brauerblocks.oracle import _filling, central_scalar
@@ -17,9 +16,10 @@ from brauerblocks.specht import build_specht
 import references
 from references import (AlgebraElement, act_diagram, add_box, addable_boxes,
                         all_perms, block_sum, decompose, diagram_move,
-                        free_nodes, from_diagram, hook_diagram,
+                        free_nodes, from_diagram, gram_matrix, hook_diagram,
                         identity_diagram, identity_element, perm_diagram,
-                        propagating, remove_box, transposition, u_diagram)
+                        propagating, remove_box, specht_form, transposition,
+                        u_diagram)
 
 
 def P(*parts):
@@ -106,7 +106,7 @@ def test_dims():
 def test_top_cell_is_specht():
     cell = CellModule(3, 2, P(2, 1))
     assert cell.dim == 2
-    assert dense(gram_matrix(cell), cell.dim) == cell.specht.form
+    assert dense(gram_matrix(cell), cell.dim) == specht_form(cell.specht)
     # the diagram of sigma acts through sigma inverse: stacking diagrams
     # composes the underlying maps in the reverse order
     for sigma in all_perms(3):
@@ -241,7 +241,7 @@ def concat_gram(cell):
     zero, otherwise the leftover permutation is evaluated in the Specht
     form."""
     f = cell.specht.dim
-    form = cell.specht.form
+    form = specht_form(cell.specht)
     dim = cell.dim
     gram = [[0] * dim for _ in range(dim)]
     xv = [_one_row_diagram(cell, vi) for vi in range(len(cell.v_list))]
@@ -289,7 +289,7 @@ def test_action_layer_is_integral():
         for mu in partitions_of(m):
             md = build_specht(mu)
             assert all(all_int(col.values()) for g in md.gen_matrices for col in g)
-            assert all(all_int(row) for row in md.form)
+            assert all(all_int(row) for row in specht_form(md))
             cycle = tuple((p + 1) % m for p in range(m))
             for sigma in (cycle, tuple(reversed(range(m)))):
                 assert all(all_int(col.values()) for col in md.perm_matrix(sigma))

@@ -219,6 +219,24 @@ def test_usage_errors(capsys):
     run_usage_error(capsys, ["no-such-verb"])
 
 
+def test_empty_tokens_are_usage_errors(capsys):
+    # "0" is the empty partition; an empty literal or an empty token
+    # between commas is a bad literal, not another way to write it
+    run_usage_error(capsys, ["minimal", "--delta", "1", ""])
+    assert "bad partition literal ''" in capsys.readouterr().err
+    run_usage_error(capsys, ["hom-dim", "--n", "2", "--delta", "1", "", "0"])
+    run_usage_error(capsys, ["minimal", "--delta", "1", "3,,1"])
+    assert "bad partition literal '3,,1'" in capsys.readouterr().err
+    run_usage_error(capsys, ["render", ","])
+    assert "bad partition literal ','" in capsys.readouterr().err
+
+
+def test_render_checks_containment_in_the_empty_partition(capsys):
+    assert cli.run(["render", "0", "1"]) == 2
+    assert capsys.readouterr().err.strip() == "error: 1 is not contained in 0"
+    assert run_ok(capsys, ["render", "0", "0"]).strip() == "(empty)"
+
+
 def test_render_names_an_unknown_option(capsys):
     # the unknown option is named, not read as a bad partition literal
     run_usage_error(capsys, ["render", "--format", "dot", "--delta", "1", "4,2"])

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from brauerblocks.blocks import weights
+from brauerblocks.partitions import partitions_of
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "hom_gate.py"
 spec = importlib.util.spec_from_file_location("hom_gate", SCRIPT)
@@ -29,7 +30,7 @@ def compare(tmp_path, monkeypatch, old: dict, new: dict) -> int:
 
 def test_compare_accepts_equal_dumps(tmp_path, monkeypatch, capsys):
     assert compare(tmp_path, monkeypatch, DUMP, dict(DUMP)) == 0
-    assert capsys.readouterr().out.strip() == "4 pairs agree, 2 nonzero"
+    assert capsys.readouterr().out.strip() == "4 entries agree, 2 nonzero"
 
 
 def test_compare_rejects_a_changed_value(tmp_path, monkeypatch, capsys):
@@ -43,15 +44,22 @@ def test_compare_rejects_a_key_in_one_dump(tmp_path, monkeypatch, capsys, side):
     old, new = (extra, DUMP) if side == "old" else (DUMP, extra)
     assert compare(tmp_path, monkeypatch, old, new) == 1
     out = capsys.readouterr().out
-    assert "MISMATCH 6 0 2 2" in out and "1 of 5 pairs differ" in out
+    assert "MISMATCH 6 0 2 2" in out and "1 of 5 entries differ" in out
 
 
 def test_gate_preset_pair_count():
     # the standard gate set, counted from the weights alone: every
-    # ordered pair of weights at each (n, delta) of the preset
-    assert sum(len(weights(n, delta).weights) ** 2
-               for n, delta in hom_gate.GATE) == 37326
-    assert len(hom_gate.GATE) == 58
+    # ordered pair of weights at each (n, delta) of the preset, then each
+    # weight's Gram rank and its restriction multiplicity at every
+    # partition of n, at each (n, delta) of the rank preset
+    pairs = sum(len(weights(n, delta).weights) ** 2 for n, delta in hom_gate.GATE)
+    ranks = sum(len(weights(n, delta).weights) for n, delta in hom_gate.RANKS)
+    restrictions = sum(len(weights(n, delta).weights)
+                       * len(list(partitions_of(n)))
+                       for n, delta in hom_gate.RANKS)
+    assert (pairs, ranks, restrictions) == (37326, 434, 4397)
+    assert pairs + ranks + restrictions == 42157
+    assert len(hom_gate.GATE) == 58 and len(hom_gate.RANKS) == 48
 
 
 @pytest.mark.parametrize("extra", [[], ["--gate", "--n", "3"], ["--n", "3"],

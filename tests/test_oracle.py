@@ -20,10 +20,10 @@ from brauerblocks.oracle import (HomQuery, _cycle_rep, _filling, _group_sum,
 from brauerblocks.partitions import (EMPTY, Partition, mn_character,
                                      partitions_of, removable_boxes,
                                      specht_dim, subpartitions)
-from references import (act_diagram, block_perms, e_bar, hook_diagram,
-                        identity, identity_diagram, is_even, lr_coefficient,
-                        perm_diagram, remove_box, shape_blocks, sign,
-                        transposition)
+from references import (act_diagram, block_perms, e_bar, gram_matrix,
+                        hook_diagram, identity, identity_diagram, is_even,
+                        lr_coefficient, perm_diagram, remove_box,
+                        shape_blocks, sign, transposition)
 
 DELTAS = (-2, -1, 0, 1, 2, 3)
 
@@ -126,6 +126,27 @@ def test_gram_rank_values():
         for mu in partitions_of(n):
             for delta in (-1, 0, 2):
                 assert gram_rank(n, delta, mu) == specht_dim(mu)
+
+
+def test_gram_rank_matches_the_whole_gram_matrix():
+    # the rank read off the symmetrizer images through the caps equals
+    # the rank of the whole Gram matrix, Specht form included
+    count = 0
+    for n in range(8):
+        for delta in DELTAS:
+            for mu in weights(n, delta).weights:
+                expected = rank_of(gram_matrix(CellModule(n, delta, mu)))
+                assert gram_rank(n, delta, mu) == expected, (n, delta, mu)
+                count += 1
+    assert count == 434
+
+
+def test_gram_rank_at_dimension_2520(monkeypatch):
+    # rank_of(gram_matrix(...)) of the reference gave 944 here too, in
+    # minutes; the symmetrizer images take about a second
+    monkeypatch.setenv("BRAUER_MAX_DIM", "2520")
+    assert cell_dim(9, P(2, 1)) == 2520
+    assert gram_rank(9, 1, P(2, 1)) == 944
 
 
 def test_even_lr_sum():

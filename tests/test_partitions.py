@@ -113,6 +113,14 @@ def test_parse_empty_is_zero():
     assert str(EMPTY) == "0"
 
 
+@pytest.mark.parametrize("text", ["", " ", ",", "3,,1", "3,1,", ",2"])
+def test_parse_refuses_empty_tokens(text):
+    # the empty partition is written "0", never as nothing
+    msg = f"bad partition literal {text.strip()!r}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        parse_partition(text)
+
+
 @given(partitions)
 def test_contents_conjugate_mirror(lam):
     c = contents(lam)

@@ -7,10 +7,11 @@ from brauerblocks import linalg
 from brauerblocks.linalg import SparseVec
 from brauerblocks.partitions import (Partition, mn_character, partitions_of,
                                      specht_dim, standard_tableaux)
-from brauerblocks.specht import (SpechtModule, _column_blocks, _dot,
-                                 _polytabloid, _signed_perms, build_specht,
-                                 row_word, tabloid_of)
-from references import all_perms, block_perms, compose, identity, sign
+from brauerblocks.specht import (SpechtModule, _column_blocks, _polytabloid,
+                                 _signed_perms, build_specht, row_word,
+                                 tabloid_of)
+from references import (all_perms, block_perms, compose, dot, identity, sign,
+                        specht_form)
 
 
 @lru_cache(maxsize=None)
@@ -89,18 +90,18 @@ def test_polytabloid_matches_whole_group_sum():
 
 
 def full_form(md: SpechtModule) -> list[list[int]]:
-    """The form over all f^2 ordered pairs of polytabloids: the body of
-    SpechtModule.form before it mirrored the symmetric half."""
+    """The form over all f^2 ordered pairs of polytabloids, with no
+    mirroring of the symmetric half."""
     tables = _signed_perms(md.mu)
     polys = [_polytabloid(tab, md.mu.size, tables) for tab in md.basis]
-    return [[_dot(a, b) for b in polys] for a in polys]
+    return [[dot(a, b) for b in polys] for a in polys]
 
 
 def test_form_matches_full_pairing():
     count = 0
     for n in range(9):
         for lam in partitions_of(n):
-            assert module(lam).form == full_form(module(lam)), lam
+            assert specht_form(module(lam)) == full_form(module(lam)), lam
             count += 1
     assert count == 67
 
@@ -152,21 +153,22 @@ def test_traces_match_characters():
 
 def test_form_invariance(rng):
     md = module(Partition((2, 2)))
+    form = specht_form(md)
     pool = list(all_perms(4))
     for _ in range(6):
         s = rng.choice(pool)
         cols = md.perm_matrix(s)
         for a in range(md.dim):
             for b in range(md.dim):
-                lhs = sum(cols[a].get(r, 0) * md.form[r][q] * cols[b].get(q, 0)
+                lhs = sum(cols[a].get(r, 0) * form[r][q] * cols[b].get(q, 0)
                           for r in range(md.dim) for q in range(md.dim))
-                assert lhs == md.form[a][b]
+                assert lhs == form[a][b]
 
 
 def test_form_nondegenerate_small():
     md = module(Partition((3, 1)))
     assert linalg.rank_of([
-        {j: v for j, v in enumerate(row) if v} for row in md.form
+        {j: v for j, v in enumerate(row) if v} for row in specht_form(md)
     ]) == md.dim
 
 
