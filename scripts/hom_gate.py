@@ -35,7 +35,11 @@ RANKS = [(n, delta) for n in range(8) for delta in range(-2, 4)]  # in --gate
 
 def n_range(text: str) -> range:
     lo, _, hi = text.partition("-")
-    return range(int(lo), int(hi or lo) + 1)
+    out = range(int(lo), int(hi or lo) + 1)
+    if not out:
+        # an empty range would dump nothing, and two empty dumps agree
+        raise argparse.ArgumentTypeError(f"empty level range {text!r}")
+    return out
 
 
 def dump(args) -> int:

@@ -13,19 +13,17 @@ S^mu Specht coordinates}, dense and int, with no all-zero block.  Flat
 index v*f + x is coordinate x of block v; flatten and to_blocks convert.
 Callers address the action by the nodes 1..n that the one-row diagrams
 use; only the Specht factor counts from 0, by rank among the free nodes.
-Each transposition of two nodes, each hook X_ij, and each cap v* (the
-Gram form's row of blocks at v, less the Specht form) gets a move table
-on the module, a list over one-row indices filled on first use: None
-where the propagating number drops or delta^loops = 0, else (target
-index, Specht matrix of the leftover permutation or None for the
-identity, delta^loops).  One kernel, CellModule._add_moved, adds c times
-a table's image of a vector into an accumulator, one table lookup per
-block and, through a Specht matrix, one column per nonzero coordinate:
-act_diagram (one hook), swap_sum (a vector plus a signed sum of
-transpositions, in one pass), t_action_check and the oracle's Gram rank
-(caps) all move vectors through it.  Lists in a block vector are never
-shared with another vector, so a caller may mutate what it is given
-back.
+Each transposition of two nodes and each hook X_ij gets a move table on
+the module, a list over one-row indices filled on first use: None where
+the propagating number drops or delta^loops = 0, else (target index,
+Specht matrix of the leftover permutation or None for the identity,
+delta^loops).  One kernel, CellModule._add_moved, adds c times a table's
+image of a vector into an accumulator, one table lookup per block and,
+through a Specht matrix, one column per nonzero coordinate: act_diagram
+(one hook), swap_sum (a vector plus a signed sum of transpositions, in
+one pass) and t_action_check move vectors through it.  Lists in a block
+vector are never shared with another vector, so a caller may mutate what
+it is given back.
 
 A transposition of the nodes i and j moves v by cases (_transpose): an
 arc i-j stays, with v; two arcs at i and j swap ends, with the identity
@@ -38,9 +36,9 @@ permutation relabels v's arcs, and each free node of v goes to the rank
 of its image in w (_perm_move); the oracle reads its permutation traces
 that way.  A hook X_ij scales a v with the arc i-j by delta, kills a v
 with i and j both free, and otherwise moves v as one transposition does
-(_hook_move).  A cap v* pairs the arc tables of v and each w
-(_cap_move): the Gram form's (v, w) block is the Specht form times that
-entry, so the form's rank needs no Specht form and no Gram matrix.
+(_hook_move).  The hooks on v's arcs are disjoint, so their product is
+the diagram with v's arcs on both rows; it sends w to block v or to 0,
+and the oracle reads the Gram form's (v, w) block off it.
 t_action_check is the one check that the central element acts by its
 closed-form scalar.
 """
@@ -150,9 +148,8 @@ class CellModule:
             self._rank.append(rank)
         self._v_index = {key: i for i, key in enumerate(self._key)}
         self._identity = tuple(range(mu.size))
-        # move tables, keyed by the node pair of a transposition, by
-        # ("hook", i, j) for the hook on the nodes i and j, or by
-        # ("cap", v_idx) for the cap of the v-th one-row diagram
+        # move tables, keyed by the node pair of a transposition or by
+        # ("hook", i, j) for the hook on the nodes i and j
         self._moves: dict = {}
 
     @property
@@ -255,42 +252,6 @@ class CellModule:
         if mate[j]:
             return self._transpose((mate[j], i), v_idx)
         return None
-
-    def _cap_move(self, key, w_idx: int):
-        """The move-table entry of the cap v*, key = ("cap", v_idx), at
-        the w-th one-row diagram: the (v, w) block of the Gram form
-        without its Specht form, landing on block v.  v and w are laid
-        together node by node; each run from a free node of v alternates
-        w's arcs and v's arcs.  The entry is None if a run ends on another
-        free node of v (the propagating number drops) or delta^loops = 0;
-        else a run from v's free node of rank r ends on w's free node of
-        rank s, pinv[s] = r, and the cycles no run touches are the loops."""
-        v_idx = key[1]
-        v_mate, w_mate = self._mate[v_idx], self._mate[w_idx]
-        seen = [False] * (self.n + 1)
-        pinv = [0] * self.mu.size
-        for r, x in enumerate(self.free_nodes[v_idx]):
-            seen[x] = True
-            while w_mate[x]:
-                y = w_mate[x]
-                x = v_mate[y]
-                if not x:
-                    return None
-                seen[y] = seen[x] = True
-            pinv[self._rank[w_idx][x]] = r
-        scale = 1
-        for x in range(1, self.n + 1):
-            if not seen[x]:
-                scale *= self.delta
-                while not seen[x]:
-                    y = w_mate[x]
-                    seen[x] = seen[y] = True
-                    x = v_mate[y]
-        if not scale:
-            return None
-        pinv = tuple(pinv)
-        return (v_idx, None if pinv == self._identity
-                else self.specht.perm_matrix(pinv), scale)
 
     def act_diagram(self, pair: tuple[int, int], vec: BlockVec) -> BlockVec:
         """The hook X_ij of the node pair (i, j), with its delta factor,

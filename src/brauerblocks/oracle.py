@@ -12,9 +12,9 @@ of the Young symmetrizer's image killed by the two-strand contractions
 (CellModule.act_diagram) name those nodes, as the relabellings of the
 permutation traces (CellModule._perm_move) do.  A Gram rank is read off
 the same symmetrizer images (_image), one per partition nu of n, through
-the caps of the cell form (CellModule._cap_move), with no Specht form and
-no Gram matrix (gram_rank).  All are closed-form move tables: nothing
-builds a Brauer diagram or walks a strand.
+the hooks on each one-row diagram's arcs (CellModule.act_diagram), with
+no Specht form and no Gram matrix (gram_rank).  All are closed-form move
+tables: nothing builds a Brauer diagram or walks a strand.
 
 Module dimensions are capped via the BRAUER_MAX_DIM environment variable
 (a positive integer, default 400) so that a stray query cannot wedge a
@@ -372,9 +372,12 @@ def gram_rank(n: int, delta: int, mu: Partition) -> int:
     Specht form and no dim x dim matrix.
 
     1. The (v, w) block of G is F*Z_vw: F the Specht form, which is
-       nondegenerate, and Z_vw the cap of v applied to w
-       (CellModule._cap_move), delta^loops times the matrix of the
-       leftover permutation.  So rank G = rank Z.
+       nondegenerate, and Z_vw the block v of E_v*w, E_v the product of
+       the hooks X_ab over the arcs a-b of v (CellModule.act_diagram).
+       Those hooks are disjoint, so they commute and close no loop among
+       themselves, and E_v is the diagram with v's arcs on both rows:
+       E_v*w is delta^loops times the matrix of the leftover permutation
+       on block v, or 0.  So rank G = rank Z.
     2. G is S_n-invariant, so distinct isotypic parts are orthogonal, and
        on the nu-part S^nu (x) U, Schur's lemma makes G the Specht form
        times a form on U of some rank r_nu: rank G = sum f^nu * r_nu.
@@ -383,8 +386,9 @@ def gram_rank(n: int, delta: int, mu: Partition) -> int:
        S^nu, whose form is positive, so G has rank r_nu on W_nu.  R and C
        are self-adjoint and C*w = |C|*w on W_nu, so <w, C*R*m> =
        |C|*<R*w, m>, and r_nu is the rank of w -> <R*w, .> over a basis
-       of W_nu; by 1, that of w -> (v* R*w)_v.  <R*w, r*m> = <R*w, m>
-       for r in R, so one v per row-group orbit (_orbit_reps) suffices.
+       of W_nu; by 1, that of w -> (block v of E_v*R*w)_v.  <R*w, r*m>
+       = <R*w, m> for r in R, so one v per row-group orbit (_orbit_reps)
+       suffices.
     """
     check_weight(n, delta, mu)
     cell = _capped_cell(n, delta, mu)
@@ -401,9 +405,9 @@ def gram_rank(n: int, delta: int, mu: Partition) -> int:
         for v_idx in _orbit_reps(cell.v_list, nu):
             caps = []
             for rw in rws:
-                out: BlockVec = {}
-                cell._add_moved(out, rw, ("cap", v_idx), cell._cap_move, 1)
-                caps.append(out.get(v_idx, ()))
+                for pair in cell.v_list[v_idx].arcs:
+                    rw = cell.act_diagram(pair, rw)
+                caps.append(rw.get(v_idx, ()))
             for x in range(cell.specht.dim):
                 ech.add({j: cap[x] for j, cap in enumerate(caps) if cap})
             if ech.rank == bound:

@@ -114,18 +114,16 @@ EMPTY = Partition()
 
 def parse_partition(text: str) -> Partition:
     """Parse "6,4,4,2,1"; the literal "0" denotes the empty partition.
-    Every comma-separated token must be a positive integer, so "", ","
-    and "3,,1" are refused."""
+    Every comma-separated token must be a positive integer in ASCII
+    decimal digits, so "", ",", "3,,1", "1_0", "+3" and a fullwidth "３"
+    are refused, though int() reads the last three."""
     text = text.strip()
     if text == "0":
         return EMPTY
-    try:
-        parts = [int(tok) for tok in text.split(",")]
-    except ValueError as exc:
-        raise ValueError(f"bad partition literal {text!r}") from exc
-    if any(p <= 0 for p in parts):
+    tokens = text.split(",")
+    if not all(tok.isascii() and tok.isdigit() and int(tok) for tok in tokens):
         raise ValueError(f"bad partition literal {text!r}")
-    return Partition(parts)
+    return Partition([int(tok) for tok in tokens])
 
 
 def format_partition(lam: Partition) -> str:

@@ -6,8 +6,8 @@ them the transposition, the row and column blocks of a shape, the whole
 Young subgroup and the sign, which the library does without), the
 permutation and hook diagrams, the strand walk and the general diagram
 action on a cell module built on it (the library moves cell-module
-vectors only by transpositions, hooks and the Gram pairing, each in
-closed form), the sum of cell-module block vectors, addable boxes, the Partition, Box
+vectors only by transpositions and hooks, each in closed form), the sum
+of cell-module block vectors, addable boxes, the Partition, Box
 and diagram helpers the library does without (box sets, adding and
 removing one box, skew-shape contents, deleting a box set, the
 propagating number, the free nodes of a one-row diagram), the
@@ -18,9 +18,10 @@ lengths, and the Box-set skew growth of maximal_balanced_sub, which the
 library reads off one type-D reflection, the Counter-based orbit
 minimum, which the library reads off coordinates, the sort-based
 one-row diagram enumeration, which the library yields in order, and the
-polytabloid Specht form and the whole Gram matrix, which the library's
-Gram rank does without.  The
-library runs none of them; the tests compare it against them."""
+polytabloid Specht form and the whole Gram matrix, its pairings read
+off the strand walk of each cap diagram, which the library's Gram rank
+does without.  The library runs none of them; the tests compare it
+against them."""
 
 from __future__ import annotations
 
@@ -279,8 +280,8 @@ def hook_diagram(n: int, i: int, j: int) -> BrauerDiagram:
 
 # ---------------------------------------------------------------------------
 # The general action of a diagram on a cell module, by the strand walk.  The
-# library moves vectors only by transpositions, hooks and the Gram pairing,
-# each in closed form.
+# library moves vectors only by transpositions and hooks, each in closed
+# form.
 
 
 def decompose(cell: CellModule, d: BrauerDiagram, v_idx: int):
@@ -799,9 +800,10 @@ def enumerate_v(n: int, t: int) -> list[PartialOneRowDiagram]:
 
 
 # ---------------------------------------------------------------------------
-# The invariant form of a Specht module and the Gram matrix of a cell module.
-# The library reads Gram ranks off the symmetrizer images through the caps
-# (CellModule._cap_move), where the Specht form drops out.
+# The invariant form of a Specht module and the Gram matrix of a cell module,
+# its pairings read off the strand walk.  The library reads Gram ranks off
+# the symmetrizer images through products of hooks, where the Specht form
+# drops out.
 
 
 def dot(a: dict, b: dict) -> int:
@@ -825,17 +827,27 @@ def specht_form(md: SpechtModule) -> list[list[int]]:
     return form
 
 
+def cap_diagram(v: PartialOneRowDiagram) -> BrauerDiagram:
+    """The arcs of v on both boundaries, all other strands straight: the
+    product of the hooks on v's arcs."""
+    pairs = [p for a, b in v.arcs for p in ((a, b), (-a, -b))]
+    pairs += [(k, -k) for k in free_nodes(v)]
+    return BrauerDiagram(v.n, v.n, pairs)
+
+
 def gram_matrix(cell: CellModule) -> list[dict]:
     """Invariant bilinear form on the cell basis, as sparse rows
     {column: nonzero value}, one per basis vector: the (v, w) block is
-    the Specht form times the cap entry of v at w (scale times the matrix
-    of the leftover permutation), zero where there is none."""
+    the Specht form times the strand walk's entry of cap_diagram(v) at w
+    (scale times the matrix of the leftover permutation), zero where
+    there is none."""
     f = cell.specht.dim
     form = specht_form(cell.specht)
     gram: list[dict] = [{} for _ in range(cell.dim)]
-    for vi in range(len(cell.v_list)):
+    for vi, v in enumerate(cell.v_list):
+        cap = cap_diagram(v)
         for wi in range(len(cell.v_list)):
-            move = cell._cap_move(("cap", vi), wi)
+            move = diagram_move(cell, cap, wi)
             if move is None:
                 continue
             _, cols, scale = move

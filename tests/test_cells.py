@@ -15,11 +15,11 @@ from brauerblocks.partitions import (EMPTY, InvariantError, Partition,
 from brauerblocks.specht import build_specht
 import references
 from references import (AlgebraElement, act_diagram, add_box, addable_boxes,
-                        all_perms, block_sum, decompose, diagram_move,
-                        free_nodes, from_diagram, gram_matrix, hook_diagram,
-                        identity_diagram, identity_element, perm_diagram,
-                        propagating, remove_box, specht_form, transposition,
-                        u_diagram)
+                        all_perms, block_sum, cap_diagram, decompose,
+                        diagram_move, free_nodes, from_diagram, gram_matrix,
+                        hook_diagram, identity_diagram, identity_element,
+                        perm_diagram, propagating, remove_box, specht_form,
+                        transposition, u_diagram)
 
 
 def P(*parts):
@@ -276,6 +276,35 @@ def test_gram_matches_concat_reading():
                 gram = gram_matrix(cell)
                 assert all(all(row.values()) for row in gram), cell
                 assert dense(gram, cell.dim) == concat_gram(cell), cell
+                count += 1
+    assert count == 278
+
+
+def test_hook_product_is_the_cap():
+    # the hooks on v's arcs, applied one by one through act_diagram, send
+    # each unit of block w to block v or to 0, as the strand walk of
+    # cap_diagram(v) does: gram_rank reads the Gram pairing off them
+    count = 0
+    for n in range(7):
+        for delta in DELTAS:
+            for cell in cell_modules(n, delta):
+                f = cell.specht.dim
+                for vi, v in enumerate(cell.v_list):
+                    cap = cap_diagram(v)
+                    for wi in range(len(cell.v_list)):
+                        move = diagram_move(cell, cap, wi)
+                        for x in range(f):
+                            out = {wi: [int(i == x) for i in range(f)]}
+                            for pair in v.arcs:
+                                out = cell.act_diagram(pair, out)
+                            if move is None:
+                                assert out == {}, (cell, vi, wi, x)
+                                continue
+                            w_idx, cols, scale = move
+                            col = {x: 1} if cols is None else cols[x]
+                            assert w_idx == vi, (cell, vi, wi)
+                            assert out == {vi: [scale * col.get(i, 0) for i in range(f)]}, \
+                                (cell, vi, wi, x)
                 count += 1
     assert count == 278
 

@@ -63,9 +63,11 @@ def test_gate_preset_pair_count():
 
 
 @pytest.mark.parametrize("extra", [[], ["--gate", "--n", "3"], ["--n", "3"],
-                                   ["--gate", "--deltas", "1"]])
+                                   ["--gate", "--deltas", "1"],
+                                   ["--n", "5-3", "--deltas", "1"]])
 def test_dump_takes_the_gate_or_a_range(tmp_path, monkeypatch, extra):
-    # --n with --deltas, or --gate alone; anything else is a usage error
+    # --n with --deltas, or --gate alone, and a range of at least one
+    # level; anything else is a usage error
     monkeypatch.setattr(sys, "argv", ["hom_gate.py", "dump",
                                       str(tmp_path / "out.json")] + extra)
     with pytest.raises(SystemExit) as exc:

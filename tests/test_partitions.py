@@ -113,9 +113,12 @@ def test_parse_empty_is_zero():
     assert str(EMPTY) == "0"
 
 
-@pytest.mark.parametrize("text", ["", " ", ",", "3,,1", "3,1,", ",2"])
+@pytest.mark.parametrize("text", ["", " ", ",", "3,,1", "3,1,", ",2", "1_0",
+                                  "+3", "\uff13", "2,\u0661", "3, 1"])
 def test_parse_refuses_empty_tokens(text):
-    # the empty partition is written "0", never as nothing
+    # the empty partition is written "0", never as nothing, and a token
+    # is ASCII decimal digits only, though int() also reads "1_0", "+3"
+    # and non-ASCII digits
     msg = f"bad partition literal {text.strip()!r}"
     with pytest.raises(ValueError, match=re.escape(msg)):
         parse_partition(text)
