@@ -47,6 +47,9 @@ def main() -> int:
     ap.add_argument("--verify", action="store_true",
                     help="cross-check each sweep with the oracle")
     args = ap.parse_args()
+    if args.max_n < 2:
+        # the survey starts at n = 2, so a smaller bound would check nothing
+        ap.error(f"--max-n must be at least 2, got {args.max_n}")
 
     ok = True
     for n in range(2, args.max_n + 1):

@@ -17,8 +17,8 @@ restriction_multiplicity, keyed "restriction n delta mu lam": 4831
 values more, 42 157 entries in all.  Large modules need BRAUER_MAX_DIM
 set as for any other query; the gate set needs 10080.  `compare` prints
 each entry whose value differs or that only one dump holds, and exits 1
-if there is any; otherwise it prints the entry and nonzero counts and
-exits 0.
+if there is any, or if neither dump holds an entry; otherwise it prints
+the entry and nonzero counts and exits 0.
 """
 
 import argparse
@@ -73,6 +73,10 @@ def dump(args) -> int:
 def compare(args) -> int:
     old = json.loads(Path(args.old).read_text())
     new = json.loads(Path(args.new).read_text())
+    if not (old or new):
+        # two empty dumps agree on nothing: a gate that checks nothing fails
+        print("both dumps are empty: nothing to compare")
+        return 1
     bad = [(key, old.get(key), new.get(key))
            for key in sorted(old.keys() | new.keys())
            if old.get(key) != new.get(key)]

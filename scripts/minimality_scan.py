@@ -36,6 +36,8 @@ def main() -> int:
     ap.add_argument("--deltas", type=int, nargs="+",
                     default=[-2, -1, 0, 1, 2, 3])
     args = ap.parse_args()
+    if args.max_size < 0:
+        ap.error(f"--max-size must be at least 0, got {args.max_size}")
 
     t0 = time.time()
     checked, bad = 0, []

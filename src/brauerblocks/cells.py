@@ -10,7 +10,7 @@ then tableaux) so every matrix is reproducible bit for bit.
 
 The action works on block vectors: {one-row index: list of the f = dim
 S^mu Specht coordinates}, dense and int, with no all-zero block.  Flat
-index v*f + x is coordinate x of block v; flatten and to_blocks convert.
+index v*f + x is coordinate x of block v; flatten converts to it.
 Callers address the action by the nodes 1..n that the one-row diagrams
 use; only the Specht factor counts from 0, by rank among the free nodes.
 Each transposition of two nodes and each hook X_ij gets a move table on
@@ -20,10 +20,9 @@ Specht matrix of the leftover permutation or None for the identity,
 delta^loops).  One kernel, CellModule._add_moved, adds c times a table's
 image of a vector into an accumulator, one table lookup per block and,
 through a Specht matrix, one column per nonzero coordinate: act_diagram
-(one hook), swap_sum (a vector plus a signed sum of transpositions, in
-one pass) and t_action_check move vectors through it.  Lists in a block
-vector are never shared with another vector, so a caller may mutate what
-it is given back.
+(one hook) and swap_sum (a vector plus a signed sum of transpositions, in
+one pass) move vectors through it.  Lists in a block vector are never
+shared with another vector, so a caller may mutate what it is given back.
 
 A transposition of the nodes i and j moves v by cases (_transpose): an
 arc i-j stays, with v; two arcs at i and j swap ends, with the identity
@@ -39,8 +38,9 @@ with i and j both free, and otherwise moves v as one transposition does
 (_hook_move).  The hooks on v's arcs are disjoint, so their product is
 the diagram with v's arcs on both rows; it sends w to block v or to 0,
 and the oracle reads the Gram form's (v, w) block off it.
-t_action_check is the one check that the central element acts by its
-closed-form scalar.
+t_action_check checks that the central element acts by a given scalar,
+on one vector whose S_n span is the module; it reads that vector's
+entries directly and fills no move table.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from typing import Iterator, NamedTuple
 from brauerblocks import specht
 from brauerblocks.blocks import check_weight
 from brauerblocks.linalg import SparseVec
-from brauerblocks.partitions import InvariantError, Partition, content_sum
+from brauerblocks.partitions import InvariantError, Partition
 from brauerblocks.specht import SpechtModule
 
 BlockVec = dict  # one-row index -> list of its f Specht coordinates
@@ -276,15 +276,6 @@ class CellModule:
         return {v_idx * f + x: c for v_idx, block in vec.items()
                 for x, c in enumerate(block) if c}
 
-    def to_blocks(self, vec: SparseVec) -> BlockVec:
-        """The block vector of a flat sparse vector."""
-        f = self.specht.dim
-        out: BlockVec = {}
-        for idx, c in vec.items():
-            v_idx, x = divmod(idx, f)
-            out.setdefault(v_idx, [0] * f)[x] = c
-        return {v_idx: block for v_idx, block in out.items() if any(block)}
-
     def __repr__(self) -> str:
         return f"CellModule(n={self.n}, delta={self.delta}, mu={self.mu}, dim={self.dim})"
 
@@ -298,22 +289,26 @@ def _specht(mu: Partition) -> SpechtModule:
     return specht.build_specht(mu)
 
 
-def t_action_check(cell: CellModule) -> bool:
-    """Does the sum of all hooks X_{i,j} act as the transposition sum plus
-    the scalar t(delta-1) - (content sum of mu)?  Each unit vector's
-    -scalar multiple, minus its transposed images, plus its images under
-    the hooks, must vanish."""
+def t_action_check(cell: CellModule, scalar: int) -> bool:
+    """Does the central element z = (sum of the transpositions (i j)) -
+    (sum of the hooks X_ij) act on the cell module as scalar?
+
+    It is checked on one vector, g = the first one-row diagram v tensored
+    with the first Specht unit vector.  z commutes with S_n, and the S_n
+    span of g is the whole module: S_n is transitive on the one-row
+    diagrams, and the permutations of v's free nodes fix v and act on the
+    Specht factor as S_|mu| does, where S^mu is irreducible.  So z acts as
+    scalar iff z.g = scalar * g.  g's n(n-1) move-table entries are read
+    directly, column 0 of each Specht matrix, and stored in no table."""
     n = cell.n
-    scalar = cell.t * (cell.delta - 1) - content_sum(cell.mu)
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    hooks = [("hook", i, j) for i, j in pairs]
-    for b in range(cell.dim):
-        unit = cell.to_blocks({b: 1})
-        out = {v_idx: [-scalar * c for c in block] for v_idx, block in unit.items()}
-        for pair in pairs:
-            cell._add_moved(out, unit, pair, cell._transpose, -1)
-        for h in hooks:
-            cell._add_moved(out, unit, h, cell._hook_move, 1)
-        if any(map(any, out.values())):
-            return False
-    return True
+    out = {(0, 0): -scalar}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for move, sign in ((cell._transpose((i, j), 0), 1),
+                               (cell._hook_move(("hook", i, j), 0), -1)):
+                if move is None:
+                    continue
+                w_idx, cols, scale = move
+                for x, a in ({0: 1} if cols is None else cols[0]).items():
+                    out[w_idx, x] = out.get((w_idx, x), 0) + sign * scale * a
+    return not any(out.values())

@@ -129,19 +129,19 @@ def central_scalar_value(n: int, delta: int, mu: Partition) -> int:
 
 
 def central_scalar(n: int, delta: int, mu: Partition) -> int:
-    """Scalar by which the central element acts on the cell module at mu.
-
-    The closed form is checked on every basis vector of the module by
-    t_action_check; a non-scalar action would falsify the implementation,
-    so it raises InvariantError rather than a soft error.
+    """Scalar by which the central element acts on the cell module at mu:
+    central_scalar_value, checked on the module by t_action_check.  Any
+    other action would falsify the implementation, so it raises
+    InvariantError rather than a soft error.
     """
     check_weight(n, delta, mu)
     cell = _capped_cell(n, delta, mu)
-    if not t_action_check(cell):
+    value = central_scalar_value(n, delta, mu)
+    if not t_action_check(cell, value):
         raise InvariantError(
-            f"central element is not scalar on the cell module at {mu}, "
-            f"n={n}, delta={delta}")
-    return central_scalar_value(n, delta, mu)
+            f"central element does not act by {value} on the cell module at "
+            f"{mu}, n={n}, delta={delta}")
+    return value
 
 
 def _cycle_rep(rho: Partition) -> tuple[int, ...]:

@@ -7,7 +7,9 @@ Young subgroup and the sign, which the library does without), the
 permutation and hook diagrams, the strand walk and the general diagram
 action on a cell module built on it (the library moves cell-module
 vectors only by transpositions and hooks, each in closed form), the sum
-of cell-module block vectors, addable boxes, the Partition, Box
+of cell-module block vectors, the block vector of a flat vector, the
+central element checked on every basis vector (the library checks one
+vector whose S_n span is the module), addable boxes, the Partition, Box
 and diagram helpers the library does without (box sets, adding and
 removing one box, skew-shape contents, deleting a box set, the
 propagating number, the free nodes of a one-row diagram), the
@@ -378,6 +380,35 @@ def block_sum(terms) -> dict:
             else:
                 out[v_idx] = [a + c * x for a, x in zip(acc, block)]
     return {v_idx: acc for v_idx, acc in out.items() if any(acc)}
+
+
+def to_blocks(cell: CellModule, vec: dict) -> dict:
+    """The block vector of a flat sparse vector {v*f + x: value}, the
+    inverse of cell.flatten; the library never converts this way."""
+    f = cell.specht.dim
+    out: dict = {}
+    for idx, c in vec.items():
+        v_idx, x = divmod(idx, f)
+        out.setdefault(v_idx, [0] * f)[x] = c
+    return {v_idx: block for v_idx, block in out.items() if any(block)}
+
+
+def t_action_basis(cell: CellModule, scalar: int) -> bool:
+    """Does the central element, the sum of the transpositions (i j)
+    minus the sum of the hooks X_ij, act as scalar on every basis vector?
+    The library checks one vector whose S_n span is the module; this
+    moves each unit vector through the module's move tables."""
+    n = cell.n
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    for b in range(cell.dim):
+        unit = to_blocks(cell, {b: 1})
+        out = {v_idx: [-scalar * c for c in block] for v_idx, block in unit.items()}
+        for pair in pairs:
+            cell._add_moved(out, unit, pair, cell._transpose, 1)
+            cell._add_moved(out, unit, ("hook", *pair), cell._hook_move, -1)
+        if any(map(any, out.values())):
+            return False
+    return True
 
 
 class AlgebraElement:

@@ -15,8 +15,8 @@ from brauerblocks.blocks import (hat_steps, is_balanced, is_minimal,
 from brauerblocks.cells import CellModule, t_action_check
 from brauerblocks.diagrams import all_diagrams
 from brauerblocks.linalg import Echelon
-from brauerblocks.oracle import HomQuery, hom_dim, restriction_multiplicity, \
-    verify_blocks
+from brauerblocks.oracle import HomQuery, central_scalar_value, hom_dim, \
+    restriction_multiplicity, verify_blocks
 from brauerblocks.partitions import (EMPTY, Box, Partition, partitions_of,
                                      subpartitions)
 from references import (box_set, e, e_bar, from_diagram, identity_element,
@@ -78,7 +78,8 @@ def test_criterion_03_hook_sum_action():
     for n in range(1, 7):
         for delta in DELTAS:
             for mu in weights(n, delta).weights:
-                assert t_action_check(CellModule(n, delta, mu)), \
+                c = central_scalar_value(n, delta, mu)
+                assert t_action_check(CellModule(n, delta, mu), c), \
                     (n, delta, mu)
 
 

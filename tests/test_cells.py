@@ -4,14 +4,14 @@ from math import factorial
 
 import pytest
 
-from brauerblocks import cells
+from brauerblocks import cells, oracle
 from brauerblocks.cells import CellModule, enumerate_v, t_action_check
 from brauerblocks.diagrams import BrauerDiagram, all_diagrams, concat, flip
 from brauerblocks.linalg import SparseVec, mat_vec
-from brauerblocks.oracle import _filling, central_scalar
+from brauerblocks.oracle import _filling, central_scalar, central_scalar_value
 from brauerblocks.partitions import (EMPTY, InvariantError, Partition,
-                                     content_sum, partitions_of,
-                                     removable_boxes, specht_dim)
+                                     partitions_of, removable_boxes,
+                                     specht_dim)
 from brauerblocks.specht import build_specht
 import references
 from references import (AlgebraElement, act_diagram, add_box, addable_boxes,
@@ -19,7 +19,7 @@ from references import (AlgebraElement, act_diagram, add_box, addable_boxes,
                         diagram_move, free_nodes, from_diagram, gram_matrix,
                         hook_diagram, identity_diagram, identity_element,
                         perm_diagram, propagating, remove_box, specht_form,
-                        transposition, u_diagram)
+                        t_action_basis, to_blocks, transposition, u_diagram)
 
 
 def P(*parts):
@@ -48,7 +48,7 @@ def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
 def act_element(cell: CellModule, elem: AlgebraElement, vec: SparseVec) -> SparseVec:
     if elem.n != cell.n or elem.delta != cell.delta:
         raise ValueError("element and module live over different B_n(delta)")
-    blocks = cell.to_blocks(vec)
+    blocks = to_blocks(cell, vec)
     return cell.flatten(block_sum((c, act_diagram(cell, d, blocks))
                                   for d, c in elem.terms.items()))
 
@@ -113,10 +113,11 @@ def test_top_cell_is_specht():
         d = perm_diagram(sigma)
         inv = cell.specht.perm_matrix(inverse(sigma))
         for j in range(cell.dim):
-            unit = cell.to_blocks({j: Fraction(1)})
+            unit = to_blocks(cell, {j: Fraction(1)})
             assert cell.flatten(act_diagram(cell, d, unit)) == inv[j]
     # arc diagrams drop the propagating number and act as zero on top
-    assert cell.flatten(act_diagram(cell, u_diagram(3, 1), cell.to_blocks({0: Fraction(1)}))) == {}
+    unit = to_blocks(cell, {0: Fraction(1)})
+    assert cell.flatten(act_diagram(cell, u_diagram(3, 1), unit)) == {}
 
 
 @pytest.mark.parametrize("delta", [0, 2])
@@ -129,7 +130,7 @@ def test_action_is_algebra_representation(delta):
             prod = ea * from_diagram(b, delta)
             for j in range(cell.dim):
                 unit = {j: Fraction(1)}
-                step = cell.flatten(act_diagram(cell, a, act_diagram(cell, b, cell.to_blocks(unit))))
+                step = cell.flatten(act_diagram(cell, a, act_diagram(cell, b, to_blocks(cell, unit))))
                 assert step == act_element(cell, prod, unit)
 
 
@@ -157,10 +158,10 @@ def test_gram_symmetric_and_invariant(delta):
     for d in all_diagrams(3):
         fd = flip(d)
         for b in range(dim):
-            moved = cell.flatten(act_diagram(cell, d, cell.to_blocks({b: Fraction(1)})))
+            moved = cell.flatten(act_diagram(cell, d, to_blocks(cell, {b: Fraction(1)})))
             for c in range(dim):
                 lhs = sum(v * gram[a][c] for a, v in moved.items())
-                back = cell.flatten(act_diagram(cell, fd, cell.to_blocks({c: Fraction(1)})))
+                back = cell.flatten(act_diagram(cell, fd, to_blocks(cell, {c: Fraction(1)})))
                 rhs = sum(gram[b][a] * v for a, v in back.items())
                 assert lhs == rhs
 
@@ -172,13 +173,15 @@ def test_t_action_small(delta):
             if delta == 0 and k == 0:
                 continue
             for mu in partitions_of(k):
-                assert t_action_check(CellModule(n, delta, mu))
+                assert t_action_check(CellModule(n, delta, mu),
+                                      central_scalar_value(n, delta, mu))
 
 
 def test_t_action_check_rejects_wrong_scalar(monkeypatch):
-    # with the content sum off by one the central element misses its
-    # scalar on every module, and central_scalar refuses to answer
-    monkeypatch.setattr(cells, "content_sum", lambda mu: content_sum(mu) + 1)
+    # with the closed form off by one the central element misses it on
+    # every module, and central_scalar refuses to answer
+    monkeypatch.setattr(oracle, "central_scalar_value",
+                        lambda n, delta, mu: central_scalar_value(n, delta, mu) + 1)
     count = 0
     for delta in (-1, 0, 2):
         for n in range(1, 5):
@@ -186,11 +189,27 @@ def test_t_action_check_rejects_wrong_scalar(monkeypatch):
                 if delta == 0 and k == 0:
                     continue
                 for mu in partitions_of(k):
-                    assert not t_action_check(CellModule(n, delta, mu))
+                    wrong = oracle.central_scalar_value(n, delta, mu)
+                    assert not t_action_check(CellModule(n, delta, mu), wrong)
                     with pytest.raises(InvariantError):
                         central_scalar(n, delta, mu)
                     count += 1
     assert count == 46
+
+
+def test_t_action_check_matches_every_basis_vector():
+    # the one-vector check and the per-basis reference agree on every
+    # module of n <= 7: both accept the closed form and refuse it plus 1
+    count = 0
+    for n in range(8):
+        for delta in DELTAS:
+            for cell in cell_modules(n, delta):
+                c = central_scalar_value(n, delta, cell.mu)
+                assert t_action_check(cell, c) and t_action_basis(cell, c), cell
+                assert not t_action_check(cell, c + 1), cell
+                assert not t_action_basis(cell, c + 1), cell
+                count += 1
+    assert count == 434
 
 
 def _one_row_diagram(cell, v_idx):
@@ -333,7 +352,7 @@ def test_action_layer_is_integral():
                     cell = CellModule(n, delta, mu)
                     for d in gens:
                         for j in range(cell.dim):
-                            unit = cell.to_blocks({j: 1})
+                            unit = to_blocks(cell, {j: 1})
                             assert all_int(cell.flatten(act_diagram(cell, d, unit)).values())
                     assert all(all_int(row.values()) for row in gram_matrix(cell))
 
@@ -383,7 +402,7 @@ def check_against_reference(cell, diagrams):
     full = {j: j % 5 - 2 or 3 for j in range(cell.dim)}
     for d in diagrams:
         for vec in [{j: 1} for j in range(cell.dim)] + [full]:
-            got = act_diagram(cell, d, cell.to_blocks(vec))
+            got = act_diagram(cell, d, to_blocks(cell, vec))
             for block in got.values():
                 assert type(block) is list and len(block) == f
                 assert all_int(block) and any(block)
@@ -423,7 +442,7 @@ def test_action_does_not_alias():
     # with the input: the input is unchanged by the call and by mutating
     # the result
     cell = CellModule(5, 2, P(2, 1))
-    vec = cell.to_blocks({j: j % 3 + 1 for j in range(cell.dim)})
+    vec = to_blocks(cell, {j: j % 3 + 1 for j in range(cell.dim)})
     before = copy.deepcopy(vec)
 
     def scribble(out, label):

@@ -38,6 +38,12 @@ def test_compare_rejects_a_changed_value(tmp_path, monkeypatch, capsys):
     assert "MISMATCH 4 1 2,2 2: 0 -> 1" in capsys.readouterr().out
 
 
+def test_compare_rejects_two_empty_dumps(tmp_path, monkeypatch, capsys):
+    # two dumps that hold nothing agree on nothing; a gate over them fails
+    assert compare(tmp_path, monkeypatch, {}, {}) == 1
+    assert "both dumps are empty" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("side", ["old", "new"])
 def test_compare_rejects_a_key_in_one_dump(tmp_path, monkeypatch, capsys, side):
     extra = {**DUMP, "6 0 2 2": 1}

@@ -23,7 +23,7 @@ from brauerblocks.partitions import (EMPTY, Partition, mn_character,
 from references import (act_diagram, block_perms, e_bar, gram_matrix,
                         hook_diagram, identity, identity_diagram, is_even,
                         lr_coefficient, perm_diagram, remove_box,
-                        shape_blocks, sign, transposition)
+                        shape_blocks, sign, to_blocks, transposition)
 
 DELTAS = (-2, -1, 0, 1, 2, 3)
 
@@ -48,7 +48,7 @@ def cycle_type(p: tuple[int, ...]) -> Partition:
 
 
 def matrix_of(cell: CellModule, d: BrauerDiagram) -> list[SparseVec]:
-    return [cell.flatten(act_diagram(cell, d, cell.to_blocks({j: 1})))
+    return [cell.flatten(act_diagram(cell, d, to_blocks(cell, {j: 1})))
             for j in range(cell.dim)]
 
 
@@ -190,7 +190,7 @@ def probe_traces(cell) -> dict:
     out = {}
     for rho in partitions_of(cell.n):
         d = perm_diagram(tuple(x - 1 for x in _cycle_rep(rho)[1:]))
-        out[rho] = sum(cell.flatten(act_diagram(cell, d, cell.to_blocks({j: 1}))).get(j, 0)
+        out[rho] = sum(cell.flatten(act_diagram(cell, d, to_blocks(cell, {j: 1}))).get(j, 0)
                        for j in range(cell.dim))
     return out
 
@@ -346,7 +346,7 @@ def full_scan(n: int, delta: int, lam: Partition, mu: Partition,
                 acc = vec
                 for i in range(j):
                     tr = transposition(k, pts[i], pts[j])
-                    moved = act_diagram(cell, pad_perm(tr), cell.to_blocks(vec))
+                    moved = act_diagram(cell, pad_perm(tr), to_blocks(cell, vec))
                     acc = vec_add(acc, cell.flatten(moved), sign)
                 vec = acc
         return vec
@@ -359,7 +359,7 @@ def full_scan(n: int, delta: int, lam: Partition, mu: Partition,
     ech = Echelon()
     w_basis = []
     for b in (v_idx * f + x for v_idx in v_seeds for x in range(f)):
-        v = cell.flatten(act_diagram(cell, ident, cell.to_blocks({b: 1})))
+        v = cell.flatten(act_diagram(cell, ident, to_blocks(cell, {b: 1})))
         v = group_pass(v, rows, 1)
         v = group_pass(v, cols, -1)
         if v and ech.add(v):
@@ -373,7 +373,7 @@ def full_scan(n: int, delta: int, lam: Partition, mu: Partition,
         for i in range(1, k + 1):
             for j in range(i + 1, k + 1):
                 h = pad(hook_diagram(k, i, j), n)
-                for key, val in cell.flatten(act_diagram(cell, h, cell.to_blocks(w))).items():
+                for key, val in cell.flatten(act_diagram(cell, h, to_blocks(cell, w))).items():
                     image[(i, j, key)] = val
         stacked.append(image)
     return len(w_basis) - rank_of(stacked), w_basis
@@ -405,7 +405,7 @@ def check_symmetry_cuts(n, delta, lam, mu) -> bool:
             for j in col[a + 1:]:
                 h = pad(hook_diagram(lam.size, i, j), n)
                 for w in w_basis:
-                    assert cell.flatten(act_diagram(cell, h, cell.to_blocks(w))) == {}, \
+                    assert cell.flatten(act_diagram(cell, h, to_blocks(cell, w))) == {}, \
                         (n, delta, lam, mu, i, j)
     if lam.size != n:
         return False
@@ -433,7 +433,7 @@ def young_sum(cell, vec, blocks, signed):
     when signed = -1), applied to vec one permutation diagram at a time."""
     out = {}
     for p in block_perms(blocks, cell.n):
-        out = vec_add(out, cell.flatten(act_diagram(cell, perm_diagram(p), cell.to_blocks(vec))),
+        out = vec_add(out, cell.flatten(act_diagram(cell, perm_diagram(p), to_blocks(cell, vec))),
                       sign(p) if signed < 0 else 1)
     return out
 

@@ -41,3 +41,14 @@ def test_block_survey_verifies(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "oracle: " in proc.stdout
     assert "FAIL" not in proc.stdout, proc.stdout
+
+
+@pytest.mark.parametrize("name, args", [
+    ("minimality_scan.py", ["--max-size", "-1"]),
+    ("block_survey.py", ["--max-n", "1", "--verify"]),
+])
+def test_scripts_refuse_an_empty_range(name, args, tmp_path):
+    # a range that holds no case would pass having checked nothing
+    proc = run_script(name, args, tmp_path)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "must be at least" in proc.stderr, proc.stderr
