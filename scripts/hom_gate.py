@@ -15,10 +15,12 @@ delta 0, 1, which is 37 326 pairs, and at n = 0-7, delta -2..3 every
 weight's gram_rank, keyed "gram n delta mu", and every
 restriction_multiplicity, keyed "restriction n delta mu lam": 4831
 values more, 42 157 entries in all.  Large modules need BRAUER_MAX_DIM
-set as for any other query; the gate set needs 10080.  `compare` prints
-each entry whose value differs or that only one dump holds, and exits 1
-if there is any, or if neither dump holds an entry; otherwise it prints
-the entry and nonzero counts and exits 0.
+set as for any other query; the gate set needs 10080.  A selection that
+holds no entry (--n 0 --deltas 0: B_0(0) has no weight) writes no file
+and exits 1.  `compare` prints each entry whose value differs or that
+only one dump holds, and exits 1 if there is any, or if neither dump
+holds an entry; otherwise it prints the entry and nonzero counts and
+exits 0.
 """
 
 import argparse
@@ -63,6 +65,10 @@ def dump(args) -> int:
             for lam in partitions_of(n):
                 out[f"restriction {n} {delta} {mu} {lam}"] = \
                     restriction_multiplicity(n, delta, mu, lam)
+    if not out:
+        # a dump that holds nothing would let a later compare check nothing
+        print("the selection holds no entry: nothing dumped")
+        return 1
     Path(args.out).write_text(json.dumps(out, indent=0, sort_keys=True) + "\n")
     nonzero = sum(1 for v in out.values() if v)
     print(f"{len(out)} entries, {nonzero} nonzero, "

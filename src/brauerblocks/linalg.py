@@ -2,7 +2,8 @@
 
 Vectors are dicts {column index: nonzero int}; the package makes no
 Fraction, and nothing here takes one.  Matrices are lists of sparse
-columns; the Specht generator and permutation matrices are built here.
+columns; specht builds its generator matrices by straightening and
+multiplies them here into permutation matrices.
 The cell action does not go through mat_vec: it keeps its own block
 vectors (see cells) and flattens them into this form for elimination.
 The one workhorse is an incremental row echelon for ranks, which

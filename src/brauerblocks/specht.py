@@ -1,19 +1,29 @@
 """Exact Specht modules over the integers.
 
-S^mu is realized inside the permutation module on tabloids: the basis is
-the standard polytabloids (tableaux ordered lexicographically by
-row-reading word).  Each standard polytabloid e_t has {t} as its
-lex-least tabloid, with coefficient 1, so the basis is unitriangular and
-the generator matrices come from peeling leading tabloids off s_i*e_t:
-integer subtraction only, no solve and no straightening.  The module
-carries no bilinear form: the oracle's Gram rank reads the cell form off
-the symmetrizer images, where the Specht form, nondegenerate, drops out.
+The basis of S^mu is the polytabloids e_t of the standard tableaux t,
+ordered lexicographically by row-reading word.  e_T is defined for any
+filling T of mu, and two rules write it in that basis (James, LNM 682,
+sections 7-8; Fulton, Young Tableaux, section 7.4):
 
-The column group of a tableau is the product of the symmetric groups of
-its columns, so e_t is summed column by column from one table of signed
-permutations per column length.  The tables are built from the shape
-for one build_specht and dropped with it: the table for column length L
-holds L! permutations, never more than the terms of e_t.
+* a permutation of T's columns multiplies e_T by its sign, so e_T is
+  +-e_T' for T' with each column sorted upward;
+* where a column-sorted T' has a row descent T'[r][c] > T'[r][c+1],
+  with A the entries of column c from row r down and B those of column
+  c+1 down to row r, the Garnir relation gives
+  e_T' = -sum sgn(sigma) e_{sigma T'} over the coset representatives
+  sigma != 1 of S_A x S_B in S_{A u B}.
+
+Every entry of B is below every entry of A, so each Garnir term moves
+smaller entries left and the recursion ends; a column-sorted filling
+without a row descent is standard.  The generator column s_i*e_t is
+e_{s_i t}, straightened so, with integer coefficients throughout, and
+the straightened fillings are memoised for one build_specht and dropped
+with it.  James's three cases need no code of their own: i and i+1 in
+one column give -e_t from the sort, in neither one row nor one column a
+standard s_i t, and in one row a Garnir relation.  No tabloid is formed.
+The module carries no bilinear form: the oracle's Gram rank reads the
+cell form off the symmetrizer images, where the Specht form,
+nondegenerate, drops out.
 
 Permutations of the m = |mu| tableau values are 0-based image tuples,
 p[i] the image of i.  perm_matrix multiplies generator matrices along
@@ -22,7 +32,7 @@ the word in adjacent transpositions that adjacent_word reads off p.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, combinations
 
 from brauerblocks import linalg
 from brauerblocks.linalg import SparseVec
@@ -34,55 +44,6 @@ Tableau = tuple[tuple[int, ...], ...]
 
 def row_word(tab: Tableau) -> tuple[int, ...]:
     return tuple(chain.from_iterable(tab))
-
-
-def tabloid_of(tab: Tableau, m: int) -> tuple[int, ...]:
-    """Row index of each value 1..m; the tabloid forgets order within rows."""
-    row = [0] * m
-    for i, r in enumerate(tab):
-        for v in r:
-            row[v - 1] = i
-    return tuple(row)
-
-
-def _column_blocks(tab: Tableau) -> list[list[int]]:
-    """Values in each column, 0-based for the permutation machinery."""
-    width = len(tab[0]) if tab else 0
-    return [[tab[i][j] - 1 for i in range(len(tab)) if len(tab[i]) > j]
-            for j in range(width)]
-
-
-def _signed_perms(mu: Partition) -> dict[int, list[tuple[tuple[int, ...], int]]]:
-    """For each column length L of mu, every permutation of range(L)
-    with its sign.  Inserting x into a permutation of range(x) at position
-    q adds x - q inversions."""
-    lengths = set(mu.conjugate().parts)
-    table, tables = [((), 1)], {}
-    for x in range(max(lengths, default=0)):
-        table = [(p[:q] + (x,) + p[q:], -s if (x - q) % 2 else s)
-                 for p, s in table for q in range(x + 1)]
-        if x + 1 in lengths:
-            tables[x + 1] = table
-    return tables
-
-
-def _polytabloid(tab: Tableau, m: int, tables: dict) -> SparseVec:
-    """e_t: the signed sum of the tabloids {sigma t} over the column
-    group, from the _signed_perms tables of t's shape.  A term gives the
-    entries of column c the rows of one permutation p of its length, the
-    i-th entry row p[i]; so a term's rows, read column by column, are the
-    concatenation of one permutation per column, and its sign the product
-    of theirs.  Distinct column permutations give distinct tabloids, so
-    no terms cancel."""
-    cols = _column_blocks(tab)
-    terms = [((), 1)]
-    for col in cols:
-        terms = [(key + p, c * s) for key, c in terms for p, s in tables[len(col)]]
-    # slot[v]: where entry v + 1 sits in the column-by-column reading
-    slot = [0] * m
-    for k, v in enumerate(chain.from_iterable(cols)):
-        slot[v] = k
-    return {tuple(map(key.__getitem__, slot)): c for key, c in terms}
 
 
 class SpechtModule:
@@ -138,31 +99,60 @@ def adjacent_word(p: tuple[int, ...]) -> list[int]:
 
 
 def build_specht(mu: Partition) -> SpechtModule:
-    m = mu.size
     basis = sorted(standard_tableaux(mu), key=row_word)
     if len(basis) != specht_dim(mu):
         raise InvariantError((mu, len(basis)))
-    tables = _signed_perms(mu)
-    polys = [_polytabloid(tab, m, tables) for tab in basis]
-    lead = {tabloid_of(tab, m): idx for idx, tab in enumerate(basis)}
-    gen_matrices = []
-    for i in range(1, m):  # s_i swaps values i, i+1
-        cols: list[SparseVec] = []
-        for vec in polys:
-            moved: SparseVec = {}
-            for key, c in vec.items():
-                lst = list(key)
-                lst[i - 1], lst[i] = lst[i], lst[i - 1]
-                moved[tuple(lst)] = c
-            col: SparseVec = {}
-            while moved:
-                key = min(moved)
-                idx = lead.get(key)
-                if idx is None:  # the Specht span is s_i-stable
-                    raise InvariantError((mu, i, key))
-                col[idx] = moved[key]
-                moved = linalg.vec_add(moved, polys[idx], -moved[key])
-            cols.append(col)
-        gen_matrices.append(cols)
-    return SpechtModule(mu, basis, gen_matrices)
+    heights = mu.columns(0)
+    columns = [tuple(tuple(row[c] for row in tab[:h]) for c, h in enumerate(heights))
+               for tab in basis]
+    index = {cols: idx for idx, cols in enumerate(columns)}
+    memo: dict[tuple, SparseVec] = {}
 
+    def straighten(cols: tuple) -> SparseVec:
+        """e_T in the basis, T given by its columns: sort each column,
+        flipping the sign once per inversion, then read the sorted
+        tableau off the memo or through garnir."""
+        sign = (-1) ** sum(a > b for col in cols
+                           for k, a in enumerate(col) for b in col[k + 1:])
+        key = tuple(tuple(sorted(col)) for col in cols)
+        vec = memo.get(key)
+        if vec is None:
+            memo[key] = vec = garnir(key)
+        return {k: sign * v for k, v in vec.items()}
+
+    def garnir(cols: tuple) -> SparseVec:
+        """e_T for a column-sorted T: a basis vector, or the Garnir sum
+        at T's first row descent.  A term puts the entries chosen in A's
+        places and the rest in B's, each in order, so its sigma has
+        sign (-1)^(inversions of rest + chosen)."""
+        idx = index.get(cols)
+        if idx is not None:
+            return {idx: 1}
+        descent = next(((c, r) for r in range(len(cols[0]))
+                        for c in range(len(cols) - 1)
+                        if r < len(cols[c + 1]) and cols[c][r] > cols[c + 1][r]),
+                       None)
+        if descent is None:  # column-sorted, rows increasing, not standard
+            raise InvariantError((mu, cols))
+        c, r = descent
+        a, b = cols[c][r:], cols[c + 1][:r + 1]
+        pool = b + a  # ascending: every entry of b is below every entry of a
+        out: SparseVec = {}
+        for chosen in combinations(pool, len(a)):
+            if chosen == a:
+                continue
+            rest = tuple(x for x in pool if x not in chosen)
+            odd = sum(x > y for x in rest for y in chosen) % 2
+            moved = (cols[:c] + (cols[c][:r] + chosen, rest + cols[c + 1][r + 1:])
+                     + cols[c + 2:])
+            for k, v in straighten(moved).items():
+                out[k] = out.get(k, 0) + (v if odd else -v)
+        return {k: v for k, v in out.items() if v}
+
+    gen_matrices = []
+    for i in range(1, mu.size):  # s_i swaps values i, i+1
+        swap = {i: i + 1, i + 1: i}
+        gen_matrices.append([straighten(tuple(tuple(swap.get(v, v) for v in col)
+                                              for col in cols))
+                             for cols in columns])
+    return SpechtModule(mu, basis, gen_matrices)

@@ -19,10 +19,12 @@ balanced test and bias on Box sets, which the library computes from row
 lengths, and the Box-set skew growth of maximal_balanced_sub, which the
 library reads off one type-D reflection, the Counter-based orbit
 minimum, which the library reads off coordinates, the sort-based
-one-row diagram enumeration, which the library yields in order, and the
-polytabloid Specht form and the whole Gram matrix, its pairings read
-off the strand walk of each cap diagram, which the library's Gram rank
-does without.  The library runs none of them; the tests compare it
+one-row diagram enumeration, which the library yields in order, the
+Specht module on polytabloids, its generator columns peeled off leading
+tabloids, which the library straightens on tableaux with Garnir
+relations, and the polytabloid Specht form and the whole Gram matrix,
+its pairings read off the strand walk of each cap diagram, which the
+library's Gram rank does without.  The library runs none of them; the tests compare it
 against them."""
 
 from __future__ import annotations
@@ -30,16 +32,18 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import permutations
+from itertools import chain, permutations
 from math import factorial, lcm
 from typing import Iterable, Iterator
 
 from brauerblocks.blocks import _shifted, _unshift
 from brauerblocks.cells import CellModule, PartialOneRowDiagram
 from brauerblocks.diagrams import BrauerDiagram, concat, flip
+from brauerblocks.linalg import vec_add
 from brauerblocks.partitions import (EMPTY, Box, InvariantError, Partition,
-                                     SkewShape, removable_boxes, specht_dim)
-from brauerblocks.specht import SpechtModule, _polytabloid, _signed_perms
+                                     SkewShape, removable_boxes, specht_dim,
+                                     standard_tableaux)
+from brauerblocks.specht import SpechtModule, row_word
 
 
 # Permutations on m points are tuples of images, 0-based: p[i] is the
@@ -828,6 +832,96 @@ def enumerate_v(n: int, t: int) -> list[PartialOneRowDiagram]:
            for arcs in rec(tuple(range(1, n + 1)), t)]
     out.sort(key=lambda v: v.arcs)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Specht modules inside the permutation module on tabloids: the standard
+# polytabloids, the generator matrices peeled off their leading tabloids,
+# and the invariant form on them.  The library straightens tableaux with
+# Garnir relations and never forms a tabloid.
+
+
+def tabloid_of(tab, m: int) -> tuple[int, ...]:
+    """Row index of each value 1..m; the tabloid forgets order within rows."""
+    row = [0] * m
+    for i, r in enumerate(tab):
+        for v in r:
+            row[v - 1] = i
+    return tuple(row)
+
+
+def _column_blocks(tab) -> list[list[int]]:
+    """Values in each column, 0-based for the permutation machinery."""
+    width = len(tab[0]) if tab else 0
+    return [[tab[i][j] - 1 for i in range(len(tab)) if len(tab[i]) > j]
+            for j in range(width)]
+
+
+def _signed_perms(mu: Partition) -> dict[int, list[tuple[tuple[int, ...], int]]]:
+    """For each column length L of mu, every permutation of range(L)
+    with its sign.  Inserting x into a permutation of range(x) at position
+    q adds x - q inversions."""
+    lengths = set(mu.conjugate().parts)
+    table, tables = [((), 1)], {}
+    for x in range(max(lengths, default=0)):
+        table = [(p[:q] + (x,) + p[q:], -s if (x - q) % 2 else s)
+                 for p, s in table for q in range(x + 1)]
+        if x + 1 in lengths:
+            tables[x + 1] = table
+    return tables
+
+
+def _polytabloid(tab, m: int, tables: dict) -> dict:
+    """e_t: the signed sum of the tabloids {sigma t} over the column
+    group, from the _signed_perms tables of t's shape.  A term gives the
+    entries of column c the rows of one permutation p of its length, the
+    i-th entry row p[i]; so a term's rows, read column by column, are the
+    concatenation of one permutation per column, and its sign the product
+    of theirs.  Distinct column permutations give distinct tabloids, so
+    no terms cancel."""
+    cols = _column_blocks(tab)
+    terms = [((), 1)]
+    for col in cols:
+        terms = [(key + p, c * s) for key, c in terms for p, s in tables[len(col)]]
+    # slot[v]: where entry v + 1 sits in the column-by-column reading
+    slot = [0] * m
+    for k, v in enumerate(chain.from_iterable(cols)):
+        slot[v] = k
+    return {tuple(map(key.__getitem__, slot)): c for key, c in terms}
+
+
+def peeled_specht(mu: Partition) -> SpechtModule:
+    """S^mu on the standard polytabloids, in the library's basis order.
+    Each e_t has {t} as its lex-least tabloid, with coefficient 1, so a
+    generator column s_i*e_t is read off by peeling leading tabloids:
+    integer subtraction only."""
+    m = mu.size
+    basis = sorted(standard_tableaux(mu), key=row_word)
+    if len(basis) != specht_dim(mu):
+        raise InvariantError((mu, len(basis)))
+    tables = _signed_perms(mu)
+    polys = [_polytabloid(tab, m, tables) for tab in basis]
+    lead = {tabloid_of(tab, m): idx for idx, tab in enumerate(basis)}
+    gen_matrices = []
+    for i in range(1, m):  # s_i swaps values i, i+1
+        cols: list[dict] = []
+        for vec in polys:
+            moved: dict = {}
+            for key, c in vec.items():
+                lst = list(key)
+                lst[i - 1], lst[i] = lst[i], lst[i - 1]
+                moved[tuple(lst)] = c
+            col: dict = {}
+            while moved:
+                key = min(moved)
+                idx = lead.get(key)
+                if idx is None:  # the Specht span is s_i-stable
+                    raise InvariantError((mu, i, key))
+                col[idx] = moved[key]
+                moved = vec_add(moved, polys[idx], -moved[key])
+            cols.append(col)
+        gen_matrices.append(cols)
+    return SpechtModule(mu, basis, gen_matrices)
 
 
 # ---------------------------------------------------------------------------

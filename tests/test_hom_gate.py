@@ -80,3 +80,14 @@ def test_dump_takes_the_gate_or_a_range(tmp_path, monkeypatch, extra):
         hom_gate.main()
     assert exc.value.code == 2
     assert not (tmp_path / "out.json").exists()
+
+
+def test_dump_refuses_a_selection_with_no_entry(tmp_path, monkeypatch, capsys):
+    # B_0(0) has no weight, so this selection holds no entry; a dump of
+    # nothing fails and leaves no file for compare to pass
+    monkeypatch.setattr(sys, "argv", ["hom_gate.py", "dump",
+                                      str(tmp_path / "out.json"),
+                                      "--n", "0", "--deltas", "0"])
+    assert hom_gate.main() == 1
+    assert "no entry" in capsys.readouterr().out
+    assert not (tmp_path / "out.json").exists()

@@ -3,15 +3,15 @@ from functools import lru_cache
 
 import pytest
 
-from brauerblocks import linalg
+from brauerblocks import linalg, specht
 from brauerblocks.linalg import SparseVec
-from brauerblocks.partitions import (Partition, mn_character, partitions_of,
-                                     specht_dim, standard_tableaux)
-from brauerblocks.specht import (SpechtModule, _column_blocks, _polytabloid,
-                                 _signed_perms, build_specht, row_word,
-                                 tabloid_of)
-from references import (all_perms, block_perms, compose, dot, identity, sign,
-                        specht_form)
+from brauerblocks.partitions import (InvariantError, Partition, mn_character,
+                                     partitions_of, specht_dim,
+                                     standard_tableaux)
+from brauerblocks.specht import SpechtModule, build_specht, row_word
+from references import (_column_blocks, _polytabloid, _signed_perms, all_perms,
+                        block_perms, compose, dot, identity, peeled_specht,
+                        sign, specht_form, tabloid_of)
 
 
 @lru_cache(maxsize=None)
@@ -48,8 +48,8 @@ def test_tabloid_and_row_word():
 
 
 def test_polytabloid_leading_tabloid():
-    # build_specht peels generator-matrix coordinates off this
-    # unitriangularity: {t} leads e_t with coefficient 1, keys distinct
+    # the reference peeled_specht peels generator-matrix coordinates off
+    # this unitriangularity: {t} leads e_t with coefficient 1, keys distinct
     for n in range(8):
         for lam in partitions_of(n):
             leads = set()
@@ -74,6 +74,31 @@ def whole_group_polytabloid(tab, m: int) -> SparseVec:
         key_t = tuple(key)
         out[key_t] = out.get(key_t, 0) + sign(sigma)
     return {k: v for k, v in out.items() if v}
+
+
+def test_straightening_matches_the_peel():
+    # Garnir straightening on tableaux gives the basis and generator
+    # matrices of the polytabloid peel on every shape of 0..8 boxes
+    count = 0
+    for n in range(9):
+        for lam in partitions_of(n):
+            md, ref = module(lam), peeled_specht(lam)
+            assert md.basis == ref.basis, lam
+            assert md.gen_matrices == ref.gen_matrices, lam
+            count += 1
+    assert count == 67
+
+
+def test_straightening_refuses_a_missing_basis_tableau(monkeypatch):
+    # a column-sorted tableau with increasing rows that is not in the
+    # basis is an InvariantError, not a StopIteration or a wrong column
+    lam = Partition((2, 1))
+    drop = max(standard_tableaux(lam), key=row_word)
+    monkeypatch.setattr(specht, "standard_tableaux",
+                        lambda mu: [t for t in standard_tableaux(mu) if t != drop])
+    monkeypatch.setattr(specht, "specht_dim", lambda mu: 1)
+    with pytest.raises(InvariantError):
+        build_specht(lam)
 
 
 def test_polytabloid_matches_whole_group_sum():
@@ -131,19 +156,27 @@ def test_composition_convention(rng):
 
 
 def test_braid_relations():
-    md = module(Partition((3, 2)))
-    gens = md.gen_matrices
-    one = linalg.identity_cols(md.dim)
-    for g in gens:
-        assert linalg.mat_mul(g, g) == one
-    for i in range(len(gens) - 1):
-        assert linalg.mat_mul(gens[i], linalg.mat_mul(gens[i + 1], gens[i])) == \
-            linalg.mat_mul(gens[i + 1], linalg.mat_mul(gens[i], gens[i + 1]))
-    assert linalg.mat_mul(gens[0], gens[2]) == linalg.mat_mul(gens[2], gens[0])
+    # the Coxeter relations of S_n on every shape of 0..6 boxes: s_i^2 = 1,
+    # the braid relation, and commutation of s_i, s_j with |i - j| >= 2
+    mul, count = linalg.mat_mul, 0
+    for n in range(7):
+        for lam in partitions_of(n):
+            md = module(lam)
+            gens = md.gen_matrices
+            one = linalg.identity_cols(md.dim)
+            for g in gens:
+                assert mul(g, g) == one
+            for i in range(len(gens) - 1):
+                a, b = gens[i], gens[i + 1]
+                assert mul(a, mul(b, a)) == mul(b, mul(a, b))
+                for j in range(i + 2, len(gens)):
+                    assert mul(a, gens[j]) == mul(gens[j], a)
+            count += 1
+    assert count == 30
 
 
 def test_traces_match_characters():
-    for n in range(1, 6):
+    for n in range(1, 8):
         for lam in partitions_of(n):
             md = module(lam)
             for rho in partitions_of(n):
